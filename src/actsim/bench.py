@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
-import json
 import statistics
 import time
 from dataclasses import dataclass
@@ -15,9 +13,9 @@ import numpy as np
 from scipy import sparse
 
 from .contexts import extract_occurrences
-from .errors import ActsimError, EmptyLogError, ExportError, ParameterError
+from .errors import ActsimError, EmptyLogError, ParameterError
 from .intrinsic import AggregateReport, FailedJob, IntrinsicScores
-from .log import EventLog
+from .log import EventLog, open_output, write_json
 from .matrices import EmbeddingMatrix
 from .pipeline import MethodConfig, build_embedding
 from .similarity import pairwise_distance_matrix
@@ -340,29 +338,23 @@ def export_report(report: Report, target: str | Path, fmt: str = "json") -> None
     if fmt not in ("json", "csv"):
         raise ParameterError(f"unknown report format {fmt!r} (expected json or csv)")
     if isinstance(report, TimingReport):
-        payload = _timing_json(report)
-        header, rows = _timing_rows(report)
+        to_json, to_rows = _timing_json, _timing_rows
     elif isinstance(report, AggregateReport):
-        payload = _aggregate_json(report)
-        header, rows = _aggregate_rows(report)
+        to_json, to_rows = _aggregate_json, _aggregate_rows
     elif isinstance(report, Sequence) and all(
         isinstance(item, IntrinsicScores) for item in report
     ):
-        payload = _scores_json(report)
-        header, rows = _scores_rows(report)
+        to_json, to_rows = _scores_json, _scores_rows
     else:
         raise ParameterError(f"cannot export object of type {type(report).__name__}")
 
+    # Build only the chosen format's records: a long score list otherwise
+    # holds both in memory at once.
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        write_json(to_json(report), target)
+        return
+    header, rows = to_rows(report)
+    with open_output(target) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        text = buffer.getvalue()
-    path = Path(target)
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ExportError(f"cannot write report to {path}: {exc}") from exc

@@ -1,22 +1,21 @@
 """Command-line interface: stats, embed, distances, intrinsic, bench.
 
 One process handles one log; multi-log sweeps are shell-level composition.
-Exit codes: 0 on success, 1 when some benchmark jobs failed, 2 on usage or
-parse errors.
+Exit codes: 0 on success, 1 when some benchmark jobs failed, 2 on usage,
+parse or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .bench import export_report, failures_json, run_runtime_bench
 from .contexts import ContextKind, extract_occurrences
-from .errors import ActsimError
+from .errors import ActsimError, ExportError
 from .intrinsic import aggregate_scores, run_intrinsic_benchmark
-from .log import compute_stats, read_log, write_stats_csv
+from .log import compute_stats, read_log, write_json, write_stats_csv
 from .matrices import write_embedding_csv
 from .pipeline import (
     METHODS,
@@ -119,7 +118,10 @@ def _load_log(args: argparse.Namespace):
 
 def _out_dir(args: argparse.Namespace) -> Path:
     path = Path(args.out_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ExportError(f"cannot create output directory {path}: {exc}") from exc
     return path
 
 
@@ -175,9 +177,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         "total_events": stats.total_events,
         "rank_tie_order": "activity id ascending",
     }
-    (out / "stats.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(summary, out / "stats.json")
     print(
         f"{stats.trace_count} traces, {stats.activity_count} activities, "
         f"{stats.variant_count} variants, avg length {stats.avg_trace_length:.2f}"
@@ -201,7 +201,7 @@ def _write_meta(path: Path, config: MethodConfig, extra: dict) -> None:
         "window": config.window,
     }
     meta.update(extra)
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(meta, path)
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
@@ -247,10 +247,7 @@ def _cmd_intrinsic(args: argparse.Namespace) -> int:
     if scores:
         export_report(aggregate_scores(scores, failures), out / "intrinsic_aggregate.csv", "csv")
     if failures:
-        (out / "intrinsic_failures.json").write_text(
-            json.dumps(failures_json(failures), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(failures_json(failures), out / "intrinsic_failures.json")
     print(f"{len(scores)} scored jobs, {len(failures)} failed")
     return 1 if failures else 0
 

@@ -11,7 +11,6 @@ log exactly.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from math import comb
@@ -21,7 +20,7 @@ from typing import AbstractSet, Iterable, Mapping
 from itertools import combinations
 
 from .errors import EmptyLogError, ParameterError
-from .log import EventLog
+from .log import EventLog, write_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -167,9 +166,7 @@ def write_classes_json(gt: GroundTruthLog, target: str | Path) -> None:
         alphabet.label_of(clone): alphabet.label_of(orig)
         for clone, orig in gt.classes.phi.items()
     }
-    with open(Path(target), "w", encoding="utf-8") as handle:
-        json.dump(mapping, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(mapping, target)
 
 
 @dataclass(frozen=True)

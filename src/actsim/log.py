@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Iterable, Iterator, Sequence, Union
 
-from .errors import EmptyLogError, FormatError, ParameterError
+from .errors import EmptyLogError, ExportError, FormatError, ParameterError
 
 PAD_LABEL = "__PAD__"
 PAD = 0
@@ -144,14 +146,40 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
 
 
 def _read_text(source: TextSource) -> str:
+    """The source's text without a leading UTF-8 byte-order mark."""
     if isinstance(source, Path):
         try:
-            return source.read_text(encoding="utf-8")
+            return source.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise FormatError(f"cannot read {source}: {exc}") from exc
-    if isinstance(source, str):
-        return source
-    return source.read()
+    text = source if isinstance(source, str) else source.read()
+    return text.removeprefix("\ufeff")
+
+
+@contextmanager
+def open_output(target: IO[str] | str | Path) -> Iterator[IO[str]]:
+    """A text handle on ``target`` for one writer.
+
+    A path is opened as UTF-8 with no newline translation and closed on
+    exit; an open stream is used as is. An ``OSError`` while opening or
+    writing becomes an :class:`ExportError` naming the target.
+    """
+    try:
+        if isinstance(target, (str, Path)):
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+        else:
+            yield target
+    except OSError as exc:
+        raise ExportError(f"cannot write {target}: {exc}") from exc
+
+
+def write_json(payload: object, target: IO[str] | str | Path) -> None:
+    """Write ``payload`` as JSON with sorted keys, two-space indentation
+    and a final newline, streamed to the handle."""
+    with open_output(target) as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
@@ -317,18 +345,13 @@ def write_log_csv(log: EventLog, target: IO[str] | str | Path) -> None:
     Case ids are 1-based trace positions; re-parsing the output yields an
     identical log (same traces, same alphabet order).
     """
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open_output(target) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["case", "activity"])
         label_of = log.alphabet.label_of
         for index, trace in enumerate(log.traces, start=1):
             for aid in trace:
                 writer.writerow([index, label_of(aid)])
-    finally:
-        if own:
-            handle.close()
 
 
 @dataclass(frozen=True)
@@ -382,15 +405,10 @@ def compute_stats(log: EventLog) -> LogStats:
 
 def write_stats_csv(stats: LogStats, target: IO[str] | str | Path) -> None:
     """Write the rank-frequency table (``rank,activity,frequency,relative_frequency``)."""
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open_output(target) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["rank", "activity", "frequency", "relative_frequency"])
         for entry in stats.rank_entries:
             writer.writerow(
                 [entry.rank, entry.label, entry.count, format(entry.relative_frequency, ".17g")]
             )
-    finally:
-        if own:
-            handle.close()

@@ -10,9 +10,9 @@ from typing import IO, Sequence, Union
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKey, ContextKind, OccurrenceTable
+from .contexts import ContextKey, ContextKeys, ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet
+from .log import Alphabet, open_output
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,12 @@ class EmbeddingMatrix:
     ``values`` is a dense ndarray for AA and a scipy CSR matrix for AC;
     treat it as read-only. ``row_labels`` lists the occurring activity
     ids ascending, so every activity with at least one event has a row.
+    ``column_labels`` are activity ids (AA) or a :class:`ContextKeys`
+    view (AC).
     """
 
     row_labels: tuple[int, ...]
-    column_labels: Union[tuple[int, ...], tuple[ContextKey, ...]]
+    column_labels: Union[tuple[int, ...], Sequence[ContextKey]]
     values: "np.ndarray | sparse.csr_matrix"
     provenance: Provenance
 
@@ -59,38 +61,26 @@ class EmbeddingMatrix:
         return {aid: i for i, aid in enumerate(self.row_labels)}
 
 
-def _pair_arrays(table: OccurrenceTable, row_of: dict[int, int]):
-    items = table.pair_counts.items()
-    rows = np.fromiter((row_of[a] for (a, _), _ in items), dtype=np.int64, count=len(items))
-    cols = np.fromiter((c for (_, c), _ in items), dtype=np.int64, count=len(items))
-    data = np.fromiter((v for _, v in items), dtype=np.int64, count=len(items))
-    return rows, cols, data
-
-
-def _ac_sparse(table: OccurrenceTable) -> tuple[list[int], sparse.csr_matrix]:
+def _activities(table: OccurrenceTable) -> tuple[int, ...]:
     activities = table.activities()
     if not activities:
         raise ParameterError("occurrence table has no activities")
-    row_of = {aid: i for i, aid in enumerate(activities)}
-    rows, cols, data = _pair_arrays(table, row_of)
-    matrix = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(activities), len(table.contexts)), dtype=np.int64
-    )
-    return activities, matrix
+    return tuple(activities)
 
 
 def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
     """Activity-context matrix: AC(a, c) = #(a, c), stored sparse.
 
-    Column order is the table's context interning order; the dimension is
-    bounded by (|A|+1)^(n-1) since each context has n-1 symbol slots over
-    the alphabet plus PAD.
+    The values are the table's own CSR counts, not a copy. Column order is
+    the table's context interning order, and the column labels are a lazy
+    view over its symbol array; the dimension is bounded by
+    (|A|+1)^(n-1) since each context has n-1 symbol slots over the
+    alphabet plus PAD.
     """
-    activities, matrix = _ac_sparse(table)
     return EmbeddingMatrix(
-        row_labels=tuple(activities),
-        column_labels=tuple(table.context_keys()),
-        values=matrix,
+        row_labels=_activities(table),
+        column_labels=ContextKeys(table.kind, table.symbols),
+        values=table.counts,
         provenance=Provenance("ac", table.kind, table.window_size, "none"),
     )
 
@@ -103,14 +93,15 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
     mass. With M the raw AC counts and B its nonzero indicator this is
     M Bᵀ + (M Bᵀ)ᵀ, which is how it is evaluated here.
     """
-    activities, m = _ac_sparse(table)
+    activities = _activities(table)
+    m = table.counts
     b = m.copy()
     b.data = np.ones_like(b.data)
     half = (m @ b.T).toarray()
     values = half + half.T
     return EmbeddingMatrix(
-        row_labels=tuple(activities),
-        column_labels=tuple(activities),
+        row_labels=activities,
+        column_labels=activities,
         values=values,
         provenance=Provenance("aa", table.kind, table.window_size, "none"),
     )
@@ -133,9 +124,7 @@ def write_embedding_csv(
 
     Values are formatted with 17 significant digits so floats round-trip.
     """
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with open_output(target) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["activity"] + column_headers(matrix, alphabet))
         dense = matrix.dense()
@@ -143,9 +132,6 @@ def write_embedding_csv(
             writer.writerow(
                 [alphabet.label_of(aid)] + [format(v, ".17g") for v in dense[i]]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def dimension_bound(alphabet_size: int, window_size: int) -> int:

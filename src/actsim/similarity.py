@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,7 +13,7 @@ from scipy import sparse
 
 from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet
+from .log import Alphabet, open_output, write_json
 from .matrices import EmbeddingMatrix, Provenance, build_aa
 
 
@@ -142,7 +141,7 @@ def write_distance_csv(
     path = Path(target)
     cells = sim.distance_matrix() if sim.flavor == "cosine" else sim.values
     labels = [alphabet.label_of(aid) for aid in sim.labels]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_output(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["activity"] + labels)
         for i, label in enumerate(labels):
@@ -158,6 +157,4 @@ def write_distance_csv(
         "activities": labels,
     }
     meta_path = path.with_name(path.stem + ".meta.json")
-    with open(meta_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(meta, meta_path)

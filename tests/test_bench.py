@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from actsim import bench
 from actsim import (
     Alphabet,
     ContextKind,
@@ -137,6 +140,29 @@ class TestExport:
         export_report(scores, c, fmt="csv")
         export_report(scores, d, fmt="csv")
         assert c.read_bytes() == d.read_bytes()
+
+    def test_streamed_bytes_equal_in_memory_serialization(self, tmp_path):
+        log = worked_log()
+        config = make_config("aa", "mset", "none", 3)
+        scores, failures = run_intrinsic_benchmark(log, [config], samples=2, master_seed=9)
+        reports = [
+            (run_runtime_bench(log, [config], repetitions=1), bench._timing_json, bench._timing_rows),
+            (aggregate_scores(scores, failures), bench._aggregate_json, bench._aggregate_rows),
+            (scores, bench._scores_json, bench._scores_rows),
+        ]
+        for report, to_json, to_rows in reports:
+            target = tmp_path / "report.json"
+            export_report(report, target)
+            expected = json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+            assert target.read_bytes() == expected.encode("utf-8")
+            target = tmp_path / "report.csv"
+            export_report(report, target, fmt="csv")
+            buffer = io.StringIO()
+            header, rows = to_rows(report)
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert target.read_bytes() == buffer.getvalue().encode("utf-8")
 
     def test_scores_serialization_keys(self, tmp_path):
         scores, _ = run_intrinsic_benchmark(

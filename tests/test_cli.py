@@ -226,3 +226,31 @@ class TestUsage:
         code = run(["stats", "--input", tmp_path / "nope.csv", "--out-dir", tmp_path])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["stats", "embed", "distances"])
+    def test_out_dir_is_a_file(self, command, worked_csv, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        argv = [command, "--input", worked_csv, "--out-dir", blocker]
+        if command != "stats":
+            argv += ["--method", "ac"]
+        assert run(argv) == 2
+        assert "taken" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, output",
+        [
+            ("stats", "stats.csv"),
+            ("stats", "stats.json"),
+            ("embed", "embedding.csv"),
+            ("distances", "distances.csv"),
+        ],
+    )
+    def test_output_file_not_writable(self, command, output, worked_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        argv = [command, "--input", worked_csv, "--out-dir", out]
+        if command != "stats":
+            argv += ["--method", "ac"]
+        assert run(argv) == 2
+        assert output in capsys.readouterr().err

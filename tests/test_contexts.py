@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -187,3 +188,33 @@ def test_multiset_is_sequence_rekeyed_through_sorting():
             merged[key] = merged.get(key, 0) + count
         assert list(mset.contexts) == order
         assert {(a, mset.contexts[c]): v for (a, c), v in mset.pair_counts.items()} == merged
+
+
+@pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, False)])
+@pytest.mark.parametrize("kind", ["mset", "seq"])
+def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
+    # Window 8 packs 7 symbols in base |A|+1: 511**7 < 2**63 still packs,
+    # 512**7 == 2**63 must compare whole rows instead.
+    unique_axes = []
+    real_unique = np.unique
+
+    def spy(*args, **kwargs):
+        unique_axes.append(kwargs.get("axis"))
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    top = alphabet_size
+    traces = (
+        (top, top - 1, 1, top, top, 2, top - 1, top, top),
+        (1, top, top, top, top, top, top, top),
+        (top, top - 1, 1, top, top, 2, top - 1, top, top),
+        (2, 1, top),
+    )
+    log = EventLog(traces, Alphabet([f"a{i}" for i in range(alphabet_size)]))
+    table = extract_occurrences(log, 8, kind)
+    assert unique_axes == ([] if packed else [0])
+    pair, ctx, act, order = naive_counts(traces, 8, kind)
+    assert list(table.contexts) == order
+    assert dict(table.activity_totals) == act
+    assert list(table.context_totals) == [ctx[c] for c in order]
+    assert {(a, table.contexts[c]): v for (a, c), v in table.pair_counts.items()} == pair

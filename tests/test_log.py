@@ -143,6 +143,16 @@ class TestParseCsv:
         log = parse_csv(io.StringIO(WORKED_CSV))
         assert len(log.traces) == 6
 
+    @pytest.mark.parametrize("wrap", [str, io.StringIO])
+    def test_leading_byte_order_mark_ignored(self, wrap):
+        log = parse_csv(wrap("\ufeffcase,activity\n1,a\n1,b\n"))
+        assert log.label_traces() == [("a", "b")]
+
+    def test_path_with_byte_order_mark(self, tmp_path):
+        source = tmp_path / "excel.csv"
+        source.write_bytes("case,activity\n1,a\n1,b\n".encode("utf-8-sig"))
+        assert parse_csv(source).label_traces() == [("a", "b")]
+
 
 class TestParseXes:
     XES = """<?xml version="1.0" encoding="UTF-8"?>
