@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import export_report, failures_json, run_runtime_bench
+from .bench import export_report, run_runtime_bench
 from .contexts import ContextKind, extract_occurrences
 from .errors import ActsimError, ExportError
 from .intrinsic import aggregate_scores, run_intrinsic_benchmark
@@ -23,8 +23,9 @@ from .pipeline import (
     build_embedding,
     expand_grid,
     make_config,
+    similarity_for_config,
 )
-from .similarity import PairwiseSimilarity, pairwise_distance_matrix, write_distance_csv
+from .similarity import PairwiseSimilarity, write_distance_csv
 from .weighting import WEIGHTINGS
 
 
@@ -185,11 +186,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _embed_for_args(args: argparse.Namespace):
+def _table_for_args(args: argparse.Namespace):
     log = _load_log(args)
     config = _single_config(args)
-    table = extract_occurrences(log, config.window, config.kind)
-    return log, config, build_embedding(table, config)
+    return log, config, extract_occurrences(log, config.window, config.kind)
 
 
 def _write_meta(path: Path, config: MethodConfig, extra: dict) -> None:
@@ -205,7 +205,8 @@ def _write_meta(path: Path, config: MethodConfig, extra: dict) -> None:
 
 
 def _cmd_embed(args: argparse.Namespace) -> int:
-    log, config, built = _embed_for_args(args)
+    log, config, table = _table_for_args(args)
+    built = build_embedding(table, config)
     out = _out_dir(args)
     if isinstance(built, PairwiseSimilarity):
         # Substitution has no separate embedding; the score matrix is the artifact.
@@ -224,9 +225,9 @@ def _cmd_embed(args: argparse.Namespace) -> int:
 
 
 def _cmd_distances(args: argparse.Namespace) -> int:
-    log, config, built = _embed_for_args(args)
+    log, config, table = _table_for_args(args)
+    sim = similarity_for_config(table, config)
     out = _out_dir(args)
-    sim = built if isinstance(built, PairwiseSimilarity) else pairwise_distance_matrix(built)
     write_distance_csv(sim, log.alphabet, out / "distances.csv")
     print(f"distances.csv written ({len(sim.labels)} activities, {config.describe()})")
     return 0
@@ -247,7 +248,7 @@ def _cmd_intrinsic(args: argparse.Namespace) -> int:
     if scores:
         export_report(aggregate_scores(scores, failures), out / "intrinsic_aggregate.csv", "csv")
     if failures:
-        write_json(failures_json(failures), out / "intrinsic_failures.json")
+        export_report(failures, out / "intrinsic_failures.json", "json")
     print(f"{len(scores)} scored jobs, {len(failures)} failed")
     return 1 if failures else 0
 

@@ -117,6 +117,21 @@ class OccurrenceTable:
         """The context symbol tuples, by context index."""
         return tuple(map(tuple, self.symbols.tolist()))
 
+    @cached_property
+    def aa_counts(self) -> np.ndarray:
+        """The raw activity-activity counts, rows and columns as in ``counts``.
+
+        With M = ``counts`` and B its nonzero indicator this is
+        M Bᵀ + (M Bᵀ)ᵀ, evaluated on first use and kept read-only so every
+        AA build over this table shares the one array.
+        """
+        indicator = self.counts.copy()
+        indicator.data = np.ones_like(indicator.data)
+        half = (self.counts @ indicator.T).toarray()
+        values = half + half.T
+        values.flags.writeable = False
+        return values
+
     @property
     def pair_counts(self) -> dict[tuple[int, int], int]:
         """#(a, c) keyed by (activity id, context index), nonzero cells only."""

@@ -19,9 +19,8 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .matrices import EmbeddingMatrix
-from .pipeline import MethodConfig, build_embedding, shared_tables
-from .similarity import PairwiseSimilarity, pairwise_distance_matrix
+from .pipeline import MethodConfig, shared_tables, similarity_for_config
+from .similarity import PairwiseSimilarity
 
 
 def _class_members(
@@ -221,19 +220,16 @@ def _run_job(
     scores: list[IntrinsicScores] = []
     failures: list[FailedJob] = []
 
-    def fail(config: MethodConfig, error: Exception) -> None:
-        failures.append(
-            FailedJob(
-                method=config.method,
-                context=config.kind.value,
-                weighting=config.weighting,
-                window=config.window,
-                r=job.r,
-                w=job.w,
-                sample=job.sample_index,
-                error=str(error),
-                log_id=log_id,
-            )
+    def labels(config: MethodConfig) -> dict:
+        return dict(
+            method=config.method,
+            context=config.kind.value,
+            weighting=config.weighting,
+            window=config.window,
+            r=job.r,
+            w=job.w,
+            sample=job.sample_index,
+            log_id=log_id,
         )
 
     try:
@@ -241,37 +237,20 @@ def _run_job(
             log, set(job.selected), job.w, job.seed, sample_index=job.sample_index
         )
     except ActsimError as exc:
-        for config in configs:
-            fail(config, exc)
+        failures.extend(FailedJob(**labels(config), error=str(exc)) for config in configs)
         return scores, failures
 
     tables = shared_tables(gt.log, configs)
     for config in configs:
         try:
-            table = tables[(config.kind, config.window)]
-            built = build_embedding(table, config)
-            if isinstance(built, EmbeddingMatrix):
-                sim = pairwise_distance_matrix(built)
-            else:
-                sim = built
+            sim = similarity_for_config(tables[(config.kind, config.window)], config)
             i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
         except ActsimError as exc:
-            fail(config, exc)
+            failures.append(FailedJob(**labels(config), error=str(exc)))
             continue
         scores.append(
             IntrinsicScores(
-                method=config.method,
-                context=config.kind.value,
-                weighting=config.weighting,
-                window=config.window,
-                r=job.r,
-                w=job.w,
-                sample=job.sample_index,
-                i_comp=i_comp,
-                i_nn=i_nn,
-                i_prec=i_prec,
-                i_tri=i_tri,
-                log_id=log_id,
+                **labels(config), i_comp=i_comp, i_nn=i_nn, i_prec=i_prec, i_tri=i_tri
             )
         )
     return scores, failures
@@ -373,19 +352,8 @@ def aggregate_scores(
         overall = tuple(
             sum(m[i] for m in log_means) / len(log_means) for i in range(4)
         )
-        method, context, weighting, window = key
+        # The key and the four means are AggregateRow's leading fields, in order.
         rows.append(
-            AggregateRow(
-                method=method,
-                context=context,
-                weighting=weighting,
-                window=window,
-                i_comp=overall[0],
-                i_nn=overall[1],
-                i_prec=overall[2],
-                i_tri=overall[3],
-                jobs_ok=len(group),
-                jobs_failed=failed_counts.get(key, 0),
-            )
+            AggregateRow(*key, *overall, jobs_ok=len(group), jobs_failed=failed_counts.get(key, 0))
         )
     return AggregateReport(rows=tuple(rows))

@@ -152,7 +152,12 @@ def _read_text(source: TextSource) -> str:
             return source.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise FormatError(f"cannot read {source}: {exc}") from exc
-    text = source if isinstance(source, str) else source.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"cannot decode {source} as UTF-8: {exc}") from exc
+    try:
+        text = source if isinstance(source, str) else source.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode the input stream as UTF-8: {exc}") from exc
     return text.removeprefix("\ufeff")
 
 

@@ -90,19 +90,14 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
 
     AA(a, b) sums #(a, c) + #(b, c) over the distinct contexts c that both
     activities occur with; the diagonal is twice the activity's context
-    mass. With M the raw AC counts and B its nonzero indicator this is
-    M Bᵀ + (M Bᵀ)ᵀ, which is how it is evaluated here.
+    mass. The values are the table's cached read-only
+    :attr:`~OccurrenceTable.aa_counts`, computed once per table.
     """
     activities = _activities(table)
-    m = table.counts
-    b = m.copy()
-    b.data = np.ones_like(b.data)
-    half = (m @ b.T).toarray()
-    values = half + half.T
     return EmbeddingMatrix(
         row_labels=activities,
         column_labels=activities,
-        values=values,
+        values=table.aa_counts,
         provenance=Provenance("aa", table.kind, table.window_size, "none"),
     )
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence, Union
 
-from .contexts import ContextKind, OccurrenceTable, extract_occurrences
+from .contexts import ContextKind, OccurrenceTable, _coerce_kind, extract_occurrences
 from .errors import ParameterError
 from .log import EventLog
 from .matrices import EmbeddingMatrix, build_aa, build_ac
@@ -50,11 +50,7 @@ class MethodConfig:
 
 
 def make_config(method: str, kind: "ContextKind | str", weighting: str, window: int) -> MethodConfig:
-    try:
-        kind = ContextKind(kind)
-    except ValueError:
-        raise ParameterError(f"unknown context kind {kind!r} (expected mset or seq)") from None
-    return MethodConfig(method, kind, weighting, window).validate()
+    return MethodConfig(method, _coerce_kind(kind), weighting, window).validate()
 
 
 def expand_grid(
@@ -65,13 +61,14 @@ def expand_grid(
 ) -> list[MethodConfig]:
     """Cross product of the axes, silently dropping combinations that are
     invalid for substitution (which contributes one config per window)."""
+    kinds = [_coerce_kind(kind) for kind in kinds]
     configs: list[MethodConfig] = []
     seen: set[MethodConfig] = set()
     for method, kind, weighting, window in product(methods, kinds, weightings, windows):
         if method == "substitution":
             candidate = MethodConfig("substitution", ContextKind.SEQUENCE, "none", window)
         else:
-            candidate = MethodConfig(method, ContextKind(kind), weighting, window)
+            candidate = MethodConfig(method, kind, weighting, window)
         candidate.validate()
         if candidate not in seen:
             seen.add(candidate)
@@ -99,9 +96,12 @@ def build_embedding(table: OccurrenceTable, config: MethodConfig) -> Union[
     return apply_weighting(raw, table, config.weighting)
 
 
-def similarity_for_config(log: EventLog, config: MethodConfig) -> PairwiseSimilarity:
-    """Extract, build, weight and compare in one call."""
-    table = extract_occurrences(log, config.window, config.kind)
+def similarity_for_config(table: OccurrenceTable, config: MethodConfig) -> PairwiseSimilarity:
+    """Build, weight and compare: the configured similarity matrix of a table.
+
+    Substitution scores are the similarities themselves; every other
+    method is compared by cosine over its embedding rows.
+    """
     built = build_embedding(table, config)
     if isinstance(built, PairwiseSimilarity):
         return built

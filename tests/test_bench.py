@@ -8,11 +8,14 @@ from scipy import sparse
 
 from actsim import bench
 from actsim import (
+    AggregateReport,
     Alphabet,
     ContextKind,
     EmptyLogError,
     EventLog,
     ExportError,
+    FailedJob,
+    IntrinsicScores,
     MethodConfig,
     ParameterError,
     aggregate_scores,
@@ -25,7 +28,10 @@ from actsim import (
     make_config,
     run_intrinsic_benchmark,
     run_runtime_bench,
+    TimingRecord,
+    TimingReport,
 )
+from actsim.intrinsic import AggregateRow
 
 
 def worked_log():
@@ -105,6 +111,16 @@ class TestRuntimeBench:
             run_runtime_bench(EventLog((), Alphabet(("a",))), full_grid(), repetitions=1)
 
 
+class TestGrid:
+    def test_unknown_context_kind(self):
+        with pytest.raises(ParameterError, match="unknown context kind 'bogus'"):
+            expand_grid(["aa"], ["bogus"], ["none"], [3])
+        with pytest.raises(ParameterError, match="unknown context kind 'bogus'"):
+            expand_grid(["substitution"], ["bogus"], ["none"], [3])
+        with pytest.raises(ParameterError, match="unknown context kind 'bogus'"):
+            make_config("aa", "bogus", "none", 3)
+
+
 class TestExport:
     def test_timing_json_layout(self, tmp_path):
         report = run_runtime_bench(worked_log(), [make_config("aa", "mset", "none", 3)], repetitions=2)
@@ -146,19 +162,19 @@ class TestExport:
         config = make_config("aa", "mset", "none", 3)
         scores, failures = run_intrinsic_benchmark(log, [config], samples=2, master_seed=9)
         reports = [
-            (run_runtime_bench(log, [config], repetitions=1), bench._timing_json, bench._timing_rows),
-            (aggregate_scores(scores, failures), bench._aggregate_json, bench._aggregate_rows),
-            (scores, bench._scores_json, bench._scores_rows),
+            run_runtime_bench(log, [config], repetitions=1),
+            aggregate_scores(scores, failures),
+            scores,
         ]
-        for report, to_json, to_rows in reports:
+        for report in reports:
             target = tmp_path / "report.json"
             export_report(report, target)
-            expected = json.dumps(to_json(report), indent=2, sort_keys=True) + "\n"
+            expected = json.dumps(bench._json_payload(report), indent=2, sort_keys=True) + "\n"
             assert target.read_bytes() == expected.encode("utf-8")
             target = tmp_path / "report.csv"
             export_report(report, target, fmt="csv")
             buffer = io.StringIO()
-            header, rows = to_rows(report)
+            header, rows = bench._csv_table(report)
             writer = csv.writer(buffer, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -210,3 +226,161 @@ class TestExport:
         report = run_runtime_bench(worked_log(), [make_config("aa", "mset", "none", 3)], repetitions=1)
         with pytest.raises(ExportError, match="missing"):
             export_report(report, tmp_path / "missing" / "out.json")
+
+
+# Hand-built records with fixed values. The expected texts are the bytes
+# the per-type serializers that preceded the generic writer produced.
+GOLDEN_TIMING = TimingReport(
+    records=(
+        TimingRecord("aa", "mset", "pmi", 3, 0.0012345678, 0.00098765432, 5, 0.30000000000000004, 200, 160),
+        TimingRecord(
+            "substitution", "mset", "none", 3, 0.0, 0.0, 0, 0.0, 0, 0,
+            error='bad config, "seq" required',
+        ),
+    ),
+    repetitions=3,
+    parallel=False,
+)
+GOLDEN_SCORES = [
+    IntrinsicScores(
+        "aa", "seq", "ppmi", 5, 1, 2, 0, 0.30000000000000004, 1.0, 0.5, 2 / 3, log_id="hidden-log"
+    )
+]
+GOLDEN_AGGREGATE = AggregateReport(
+    rows=(AggregateRow("ac", "mset", "none", 3, 0.1, 0.30000000000000004, 0.0, 1.0, 4, 1),)
+)
+GOLDEN_FAILURES = [
+    FailedJob("substitution", "mset", "none", 3, 2, 3, 1, 'fails, with "quotes"', log_id="hidden-log")
+]
+
+TIMING_HEADER = (
+    "method,context,weighting,window,embed_seconds,distance_seconds,"
+    "embedding_dimension,nonzero_ratio,estimated_bytes,estimated_bytes_sparse,error\n"
+)
+SCORES_HEADER = "method,context,weighting,window,r,w,sample,i_comp,i_nn,i_prec,i_tri\n"
+
+GOLDEN_TEXTS = {
+    ("timing", "json"): """{
+  "parallel": false,
+  "records": [
+    {
+      "context": "mset",
+      "distance_seconds": 0.000988,
+      "embed_seconds": 0.001235,
+      "embedding_dimension": 5,
+      "estimated_bytes": 200,
+      "estimated_bytes_sparse": 160,
+      "method": "aa",
+      "nonzero_ratio": 0.30000000000000004,
+      "weighting": "pmi",
+      "window": 3
+    },
+    {
+      "context": "mset",
+      "distance_seconds": 0.0,
+      "embed_seconds": 0.0,
+      "embedding_dimension": 0,
+      "error": "bad config, \\"seq\\" required",
+      "estimated_bytes": 0,
+      "estimated_bytes_sparse": 0,
+      "method": "substitution",
+      "nonzero_ratio": 0.0,
+      "weighting": "none",
+      "window": 3
+    }
+  ],
+  "repetitions": 3,
+  "schema": 1
+}
+""",
+    ("timing", "csv"): TIMING_HEADER
+    + "aa,mset,pmi,3,0.001235,0.000988,5,0.30000000000000004,200,160,\n"
+    + 'substitution,mset,none,3,0.000000,0.000000,0,0,0,0,"bad config, ""seq"" required"\n',
+    ("scores", "json"): """[
+  {
+    "context": "seq",
+    "i_comp": 0.30000000000000004,
+    "i_nn": 1.0,
+    "i_prec": 0.5,
+    "i_tri": 0.6666666666666666,
+    "method": "aa",
+    "r": 1,
+    "sample": 0,
+    "w": 2,
+    "weighting": "ppmi",
+    "window": 5
+  }
+]
+""",
+    ("scores", "csv"): SCORES_HEADER
+    + "aa,seq,ppmi,5,1,2,0,0.30000000000000004,1,0.5,0.66666666666666663\n",
+    ("aggregate", "json"): """{
+  "rows": [
+    {
+      "context": "mset",
+      "i_comp": 0.1,
+      "i_nn": 0.30000000000000004,
+      "i_prec": 0.0,
+      "i_tri": 1.0,
+      "jobs_failed": 1,
+      "jobs_ok": 4,
+      "method": "ac",
+      "weighting": "none",
+      "window": 3
+    }
+  ],
+  "schema": 1
+}
+""",
+    ("aggregate", "csv"): "method,context,weighting,window,i_comp,i_nn,i_prec,i_tri,jobs_ok,jobs_failed\n"
+    + "ac,mset,none,3,0.10000000000000001,0.30000000000000004,0,1,4,1\n",
+    ("empty_timing", "json"): """{
+  "parallel": false,
+  "records": [],
+  "repetitions": 1,
+  "schema": 1
+}
+""",
+    ("empty_timing", "csv"): TIMING_HEADER,
+    ("empty_scores", "json"): "[]\n",
+    ("empty_scores", "csv"): SCORES_HEADER,
+}
+
+GOLDEN_REPORTS = {
+    "timing": GOLDEN_TIMING,
+    "scores": GOLDEN_SCORES,
+    "aggregate": GOLDEN_AGGREGATE,
+    "empty_timing": TimingReport(records=(), repetitions=1),
+    "empty_scores": [],
+}
+
+
+class TestGoldenExport:
+    @pytest.mark.parametrize("name, fmt", sorted(GOLDEN_TEXTS))
+    def test_report_text(self, tmp_path, name, fmt):
+        target = tmp_path / f"{name}.{fmt}"
+        export_report(GOLDEN_REPORTS[name], target, fmt)
+        assert target.read_bytes() == GOLDEN_TEXTS[(name, fmt)].encode("utf-8")
+
+    def test_failures_text(self, tmp_path):
+        target = tmp_path / "failures.json"
+        export_report(GOLDEN_FAILURES, target)
+        assert target.read_text() == """[
+  {
+    "context": "mset",
+    "error": "fails, with \\"quotes\\"",
+    "method": "substitution",
+    "r": 2,
+    "sample": 1,
+    "w": 3,
+    "weighting": "none",
+    "window": 3
+  }
+]
+"""
+        target = tmp_path / "failures.csv"
+        export_report(GOLDEN_FAILURES, target, fmt="csv")
+        assert target.read_text() == (
+            "method,context,weighting,window,r,w,sample,error\n"
+            'substitution,mset,none,3,2,3,1,"fails, with ""quotes"""\n'
+        )

@@ -227,6 +227,13 @@ class TestUsage:
         assert code == 2
         capsys.readouterr()
 
+    def test_input_not_utf8(self, tmp_path, capsys):
+        source = tmp_path / "latin1.csv"
+        source.write_bytes(b"case,activity\n1,caf\xe9\n")
+        assert run(["stats", "--input", source, "--out-dir", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot decode") and "UTF-8" in err
+
     @pytest.mark.parametrize("command", ["stats", "embed", "distances"])
     def test_out_dir_is_a_file(self, command, worked_csv, tmp_path, capsys):
         blocker = tmp_path / "taken"

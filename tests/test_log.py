@@ -153,6 +153,15 @@ class TestParseCsv:
         source.write_bytes("case,activity\n1,a\n1,b\n".encode("utf-8-sig"))
         assert parse_csv(source).label_traces() == [("a", "b")]
 
+    def test_not_utf8(self, tmp_path):
+        data = "case,activity\n1,café\n".encode("latin-1")
+        source = tmp_path / "latin1.csv"
+        source.write_bytes(data)
+        with pytest.raises(FormatError, match="cannot decode .*latin1.csv as UTF-8"):
+            parse_csv(source)
+        with pytest.raises(FormatError, match="cannot decode the input stream as UTF-8"):
+            parse_csv(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
 
 class TestParseXes:
     XES = """<?xml version="1.0" encoding="UTF-8"?>
@@ -199,6 +208,12 @@ class TestParseXes:
         bad = "<log><trace><event><string key='concept:name' value='__PAD__'/></event></trace></log>"
         with pytest.raises(FormatError, match="__PAD__"):
             parse_xes(bad)
+
+    def test_path_not_utf8(self, tmp_path):
+        source = tmp_path / "latin1.xes"
+        source.write_bytes(self.XES.replace('"b"', '"café"').encode("latin-1"))
+        with pytest.raises(FormatError, match="cannot decode .*latin1.xes as UTF-8"):
+            parse_xes(source)
 
 
 class TestRoundTrip:

@@ -12,6 +12,7 @@ from actsim import (
     dimension_bound,
     extract_occurrences,
     log_from_label_traces,
+    substitution_scores,
     write_embedding_csv,
 )
 from reference import naive_aa, naive_ac
@@ -143,6 +144,27 @@ class TestAa:
             assert list(ac.row_labels) == n_acts
             assert [k.symbols for k in ac.column_labels] == order
             assert np.array_equal(ac.dense(), np.array(n_rows))
+
+    def test_product_computed_once_per_table(self, monkeypatch):
+        table = extract_occurrences(worked_log(), 3, "seq")
+        csr = type(table.counts)
+        matmul = csr.__matmul__
+        products = []
+
+        def counting(self, other):
+            products.append(other.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(csr, "__matmul__", counting)
+        first, second = build_aa(table), build_aa(table)
+        substitution_scores(table)
+        assert len(products) == 1
+        assert first.values is second.values is table.aa_counts
+
+    def test_values_are_read_only(self):
+        aa = build_aa(extract_occurrences(worked_log(), 3, "mset"))
+        with pytest.raises(ValueError):
+            aa.values[0, 0] = 1
 
 
 class TestExport:
