@@ -5,13 +5,18 @@ classes. Candidate and out-of-class sets always cover every activity of
 the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
+
+Each metric works on numpy row blocks of one validated class layout. Its
+per-pair, per-member and per-class means stay Python sums over
+``.tolist()`` in the order of the loop oracles in ``tests/reference.py``:
+numpy's pairwise float summation would change the last bit.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,25 +28,29 @@ from .pipeline import MethodConfig, shared_tables, similarity_for_config
 from .similarity import PairwiseSimilarity
 
 
-def _class_members(
+def _class_rows(
     sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> dict[int, list[int]]:
-    """Validate the assignment against the matrix and index the members."""
+) -> list[np.ndarray]:
+    """Validate the assignment against the matrix.
+
+    Returns each class's member rows as an int array sorted by activity
+    id, in the order of ``classes``.
+    """
     if not classes:
         raise ParameterError("no classes given")
-    label_set = set(sim.labels)
-    members: dict[int, list[int]] = {}
+    index = {aid: i for i, aid in enumerate(sim.labels)}
+    layout = []
     for original, clones in classes.items():
         if len(clones) < 2:
             raise ParameterError(f"class of original {original} has fewer than 2 members")
         for clone in clones:
-            if clone not in label_set:
+            if clone not in index:
                 raise DataError(
                     f"class member {clone} (original {original}) has no row in the "
                     "similarity matrix; it never occurs in the derived log"
                 )
-        members[original] = sorted(clones)
-    return members
+        layout.append(np.array([index[clone] for clone in sorted(clones)], dtype=np.intp))
+    return layout
 
 
 def score_compactness(
@@ -54,24 +63,19 @@ def score_compactness(
     The score averages the scaled similarity over unordered in-class
     pairs, then over classes.
     """
-    members = _class_members(sim, classes)
+    layout = _class_rows(sim, classes)
     values = sim.values
-    n = values.shape[0]
-    if n < 2:
-        raise DataError("similarity matrix has fewer than 2 activities")
-    off = ~np.eye(n, dtype=bool)
+    off = ~np.eye(values.shape[0], dtype=bool)
     lo = float(values[off].min())
-    hi = float(values[off].max())
-    span = hi - lo
-    index = {aid: i for i, aid in enumerate(sim.labels)}
+    span = float(values[off].max()) - lo
+    if span == 0.0:
+        return 0.0
+    # upper[:k, :k] picks a k-member block's unordered pairs in combinations order.
+    upper = np.triu(off)
     per_class = []
-    for clones in members.values():
-        pair_scores = []
-        for a, b in combinations(clones, 2):
-            if span == 0.0:
-                pair_scores.append(0.0)
-            else:
-                pair_scores.append((float(values[index[a], index[b]]) - lo) / span)
+    for rows in layout:
+        k = len(rows)
+        pair_scores = ((values[rows[:, None], rows][upper[:k, :k]] - lo) / span).tolist()
         per_class.append(sum(pair_scores) / len(pair_scores))
     return sum(per_class) / len(per_class)
 
@@ -86,29 +90,17 @@ def score_nearest_neighbor(
     similarity is in its class; a tie with an outsider counts as failure.
     Fractions are averaged per class, then over classes.
     """
-    members = _class_members(sim, classes)
+    layout = _class_rows(sim, classes)
     values = sim.values
-    index = {aid: i for i, aid in enumerate(sim.labels)}
+    columns = np.arange(values.shape[0])
     per_class = []
-    for clones in members.values():
-        clone_set = set(clones)
-        hits = 0
-        for member in clones:
-            row = values[index[member]]
-            best = None
-            winners: list[int] = []
-            for candidate in sim.labels:
-                if candidate == member:
-                    continue
-                s = float(row[index[candidate]])
-                if best is None or s > best:
-                    best = s
-                    winners = [candidate]
-                elif s == best:
-                    winners.append(candidate)
-            if winners and all(c in clone_set for c in winners):
-                hits += 1
-        per_class.append(hits / len(clones))
+    for rows in layout:
+        block = values[rows]
+        own = columns == rows[:, None]
+        row_max = np.where(own, -np.inf, block).max(axis=1, keepdims=True)
+        outside = ~own.any(axis=0)
+        missed = int(np.count_nonzero(((block == row_max) & outside).any(axis=1)))
+        per_class.append((len(rows) - missed) / len(rows))
     return sum(per_class) / len(per_class)
 
 
@@ -121,20 +113,18 @@ def score_precision_at_k(
     broken by smallest activity id, and the in-class share among them is
     recorded; averaged per class, then over classes.
     """
-    members = _class_members(sim, classes)
+    layout = _class_rows(sim, classes)
     values = sim.values
-    index = {aid: i for i, aid in enumerate(sim.labels)}
+    columns = np.arange(values.shape[0])
+    ids = np.broadcast_to(np.asarray(sim.labels), values.shape)
     per_class = []
-    for clones in members.values():
-        clone_set = set(clones)
-        k = len(clones) - 1
-        precisions = []
-        for member in clones:
-            row = values[index[member]]
-            candidates = [c for c in sim.labels if c != member]
-            candidates.sort(key=lambda c: (-float(row[index[c]]), c))
-            top = candidates[:k]
-            precisions.append(sum(1 for c in top if c in clone_set) / k)
+    for rows in layout:
+        k = len(rows) - 1
+        own = columns == rows[:, None]
+        # The last key sorts first: the member itself goes after every candidate.
+        order = np.lexsort((ids[rows], -values[rows], own))
+        in_class = own.any(axis=0)
+        precisions = [hits / k for hits in in_class[order[:, :k]].sum(axis=1).tolist()]
         per_class.append(sum(precisions) / len(precisions))
     return sum(per_class) / len(per_class)
 
@@ -149,22 +139,23 @@ def score_triplet(
     Success rates are averaged per pair, per class, then over classes.
     A class covering the whole log has no outsiders and scores 1.0.
     """
-    members = _class_members(sim, classes)
+    layout = _class_rows(sim, classes)
     values = sim.values
-    index = {aid: i for i, aid in enumerate(sim.labels)}
+    # off[:k, :k] picks a k-member block's ordered pairs in permutations order.
+    off = ~np.eye(values.shape[0], dtype=bool)
     per_class = []
-    for clones in members.values():
-        clone_set = set(clones)
-        outsiders = [aid for aid in sim.labels if aid not in clone_set]
-        pair_scores = []
-        for a, b in permutations(clones, 2):
-            row = values[index[a]]
-            target = float(row[index[b]])
-            if outsiders:
-                wins = sum(1 for o in outsiders if float(row[index[o]]) < target)
-                pair_scores.append(wins / len(outsiders))
-            else:
-                pair_scores.append(1.0)
+    for rows in layout:
+        outside = np.ones(values.shape[0], dtype=bool)
+        outside[rows] = False
+        outsiders = int(np.count_nonzero(outside))
+        if not outsiders:
+            per_class.append(1.0)
+            continue
+        block = values[rows]
+        k = len(rows)
+        # wins[a, b] counts the outsiders o with s(a, o) < s(a, b).
+        wins = (block[:, None, outside] < block[:, rows, None]).sum(axis=2)
+        pair_scores = [count / outsiders for count in wins[off[:k, :k]].tolist()]
         per_class.append(sum(pair_scores) / len(pair_scores))
     return sum(per_class) / len(per_class)
 
@@ -256,10 +247,6 @@ def _run_job(
     return scores, failures
 
 
-def _job_worker(args) -> tuple[list[IntrinsicScores], list[FailedJob]]:
-    return _run_job(*args)
-
-
 def run_intrinsic_benchmark(
     log: EventLog,
     configs: Sequence[MethodConfig],
@@ -280,12 +267,12 @@ def run_intrinsic_benchmark(
     configs = tuple(config.validate() for config in configs)
     if plan is None:
         plan = enumerate_benchmark_plan(log, samples, master_seed)
-    arguments = [(log, job, configs, log_id) for job in plan.jobs]
-    if parallel and len(arguments) > 1:
+    arguments = (repeat(log), plan.jobs, repeat(configs), repeat(log_id))
+    if parallel and len(plan.jobs) > 1:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_job_worker, arguments, chunksize=8))
+            results = list(pool.map(_run_job, *arguments, chunksize=8))
     else:
-        results = [_run_job(*args) for args in arguments]
+        results = list(map(_run_job, *arguments))
     scores: list[IntrinsicScores] = []
     failures: list[FailedJob] = []
     for job_scores, job_failures in results:

@@ -55,7 +55,8 @@ class EmbeddingMatrix:
             index = self.row_labels.index(activity_id)
         except ValueError:
             raise ParameterError(f"activity id {activity_id} has no row") from None
-        return self.dense()[index]
+        row = self.values[index]
+        return row.toarray()[0] if sparse.issparse(row) else row
 
     def row_index(self) -> dict[int, int]:
         return {aid: i for i, aid in enumerate(self.row_labels)}

@@ -3,12 +3,15 @@
 Everything here favors obviousness over speed: explicit window
 enumeration over the padded traces, quadratic matrix assembly, and
 plain-Python cosine. Nothing is shared with the package's optimized
-paths beyond the PAD id convention (0).
+paths beyond the PAD id convention (0). The four intrinsic metrics take
+activity labels, the similarity matrix as nested lists of floats, and the
+clone classes, and loop over every candidate of every member.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations, permutations
 
 PAD = 0
 
@@ -94,3 +97,97 @@ def naive_similarity_matrix(rows):
         for j in range(size):
             out[i][j] = 1.0 - naive_cosine_distance(rows[i], rows[j])
     return out
+
+
+def _class_members(labels, classes):
+    """Each class's members sorted by id, in the order of ``classes``."""
+    label_set = set(labels)
+    members = []
+    for clones in classes.values():
+        assert len(clones) >= 2 and all(c in label_set for c in clones)
+        members.append(sorted(clones))
+    return members
+
+
+def naive_compactness(labels, values, classes):
+    """I_comp: min-max scaled in-class similarity, per pair, per class, overall."""
+    index = {aid: i for i, aid in enumerate(labels)}
+    n = len(labels)
+    off = [values[i][j] for i in range(n) for j in range(n) if i != j]
+    lo = min(off)
+    hi = max(off)
+    span = hi - lo
+    per_class = []
+    for clones in _class_members(labels, classes):
+        pair_scores = []
+        for a, b in combinations(clones, 2):
+            if span == 0.0:
+                pair_scores.append(0.0)
+            else:
+                pair_scores.append((values[index[a]][index[b]] - lo) / span)
+        per_class.append(sum(pair_scores) / len(pair_scores))
+    return sum(per_class) / len(per_class)
+
+
+def naive_nearest_neighbor(labels, values, classes):
+    """I_nn: a member hits when every candidate at its maximum is a classmate."""
+    index = {aid: i for i, aid in enumerate(labels)}
+    per_class = []
+    for clones in _class_members(labels, classes):
+        clone_set = set(clones)
+        hits = 0
+        for member in clones:
+            row = values[index[member]]
+            best = None
+            winners = []
+            for candidate in labels:
+                if candidate == member:
+                    continue
+                s = row[index[candidate]]
+                if best is None or s > best:
+                    best = s
+                    winners = [candidate]
+                elif s == best:
+                    winners.append(candidate)
+            if winners and all(c in clone_set for c in winners):
+                hits += 1
+        per_class.append(hits / len(clones))
+    return sum(per_class) / len(per_class)
+
+
+def naive_precision_at_k(labels, values, classes):
+    """I_prec: in-class share of the top w-1 candidates, ties by smallest id."""
+    index = {aid: i for i, aid in enumerate(labels)}
+    per_class = []
+    for clones in _class_members(labels, classes):
+        clone_set = set(clones)
+        k = len(clones) - 1
+        precisions = []
+        for member in clones:
+            row = values[index[member]]
+            candidates = [c for c in labels if c != member]
+            candidates.sort(key=lambda c: (-row[index[c]], c))
+            top = candidates[:k]
+            precisions.append(sum(1 for c in top if c in clone_set) / k)
+        per_class.append(sum(precisions) / len(precisions))
+    return sum(per_class) / len(per_class)
+
+
+def naive_triplet(labels, values, classes):
+    """I_tri: share of outsiders o with s(a, o) < s(a, b), per ordered pair."""
+    index = {aid: i for i, aid in enumerate(labels)}
+    per_class = []
+    for clones in _class_members(labels, classes):
+        clone_set = set(clones)
+        outsiders = [aid for aid in labels if aid not in clone_set]
+        pair_scores = []
+        for a, b in permutations(clones, 2):
+            row = values[index[a]]
+            target = row[index[b]]
+            if outsiders:
+                wins = sum(1 for o in outsiders if row[index[o]] < target)
+                pair_scores.append(wins / len(outsiders))
+            else:
+                pair_scores.append(1.0)
+        per_class.append(sum(pair_scores) / len(pair_scores))
+    return sum(per_class) / len(per_class)

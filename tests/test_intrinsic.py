@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actsim import (
     ContextKind,
@@ -25,6 +27,12 @@ from actsim import (
     score_nearest_neighbor,
     score_precision_at_k,
     score_triplet,
+)
+from reference import (
+    naive_compactness,
+    naive_nearest_neighbor,
+    naive_precision_at_k,
+    naive_triplet,
 )
 
 
@@ -193,6 +201,43 @@ class TestContracts:
         i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
         assert i_nn == 1.0 and i_prec == 1.0 and i_tri == 1.0
         assert i_comp == 1.0
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """(labels, symmetric nested-list values, classes) over about four cell values."""
+    n = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    palette = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0]), min_size=1, max_size=4, unique=True))
+    values = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(st.sampled_from(palette))
+    members = draw(st.permutations(labels))
+    classes = {}
+    while len(members) >= 2 and (not classes or draw(st.booleans())):
+        size = draw(st.integers(2, len(members)))
+        classes[100 + len(classes)] = frozenset(members[:size])
+        members = members[size:]
+    return labels, values, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_cases())
+# A constant matrix (span 0), non-ascending ids, and a class with no outsiders.
+@example(([3, 1, 2], [[1.0, 0.25, 0.25], [0.25, 1.0, 0.25], [0.25, 0.25, 1.0]], {7: frozenset({1, 3})}))
+@example(([5, 2, 9, 1], [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+          {7: frozenset({9, 1}), 8: frozenset({5, 2})}))
+@example(([4, 2, 3], [[1.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]], {7: frozenset({2, 3, 4})}))
+def test_score_all_matches_naive_oracle(case):
+    labels, values, classes = case
+    expected = tuple(
+        metric(labels, values, classes)
+        for metric in (naive_compactness, naive_nearest_neighbor, naive_precision_at_k, naive_triplet)
+    )
+    scores = score_all(make_sim(values, labels), classes)
+    assert scores == expected
+    assert all(type(score) is float for score in scores)
 
 
 def score_row(method="aa", context="mset", weighting="none", window=3,

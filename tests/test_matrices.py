@@ -184,3 +184,9 @@ class TestExport:
         assert np.array_equal(ac.row(log.alphabet.id_of("c")), WORKED_AC[2])
         with pytest.raises(ParameterError):
             ac.row(99)
+        aa = build_aa(extract_occurrences(log, 3, "mset"))
+        for matrix in (ac, aa):
+            dense = matrix.dense()
+            for i, aid in enumerate(matrix.row_labels):
+                row = matrix.row(aid)
+                assert row.dtype == dense.dtype and np.array_equal(row, dense[i])
