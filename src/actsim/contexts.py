@@ -57,6 +57,11 @@ def render_context(symbols: tuple[int, ...], kind: "ContextKind | str", alphabet
     ``<x,y>`` for sequences, with PAD shown as ``__PAD__``."""
     kind = _coerce_kind(kind)
     labels = [PAD_LABEL if s == PAD else alphabet.label_of(s) for s in symbols]
+    return _render_labels(labels, kind)
+
+
+def _render_labels(labels: list[str], kind: ContextKind) -> str:
+    """The context label over the symbols' labels, in symbol order."""
     if kind is ContextKind.MULTISET:
         return "{" + ",".join(sorted(labels)) + "}"
     return "<" + ",".join(labels) + ">"

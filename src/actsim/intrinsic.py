@@ -205,9 +205,18 @@ class FailedJob:
     log_id: str = "log"
 
 
+def _error_text(exc: Exception) -> str:
+    """An :class:`ActsimError`'s own message; any other exception's message
+    after its type name."""
+    return str(exc) if isinstance(exc, ActsimError) else f"{type(exc).__name__}: {exc}"
+
+
 def _run_job(
     log: EventLog, job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
+    """Score one plan job under every config. An exception while deriving
+    the ground truth or its tables fails every config; one while scoring a
+    config fails only that config."""
     scores: list[IntrinsicScores] = []
     failures: list[FailedJob] = []
 
@@ -227,17 +236,18 @@ def _run_job(
         gt = generate_ground_truth_log(
             log, set(job.selected), job.w, job.seed, sample_index=job.sample_index
         )
-    except ActsimError as exc:
-        failures.extend(FailedJob(**labels(config), error=str(exc)) for config in configs)
+        tables = shared_tables(gt.log, configs)
+    except Exception as exc:
+        error = _error_text(exc)
+        failures.extend(FailedJob(**labels(config), error=error) for config in configs)
         return scores, failures
 
-    tables = shared_tables(gt.log, configs)
     for config in configs:
         try:
             sim = similarity_for_config(tables[(config.kind, config.window)], config)
             i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
-        except ActsimError as exc:
-            failures.append(FailedJob(**labels(config), error=str(exc)))
+        except Exception as exc:
+            failures.append(FailedJob(**labels(config), error=_error_text(exc)))
             continue
         scores.append(
             IntrinsicScores(

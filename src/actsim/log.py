@@ -7,7 +7,7 @@ import io
 import json
 import xml.etree.ElementTree as ET
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -145,20 +145,30 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
     return EventLog(tuple(traces), Alphabet(order))
 
 
-def _read_text(source: TextSource) -> str:
-    """The source's text without a leading UTF-8 byte-order mark."""
-    if isinstance(source, Path):
-        try:
-            return source.read_text(encoding="utf-8-sig")
-        except OSError as exc:
-            raise FormatError(f"cannot read {source}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"cannot decode {source} as UTF-8: {exc}") from exc
+def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
+    """The source's text in chunks of ``size`` characters (all of it at
+    once when ``size`` is -1), without a leading UTF-8 byte-order mark.
+
+    A path is opened as ``utf-8-sig``. Failing to read or decode a path,
+    or to decode a stream, is a :class:`FormatError`.
+    """
+    if isinstance(source, str):
+        yield source.removeprefix("\ufeff")
+        return
+    is_path = isinstance(source, Path)
     try:
-        text = source if isinstance(source, str) else source.read()
+        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
+            chunk = handle.read(size)  # utf-8-sig has stripped a path's mark
+            yield chunk if is_path else chunk.removeprefix("\ufeff")
+            while chunk := handle.read(size):
+                yield chunk
+    except OSError as exc:
+        if not is_path:
+            raise
+        raise FormatError(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FormatError(f"cannot decode the input stream as UTF-8: {exc}") from exc
-    return text.removeprefix("\ufeff")
+        where = source if is_path else "the input stream"
+        raise FormatError(f"cannot decode {where} as UTF-8: {exc}") from exc
 
 
 @contextmanager
@@ -220,7 +230,7 @@ def parse_csv(
     Row numbers in error messages are 1-based file lines (the header is
     line 1).
     """
-    reader = csv.reader(io.StringIO(_read_text(source)))
+    reader = csv.reader(io.StringIO("".join(_text_chunks(source, size=-1))))
     header = next(reader, None)
     if header is None:
         raise EmptyLogError("empty log: the file has no rows")
@@ -277,25 +287,37 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
+def _end_elements(source: TextSource) -> Iterator[tuple[str, ET.Element]]:
+    """An ``("end", element)`` pair for every element of an XML document,
+    as its end tag is parsed."""
+    parser = ET.XMLPullParser(events=("end",))
+    try:
+        # A chunk's events wait in the parser until they are read; small
+        # chunks keep them from outliving young garbage-collector
+        # generations, whose promotions trigger full passes over the tree.
+        for chunk in _text_chunks(source, 1 << 12):
+            parser.feed(chunk)
+            yield from parser.read_events()
+        parser.close()
+    except ET.ParseError as exc:
+        raise FormatError(f"malformed XES/XML: {exc}") from exc
+    yield from parser.read_events()
+
+
 def parse_xes(source: TextSource) -> EventLog:
     """Parse an XES document; only ``concept:name`` of each event is read.
 
+    The document is streamed: each trace is read when its end tag is
+    parsed and then cleared, so memory holds the labels, not the tree.
     Trace and event order follow the document. Any other attribute is
     ignored. A trace without events, or an event without a
     ``concept:name`` string, is a format error naming the trace index.
     """
-    text = _read_text(source)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise FormatError(f"malformed XES/XML: {exc}") from exc
-
     label_traces: list[list[str]] = []
-    trace_index = -1
-    for element in root.iter():
+    for _, element in _end_elements(source):
         if _local_name(element.tag) != "trace":
             continue
-        trace_index += 1
+        trace_index = len(label_traces)
         labels: list[str] = []
         for child in element:
             if _local_name(child.tag) != "event":
@@ -320,6 +342,7 @@ def parse_xes(source: TextSource) -> EventLog:
         if not labels:
             raise FormatError(f"trace {trace_index} has no events")
         label_traces.append(labels)
+        element.clear()
 
     if not label_traces:
         raise EmptyLogError("empty log: the XES document has no traces")

@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKey, ContextKeys, ContextKind, OccurrenceTable
+from .contexts import ContextKeys, ContextKind, OccurrenceTable, _render_labels
 from .errors import ParameterError
-from .log import Alphabet, open_output
+from .log import PAD_LABEL, Alphabet, open_output
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class EmbeddingMatrix:
     """
 
     row_labels: tuple[int, ...]
-    column_labels: Union[tuple[int, ...], Sequence[ContextKey]]
+    column_labels: Union[tuple[int, ...], ContextKeys]
     values: "np.ndarray | sparse.csr_matrix"
     provenance: Provenance
 
@@ -104,13 +104,68 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
 
 
 def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
-    headers: list[str] = []
-    for label in matrix.column_labels:
-        if isinstance(label, ContextKey):
-            headers.append(label.render(alphabet))
-        else:
-            headers.append(alphabet.label_of(label))
-    return headers
+    """The rendered column labels: activity labels (AA) or context labels (AC)."""
+    if isinstance(matrix.column_labels, ContextKeys):
+        symbols = matrix.column_labels.symbols
+        if symbols.size and symbols.max() > len(alphabet):
+            raise ParameterError(f"unknown activity id {symbols.max()}")
+        labels = (PAD_LABEL,) + alphabet.labels()
+        kind = matrix.column_labels.kind
+        return [_render_labels([labels[s] for s in row], kind) for row in symbols.tolist()]
+    return [alphabet.label_of(label) for label in matrix.column_labels]
+
+
+_ZERO = format(0, ".17g")
+
+
+def _stored_cells(values: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of ``values`` as a CSR matrix whose rows
+    have sorted, unique column indices.
+
+    Each stored cell holds what ``toarray`` puts there: the cell's entries
+    added onto zero in storage order, so a stored ``-0.0`` reads ``0.0``.
+    """
+    csr = values.tocsr()
+    if csr.has_canonical_format:
+        return csr.indptr, csr.indices, csr.data + 0  # 0 + -0.0 is 0.0
+    n_rows, n_cols = csr.shape
+    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr))
+    keys, inverse = np.unique(rows * n_cols + csr.indices, return_inverse=True)
+    data = np.zeros(len(keys), dtype=csr.dtype)
+    with np.errstate(all="ignore"):  # as toarray, add inf and -inf silently
+        np.add.at(data, inverse, csr.data)
+    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
+    return indptr, keys % n_cols, data
+
+
+def _write_matrix_csv(
+    target: IO[str] | str | Path,
+    column_labels: list[str],
+    row_labels: list[str],
+    values: "np.ndarray | sparse.spmatrix",
+) -> None:
+    """Write an ``activity`` header over the column labels, then each row
+    label followed by its row of ``values``.
+
+    Cells are formatted with 17 significant digits so floats round-trip.
+    A sparse matrix is never densified: each row starts as zero strings
+    and only its stored cells are formatted.
+    """
+    with open_output(target) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["activity"] + column_labels)
+        if not sparse.issparse(values):
+            for label, row in zip(row_labels, values):
+                writer.writerow([label] + [format(v, ".17g") for v in row.tolist()])
+            return
+        indptr, indices, data = _stored_cells(values)
+        bounds = indptr.tolist()
+        for i, label in enumerate(row_labels):
+            lo, hi = bounds[i], bounds[i + 1]
+            cells = [label] + [_ZERO] * values.shape[1]
+            for j, v in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
+                cells[j + 1] = format(v, ".17g")
+            writer.writerow(cells)
 
 
 def write_embedding_csv(
@@ -120,14 +175,12 @@ def write_embedding_csv(
 
     Values are formatted with 17 significant digits so floats round-trip.
     """
-    with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["activity"] + column_headers(matrix, alphabet))
-        dense = matrix.dense()
-        for i, aid in enumerate(matrix.row_labels):
-            writer.writerow(
-                [alphabet.label_of(aid)] + [format(v, ".17g") for v in dense[i]]
-            )
+    _write_matrix_csv(
+        target,
+        column_headers(matrix, alphabet),
+        [alphabet.label_of(aid) for aid in matrix.row_labels],
+        matrix.values,
+    )
 
 
 def dimension_bound(alphabet_size: int, window_size: int) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,8 +12,8 @@ from scipy import sparse
 
 from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet, open_output, write_json
-from .matrices import EmbeddingMatrix, Provenance, build_aa
+from .log import Alphabet, write_json
+from .matrices import EmbeddingMatrix, Provenance, _write_matrix_csv, build_aa
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +140,7 @@ def write_distance_csv(
     path = Path(target)
     cells = sim.distance_matrix() if sim.flavor == "cosine" else sim.values
     labels = [alphabet.label_of(aid) for aid in sim.labels]
-    with open_output(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["activity"] + labels)
-        for i, label in enumerate(labels):
-            writer.writerow([label] + [format(v, ".17g") for v in cells[i]])
+    _write_matrix_csv(path, labels, labels, cells)
     meta = {
         "schema": 1,
         "flavor": sim.flavor,

@@ -5,11 +5,14 @@ enumeration over the padded traces, quadratic matrix assembly, and
 plain-Python cosine. Nothing is shared with the package's optimized
 paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
-clone classes, and loop over every candidate of every member.
+clone classes, and loop over every candidate of every member. The matrix
+CSV writer formats every cell of a dense row, one at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from itertools import combinations, permutations
 
@@ -191,3 +194,21 @@ def naive_triplet(labels, values, classes):
                 pair_scores.append(1.0)
         per_class.append(sum(pair_scores) / len(pair_scores))
     return sum(per_class) / len(per_class)
+
+
+def naive_context_label(symbol_labels, kind):
+    """``{x,y}`` with the labels sorted for a multiset, ``<x,y>`` in order for a sequence."""
+    if kind == "mset":
+        return "{" + ",".join(sorted(symbol_labels)) + "}"
+    return "<" + ",".join(symbol_labels) + ">"
+
+
+def naive_matrix_csv(header, row_labels, rows):
+    """The CSV text of a matrix: the header, then each row label followed by
+    its row's cells, each formatted with 17 significant digits."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for label, row in zip(row_labels, rows):
+        writer.writerow([label] + [format(v, ".17g") for v in row])
+    return buffer.getvalue()

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from actsim import intrinsic, score_all
 from actsim.cli import main
 
 XES_DOC = """<?xml version="1.0" encoding="UTF-8"?>
@@ -162,6 +163,30 @@ class TestIntrinsic:
         assert agg[0].startswith("method,context,weighting,window,")
         assert len(agg) == 2
         assert not (out / "intrinsic_failures.json").exists()
+
+    def test_unexpected_exception_keeps_the_partial_reports(self, worked_csv, tmp_path,
+                                                             monkeypatch, capsys):
+        def score_all_or_raise(sim, classes):
+            if sim.provenance.weighting == "pmi":
+                raise FloatingPointError("pmi scores overflowed")
+            return score_all(sim, classes)
+
+        monkeypatch.setattr(intrinsic, "score_all", score_all_or_raise)
+        out = tmp_path / "out"
+        code = run([
+            "intrinsic", "--input", worked_csv, "--out-dir", out,
+            "--method", "aa", "--context", "mset", "--weight", "none,pmi",
+            "--samples", "1", "--seed", "1",
+        ])
+        assert code == 1
+        scores = json.loads((out / "intrinsic_scores.json").read_text())
+        failures = json.loads((out / "intrinsic_failures.json").read_text())
+        assert scores and len(scores) == len(failures)
+        assert {s["weighting"] for s in scores} == {"none"}
+        assert {f["error"] for f in failures} == {"FloatingPointError: pmi scores overflowed"}
+        agg = (out / "intrinsic_aggregate.csv").read_text().splitlines()
+        assert len(agg) == 2 and agg[1].startswith("aa,mset,none,3,")
+        assert f"{len(scores)} scored jobs, {len(failures)} failed" in capsys.readouterr().out
 
     def test_invalid_single_config_rejected(self, worked_csv, tmp_path, capsys):
         code = run([

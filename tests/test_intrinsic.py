@@ -28,6 +28,7 @@ from actsim import (
     score_precision_at_k,
     score_triplet,
 )
+from actsim import intrinsic
 from reference import (
     naive_compactness,
     naive_nearest_neighbor,
@@ -336,3 +337,21 @@ class TestRunner:
         )
         assert scores and not failures
         assert all(s.method == "substitution" and s.log_id == "mine" for s in scores)
+
+    def test_unexpected_exception_fails_only_its_config(self, monkeypatch):
+        log = log_from_label_traces([["a", "b", "c", "b"]] * 12)
+        configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
+
+        def score_all_or_raise(sim, classes):
+            if sim.provenance.method == "ac":
+                raise FloatingPointError("overflow in the ac scores")
+            return score_all(sim, classes)
+
+        monkeypatch.setattr(intrinsic, "score_all", score_all_or_raise)
+        scores, failures = run_intrinsic_benchmark(log, configs, samples=2, master_seed=1)
+        plan = enumerate_benchmark_plan(log, 2, 1)
+        assert len(scores) == len(failures) == len(plan.jobs)
+        assert {s.method for s in scores} == {"aa"}
+        assert {(f.method, f.error) for f in failures} == {
+            ("ac", "FloatingPointError: overflow in the ac scores")
+        }

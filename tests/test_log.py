@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from actsim import (
     write_log_csv,
     write_stats_csv,
 )
+from synthetic_logs import big_uniform_log
 
 WORKED_CSV = "case,activity\n" + "".join(
     f"{case},{act}\n"
@@ -214,6 +216,48 @@ class TestParseXes:
         source.write_bytes(self.XES.replace('"b"', '"café"').encode("latin-1"))
         with pytest.raises(FormatError, match="cannot decode .*latin1.xes as UTF-8"):
             parse_xes(source)
+
+    @staticmethod
+    def document(label_traces) -> str:
+        event = '<event><string key="concept:name" value="{}"/></event>'
+        traces = (
+            "<trace>" + "".join(event.format(label) for label in trace) + "</trace>\n"
+            for trace in label_traces
+        )
+        return (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n'
+            + "".join(traces)
+            + "</log>\n"
+        )
+
+    def test_later_trace_without_name(self, tmp_path):
+        good = "<trace><event><string key='concept:name' value='a'/></event></trace>"
+        bad = "<trace><event><string key='concept:name' value='a'/></event><event/></trace>"
+        source = tmp_path / "late.xes"
+        source.write_text("<log>" + good * 2000 + bad + good + "</log>", encoding="utf-8")
+        with pytest.raises(FormatError, match="^trace 2000: event 1 lacks a concept:name"):
+            parse_xes(source)
+
+    def test_byte_order_mark_on_every_source(self, tmp_path):
+        text = "\ufeff" + self.XES
+        source = tmp_path / "bom.xes"
+        source.write_text(text, encoding="utf-8")
+        for given_source in (text, io.StringIO(text), source):
+            assert parse_xes(given_source).label_traces() == [("a", "b"), ("a",)]
+
+    def test_path_is_streamed(self, tmp_path):
+        log = big_uniform_log(3, n_traces=5000)
+        source = tmp_path / "big.xes"
+        source.write_text(self.document(log.label_traces()), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            parsed = parse_xes(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.label_traces() == log.label_traces()
+        assert peak < 4 * source.stat().st_size
 
 
 class TestRoundTrip:

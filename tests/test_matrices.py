@@ -1,21 +1,34 @@
 import io
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from actsim import (
+    PAD_LABEL,
+    Alphabet,
+    ContextKind,
+    PairwiseSimilarity,
     ParameterError,
+    Provenance,
     build_aa,
     build_ac,
     dimension_bound,
     extract_occurrences,
     log_from_label_traces,
     substitution_scores,
+    write_distance_csv,
     write_embedding_csv,
 )
-from reference import naive_aa, naive_ac
+from actsim.contexts import ContextKeys
+from actsim.matrices import EmbeddingMatrix
+from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv
 from synthetic_logs import random_small_log
 
 WORKED_AC = np.array(
@@ -178,6 +191,11 @@ class TestExport:
         assert lines[1] == "a,5,0,0,0,1,0,0"
         assert len(lines) == 6
 
+    def test_context_headers_need_the_matrix_alphabet(self):
+        ac = build_ac(extract_occurrences(log_from_label_traces([list("abc")]), 3, "mset"))
+        with pytest.raises(ParameterError, match="unknown activity id 3"):
+            write_embedding_csv(ac, Alphabet(["a"]), io.StringIO())
+
     def test_row_lookup(self):
         log = worked_log()
         ac = build_ac(extract_occurrences(log, 3, "mset"))
@@ -190,3 +208,119 @@ class TestExport:
             for i, aid in enumerate(matrix.row_labels):
                 row = matrix.row(aid)
                 assert row.dtype == dense.dtype and np.array_equal(row, dense[i])
+
+
+LABELS = st.text(alphabet=st.sampled_from('ab,"\'é中 x'), min_size=1, max_size=4)
+INT_CELLS = st.integers(-(10**18), 10**18)
+FLOAT_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, -2.5]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def matrix_cases(draw):
+    """(alphabet, matrix, expected header, square cells for a distance file).
+
+    The values are int64 or float64, stored dense, as CSR, or as CSC.
+    Sparse entries may be explicit zeros. A plain CSR keeps its entries in
+    drawn order within a row, so a row may have unsorted or duplicate
+    column indices; a canonical CSR has neither.
+    """
+    labels = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    alphabet = Alphabet(labels)
+    names = (PAD_LABEL,) + alphabet.labels()
+    rows = tuple(sorted(draw(st.sets(st.integers(1, len(labels)), min_size=1))))
+    kind = draw(st.sampled_from(["aa", "mset", "seq"]))
+    if kind == "aa":
+        columns = rows
+        header = [names[aid] for aid in columns]
+    else:
+        width = draw(st.integers(1, 3))
+        contexts = draw(
+            st.lists(st.lists(st.integers(0, len(labels)), min_size=width, max_size=width),
+                     max_size=5)
+        )
+        symbols = np.array(contexts, dtype=np.int64).reshape(-1, width)
+        columns = ContextKeys(ContextKind(kind), symbols)
+        header = [naive_context_label([names[s] for s in ctx], kind) for ctx in contexts]
+    shape = (len(rows), len(columns))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    cells = INT_CELLS if dtype is np.int64 else FLOAT_CELLS
+    entries = []
+    if shape[1]:
+        entries = draw(st.lists(
+            st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1), cells),
+            min_size=1,
+            max_size=12,
+        ))
+    layout = draw(st.sampled_from(["dense", "csr", "canonical csr", "csc"]))
+    if layout == "canonical csr":
+        unique = {(row, col): value for row, col, value in entries}
+        entries = [(row, col, value) for (row, col), value in sorted(unique.items())]
+    entries.sort(key=lambda entry: entry[0])
+    indptr = np.searchsorted([row for row, _, _ in entries], np.arange(shape[0] + 1))
+    csr = sparse.csr_matrix(
+        (
+            np.array([value for _, _, value in entries], dtype=dtype),
+            np.array([col for _, col, _ in entries], dtype=np.int32),
+            indptr,
+        ),
+        shape=shape,
+    )
+    if layout == "dense":
+        values = np.zeros(shape, dtype=dtype)
+        for row, col, value in entries:
+            values[row, col] = value
+    else:
+        values = csr.tocsc() if layout == "csc" else csr
+    provenance = Provenance("ac", ContextKind.MULTISET, 3, "none")
+    matrix = EmbeddingMatrix(rows, columns, values, provenance)
+    square = np.array(
+        draw(st.lists(st.lists(cells, min_size=len(rows), max_size=len(rows)),
+                      min_size=len(rows), max_size=len(rows))),
+        dtype=dtype,
+    )
+    return alphabet, matrix, ["activity"] + header, square
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_cases(), st.sampled_from(["cosine", "substitution"]))
+def test_matrix_writers_match_the_naive_dense_writer(case, flavor):
+    alphabet, matrix, header, square = case
+    row_names = [alphabet.label_of(aid) for aid in matrix.row_labels]
+    values = matrix.values
+    rows = (values.toarray() if sparse.issparse(values) else values).tolist()
+    buffer = io.StringIO()
+    write_embedding_csv(matrix, alphabet, buffer)
+    assert buffer.getvalue() == naive_matrix_csv(header, row_names, rows)
+
+    sim = PairwiseSimilarity(matrix.row_labels, square, flavor, matrix.provenance)
+    cells = (1.0 - square) if flavor == "cosine" else square
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "distances.csv"
+        write_distance_csv(sim, alphabet, path)
+        written = path.read_bytes().decode("utf-8")
+    assert written == naive_matrix_csv(["activity"] + row_names, row_names, cells.tolist())
+
+
+def test_duplicate_entries_add_in_storage_order():
+    # Long rows of duplicates whose float sums depend on their order: scipy's
+    # sum_duplicates sorts each row without keeping that order, toarray adds
+    # the entries in storage order. Row 1 stores a lone -0.0, which reads 0.
+    rng = np.random.default_rng(5)
+    data = np.append(rng.choice([1e16, 1.0, -1e16, 3.0, -0.5], 40), -0.0)
+    indices = np.append(rng.integers(0, 4, 40), 2)
+    csr = sparse.csr_matrix((data, indices, [0, 40, 41]), shape=(2, 4))
+    assert not csr.has_canonical_format
+    alphabet = Alphabet(["a", "b"])
+    for values in (csr, csr.tocsc()):
+        matrix = EmbeddingMatrix(
+            (1, 2), (1, 2, 1, 2), values, Provenance("aa", ContextKind.MULTISET, 3, "none")
+        )
+        buffer = io.StringIO()
+        write_embedding_csv(matrix, alphabet, buffer)
+        expected = naive_matrix_csv(
+            ["activity", "a", "b", "a", "b"], ["a", "b"], values.toarray().tolist()
+        )
+        assert buffer.getvalue() == expected
