@@ -137,16 +137,6 @@ class OccurrenceTable:
         values.flags.writeable = False
         return values
 
-    @property
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        """#(a, c) keyed by (activity id, context index), nonzero cells only."""
-        coo = self.counts.tocoo()
-        activities = self.activities()
-        return {
-            (activities[row], col): count
-            for row, col, count in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-        }
-
 
 def _packed_keys(contexts: np.ndarray, base: int) -> np.ndarray:
     """One int64 key per row of ``contexts``; equal rows get equal keys.

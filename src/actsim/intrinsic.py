@@ -6,7 +6,8 @@ the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
 
-Each metric works on numpy row blocks of one validated class layout. Its
+``score_all`` computes all four in one pass over numpy row blocks of one
+validated class layout; each single-metric function selects from it. Its
 per-pair, per-member and per-class means stay Python sums over
 ``.tolist()`` in the order of the loop oracles in ``tests/reference.py``:
 numpy's pairwise float summation would change the last bit.
@@ -14,7 +15,9 @@ numpy's pairwise float summation would change the last bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
@@ -28,13 +31,65 @@ from .pipeline import MethodConfig, shared_tables, similarity_for_config
 from .similarity import PairwiseSimilarity
 
 
-def _class_rows(
+def score_compactness(
     sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> list[np.ndarray]:
-    """Validate the assignment against the matrix.
+) -> float:
+    """Mean normalized in-class similarity (I_comp).
 
-    Returns each class's member rows as an int array sorted by activity
-    id, in the order of ``classes``.
+    Off-diagonal similarities of the full matrix are min-max scaled to
+    [0, 1]; a degenerate matrix (max equals min) scales everything to 0.
+    The score averages the scaled similarity over unordered in-class
+    pairs, then over classes.
+    """
+    return score_all(sim, classes)[0]
+
+
+def score_nearest_neighbor(
+    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
+) -> float:
+    """Fraction of members whose most similar activity is a classmate (I_nn).
+
+    The candidate set of a member is every other activity of the derived
+    log. A member succeeds only if every candidate attaining the maximum
+    similarity is in its class; a tie with an outsider counts as failure.
+    Fractions are averaged per class, then over classes.
+    """
+    return score_all(sim, classes)[1]
+
+
+def score_precision_at_k(
+    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
+) -> float:
+    """Precision of the top w-1 candidates (I_prec).
+
+    For each member the k = w-1 most similar candidates are taken, ties
+    broken by smallest activity id, and the in-class share among them is
+    recorded; averaged per class, then over classes.
+    """
+    return score_all(sim, classes)[2]
+
+
+def score_triplet(
+    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
+) -> float:
+    """Fraction of triples where classmates beat outsiders (I_tri).
+
+    For every ordered in-class pair (a, b) and every out-of-class
+    activity o, the triple succeeds when s(a, o) < s(a, b) strictly.
+    Success rates are averaged per pair, per class, then over classes.
+    A class covering the whole log has no outsiders and scores 1.0.
+    """
+    return score_all(sim, classes)[3]
+
+
+def score_all(
+    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
+) -> tuple[float, float, float, float]:
+    """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes.
+
+    The classes are validated once against the matrix; each class is then
+    read as the block of its member rows, sorted by activity id, and
+    yields its four per-class values.
     """
     if not classes:
         raise ParameterError("no classes given")
@@ -50,126 +105,41 @@ def _class_rows(
                     "similarity matrix; it never occurs in the derived log"
                 )
         layout.append(np.array([index[clone] for clone in sorted(clones)], dtype=np.intp))
-    return layout
 
-
-def score_compactness(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Mean normalized in-class similarity (I_comp).
-
-    Off-diagonal similarities of the full matrix are min-max scaled to
-    [0, 1]; a degenerate matrix (max equals min) scales everything to 0.
-    The score averages the scaled similarity over unordered in-class
-    pairs, then over classes.
-    """
-    layout = _class_rows(sim, classes)
     values = sim.values
+    # off[:k, :k] picks a k-member block's ordered pairs in permutations
+    # order, upper[:k, :k] its unordered pairs in combinations order.
     off = ~np.eye(values.shape[0], dtype=bool)
+    upper = np.triu(off)
     lo = float(values[off].min())
     span = float(values[off].max()) - lo
-    if span == 0.0:
-        return 0.0
-    # upper[:k, :k] picks a k-member block's unordered pairs in combinations order.
-    upper = np.triu(off)
-    per_class = []
-    for rows in layout:
-        k = len(rows)
-        pair_scores = ((values[rows[:, None], rows][upper[:k, :k]] - lo) / span).tolist()
-        per_class.append(sum(pair_scores) / len(pair_scores))
-    return sum(per_class) / len(per_class)
-
-
-def score_nearest_neighbor(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Fraction of members whose most similar activity is a classmate (I_nn).
-
-    The candidate set of a member is every other activity of the derived
-    log. A member succeeds only if every candidate attaining the maximum
-    similarity is in its class; a tie with an outsider counts as failure.
-    Fractions are averaged per class, then over classes.
-    """
-    layout = _class_rows(sim, classes)
-    values = sim.values
-    columns = np.arange(values.shape[0])
-    per_class = []
-    for rows in layout:
-        block = values[rows]
-        own = columns == rows[:, None]
-        row_max = np.where(own, -np.inf, block).max(axis=1, keepdims=True)
-        outside = ~own.any(axis=0)
-        missed = int(np.count_nonzero(((block == row_max) & outside).any(axis=1)))
-        per_class.append((len(rows) - missed) / len(rows))
-    return sum(per_class) / len(per_class)
-
-
-def score_precision_at_k(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Precision of the top w-1 candidates (I_prec).
-
-    For each member the k = w-1 most similar candidates are taken, ties
-    broken by smallest activity id, and the in-class share among them is
-    recorded; averaged per class, then over classes.
-    """
-    layout = _class_rows(sim, classes)
-    values = sim.values
     columns = np.arange(values.shape[0])
     ids = np.broadcast_to(np.asarray(sim.labels), values.shape)
     per_class = []
     for rows in layout:
-        k = len(rows) - 1
-        own = columns == rows[:, None]
-        # The last key sorts first: the member itself goes after every candidate.
-        order = np.lexsort((ids[rows], -values[rows], own))
-        in_class = own.any(axis=0)
-        precisions = [hits / k for hits in in_class[order[:, :k]].sum(axis=1).tolist()]
-        per_class.append(sum(precisions) / len(precisions))
-    return sum(per_class) / len(per_class)
-
-
-def score_triplet(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Fraction of triples where classmates beat outsiders (I_tri).
-
-    For every ordered in-class pair (a, b) and every out-of-class
-    activity o, the triple succeeds when s(a, o) < s(a, b) strictly.
-    Success rates are averaged per pair, per class, then over classes.
-    A class covering the whole log has no outsiders and scores 1.0.
-    """
-    layout = _class_rows(sim, classes)
-    values = sim.values
-    # off[:k, :k] picks a k-member block's ordered pairs in permutations order.
-    off = ~np.eye(values.shape[0], dtype=bool)
-    per_class = []
-    for rows in layout:
-        outside = np.ones(values.shape[0], dtype=bool)
-        outside[rows] = False
-        outsiders = int(np.count_nonzero(outside))
-        if not outsiders:
-            per_class.append(1.0)
-            continue
-        block = values[rows]
         k = len(rows)
-        # wins[a, b] counts the outsiders o with s(a, o) < s(a, b).
-        wins = (block[:, None, outside] < block[:, rows, None]).sum(axis=2)
-        pair_scores = [count / outsiders for count in wins[off[:k, :k]].tolist()]
-        per_class.append(sum(pair_scores) / len(pair_scores))
-    return sum(per_class) / len(per_class)
-
-
-def score_all(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> tuple[float, float, float, float]:
-    """(I_comp, I_nn, I_prec, I_tri) in one call."""
-    return (
-        score_compactness(sim, classes),
-        score_nearest_neighbor(sim, classes),
-        score_precision_at_k(sim, classes),
-        score_triplet(sim, classes),
-    )
+        block = values[rows]
+        own = columns == rows[:, None]
+        in_class = own.any(axis=0)
+        outside = ~in_class
+        comp = 0.0
+        if span != 0.0:
+            pair_scores = ((block[:, rows][upper[:k, :k]] - lo) / span).tolist()
+            comp = sum(pair_scores) / len(pair_scores)
+        row_max = np.where(own, -np.inf, block).max(axis=1, keepdims=True)
+        missed = int(np.count_nonzero(((block == row_max) & outside).any(axis=1)))
+        # The last key sorts first: the member itself goes after every candidate.
+        order = np.lexsort((ids[rows], -block, own))
+        precisions = [hits / (k - 1) for hits in in_class[order[:, : k - 1]].sum(axis=1).tolist()]
+        tri = 1.0
+        outsiders = int(np.count_nonzero(outside))
+        if outsiders:
+            # wins[a, b] counts the outsiders o with s(a, o) < s(a, b).
+            wins = (block[:, None, outside] < block[:, rows, None]).sum(axis=2)
+            pair_scores = [count / outsiders for count in wins[off[:k, :k]].tolist()]
+            tri = sum(pair_scores) / len(pair_scores)
+        per_class.append((comp, (k - missed) / k, sum(precisions) / len(precisions), tri))
+    return tuple(sum(m[i] for m in per_class) / len(per_class) for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -211,48 +181,46 @@ def _error_text(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ActsimError) else f"{type(exc).__name__}: {exc}"
 
 
+def _labels(job: PlanJob, config: MethodConfig, log_id: str) -> dict:
+    """The fields a score or failure record of (job, config) starts with."""
+    return dict(
+        method=config.method, context=config.kind.value, weighting=config.weighting,
+        window=config.window, r=job.r, w=job.w, sample=job.sample_index, log_id=log_id,
+    )
+
+
+def _fail_every_config(
+    job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str, exc: Exception
+) -> list[FailedJob]:
+    return [FailedJob(**_labels(job, config, log_id), error=_error_text(exc)) for config in configs]
+
+
 def _run_job(
     log: EventLog, job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
     """Score one plan job under every config. An exception while deriving
     the ground truth or its tables fails every config; one while scoring a
     config fails only that config."""
-    scores: list[IntrinsicScores] = []
-    failures: list[FailedJob] = []
-
-    def labels(config: MethodConfig) -> dict:
-        return dict(
-            method=config.method,
-            context=config.kind.value,
-            weighting=config.weighting,
-            window=config.window,
-            r=job.r,
-            w=job.w,
-            sample=job.sample_index,
-            log_id=log_id,
-        )
-
     try:
         gt = generate_ground_truth_log(
             log, set(job.selected), job.w, job.seed, sample_index=job.sample_index
         )
         tables = shared_tables(gt.log, configs)
     except Exception as exc:
-        error = _error_text(exc)
-        failures.extend(FailedJob(**labels(config), error=error) for config in configs)
-        return scores, failures
+        return [], _fail_every_config(job, configs, log_id, exc)
 
+    scores: list[IntrinsicScores] = []
+    failures: list[FailedJob] = []
     for config in configs:
+        labels = _labels(job, config, log_id)
         try:
             sim = similarity_for_config(tables[(config.kind, config.window)], config)
             i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
         except Exception as exc:
-            failures.append(FailedJob(**labels(config), error=_error_text(exc)))
+            failures.append(FailedJob(**labels, error=_error_text(exc)))
             continue
         scores.append(
-            IntrinsicScores(
-                **labels(config), i_comp=i_comp, i_nn=i_nn, i_prec=i_prec, i_tri=i_tri
-            )
+            IntrinsicScores(**labels, i_comp=i_comp, i_nn=i_nn, i_prec=i_prec, i_tri=i_tri)
         )
     return scores, failures
 
@@ -271,6 +239,11 @@ def run_intrinsic_benchmark(
     Jobs are independent; with ``parallel`` they run in a process pool but
     results are collected in plan order, so the output is identical to a
     serial run. Per-job errors are recorded and never abort the sweep.
+
+    If a pool worker dies (an OOM kill, ``os._exit``), every job whose
+    result had not been read, in plan order, fails under each config with
+    ``"BrokenProcessPool: ..."``. It is not re-run in this process: a job
+    that killed a worker could kill this process too.
     """
     if not configs:
         raise ParameterError("no method configurations given")
@@ -279,8 +252,16 @@ def run_intrinsic_benchmark(
         plan = enumerate_benchmark_plan(log, samples, master_seed)
     arguments = (repeat(log), plan.jobs, repeat(configs), repeat(log_id))
     if parallel and len(plan.jobs) > 1:
+        results = []
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_run_job, *arguments, chunksize=8))
+            try:
+                for result in pool.map(_run_job, *arguments, chunksize=8):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                results.extend(
+                    ([], _fail_every_config(job, configs, log_id, exc))
+                    for job in plan.jobs[len(results):]
+                )
     else:
         results = list(map(_run_job, *arguments))
     scores: list[IntrinsicScores] = []
@@ -327,9 +308,7 @@ def aggregate_scores(
     by_config: dict[tuple, list[IntrinsicScores]] = {}
     for score in scores:
         by_config.setdefault(config_key(score), []).append(score)
-    failed_counts: dict[tuple, int] = {}
-    for failure in failures:
-        failed_counts[config_key(failure)] = failed_counts.get(config_key(failure), 0) + 1
+    failed_counts = Counter(map(config_key, failures))
 
     rows = []
     for key in sorted(by_config):
@@ -340,17 +319,13 @@ def aggregate_scores(
         log_means = []
         for log_id in sorted(by_log):
             entries = by_log[log_id]
-            log_means.append(
-                tuple(
-                    sum(getattr(e, field) for e in entries) / len(entries)
-                    for field in ("i_comp", "i_nn", "i_prec", "i_tri")
-                )
-            )
-        overall = tuple(
-            sum(m[i] for m in log_means) / len(log_means) for i in range(4)
-        )
+            log_means.append(tuple(
+                sum(getattr(e, field) for e in entries) / len(entries)
+                for field in ("i_comp", "i_nn", "i_prec", "i_tri")
+            ))
+        overall = tuple(sum(m[i] for m in log_means) / len(log_means) for i in range(4))
         # The key and the four means are AggregateRow's leading fields, in order.
         rows.append(
-            AggregateRow(*key, *overall, jobs_ok=len(group), jobs_failed=failed_counts.get(key, 0))
+            AggregateRow(*key, *overall, jobs_ok=len(group), jobs_failed=failed_counts[key])
         )
     return AggregateReport(rows=tuple(rows))

@@ -58,9 +58,6 @@ class EmbeddingMatrix:
         row = self.values[index]
         return row.toarray()[0] if sparse.issparse(row) else row
 
-    def row_index(self) -> dict[int, int]:
-        return {aid: i for i, aid in enumerate(self.row_labels)}
-
 
 def _activities(table: OccurrenceTable) -> tuple[int, ...]:
     activities = table.activities()

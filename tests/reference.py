@@ -7,6 +7,8 @@ paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
 CSV writer formats every cell of a dense row, one at a time.
+``pair_counts`` and ``row_index`` are lookup views over the package's own
+objects, read by the tests only.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ def naive_counts(traces, n, kind):
         pair[(center, key)] = pair.get((center, key), 0) + 1
         act[center] = act.get(center, 0) + 1
     return pair, ctx, act, order
+
+
+def pair_counts(table):
+    """#(a, c) of an occurrence table keyed by (activity id, context index),
+    nonzero cells only."""
+    coo = table.counts.tocoo()
+    activities = table.activities()
+    return {
+        (activities[row], col): count
+        for row, col, count in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
+    }
+
+
+def row_index(matrix):
+    """{activity id: row} of an embedding matrix."""
+    return {aid: i for i, aid in enumerate(matrix.row_labels)}
 
 
 def naive_ac(traces, n, kind):

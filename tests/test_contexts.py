@@ -15,7 +15,7 @@ from actsim import (
     log_from_label_traces,
     render_context,
 )
-from reference import naive_counts
+from reference import naive_counts, pair_counts
 from synthetic_logs import random_small_log
 
 
@@ -27,7 +27,7 @@ def by_labels(table, log):
     """pair_counts re-keyed to (label, label-tuple) for readable assertions."""
     label = log.alphabet.label_of
     out = {}
-    for (aid, cid), count in table.pair_counts.items():
+    for (aid, cid), count in pair_counts(table).items():
         context = tuple(label(s) for s in table.contexts[cid])
         out[(label(aid), context)] = count
     return out
@@ -76,7 +76,7 @@ class TestAlgorithm:
         log = worked_log()
         for kind in ("mset", "seq"):
             table = extract_occurrences(log, 3, kind)
-            assert sum(table.pair_counts.values()) == log.n_events
+            assert sum(pair_counts(table).values()) == log.n_events
             assert sum(table.activity_totals.values()) == log.n_events
             assert sum(table.context_totals) == log.n_events
 
@@ -112,7 +112,7 @@ class TestAlgorithm:
         once = extract_occurrences(log_from_label_traces(base), 3, "seq")
         twice = extract_occurrences(log_from_label_traces(base * 2), 3, "seq")
         assert once.contexts == twice.contexts
-        assert {k: 2 * v for k, v in once.pair_counts.items()} == dict(twice.pair_counts)
+        assert {k: 2 * v for k, v in pair_counts(once).items()} == pair_counts(twice)
 
 
 class TestErrors:
@@ -164,7 +164,7 @@ def test_matches_naive_reference(raw_traces, window, kind):
     assert list(table.contexts) == order
     assert dict(table.activity_totals) == act
     assert list(table.context_totals) == [ctx[c] for c in order]
-    rekeyed = {(a, table.contexts[c]): v for (a, c), v in table.pair_counts.items()}
+    rekeyed = {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()}
     assert rekeyed == pair
 
 
@@ -183,11 +183,11 @@ def test_multiset_is_sequence_rekeyed_through_sorting():
             if key not in seen:
                 seen.add(key)
                 order.append(key)
-        for (aid, cid), count in seq.pair_counts.items():
+        for (aid, cid), count in pair_counts(seq).items():
             key = (aid, tuple(sorted(seq.contexts[cid])))
             merged[key] = merged.get(key, 0) + count
         assert list(mset.contexts) == order
-        assert {(a, mset.contexts[c]): v for (a, c), v in mset.pair_counts.items()} == merged
+        assert {(a, mset.contexts[c]): v for (a, c), v in pair_counts(mset).items()} == merged
 
 
 @pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, False)])
@@ -217,4 +217,4 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     assert list(table.contexts) == order
     assert dict(table.activity_totals) == act
     assert list(table.context_totals) == [ctx[c] for c in order]
-    assert {(a, table.contexts[c]): v for (a, c), v in table.pair_counts.items()} == pair
+    assert {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()} == pair

@@ -1,4 +1,8 @@
+import json
+import multiprocessing
+import os
 import random
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from actsim import (
     score_triplet,
 )
 from actsim import intrinsic
+from actsim.cli import main
 from reference import (
     naive_compactness,
     naive_nearest_neighbor,
@@ -230,6 +235,15 @@ def tie_heavy_cases(draw):
 @example(([5, 2, 9, 1], [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
           {7: frozenset({9, 1}), 8: frozenset({5, 2})}))
 @example(([4, 2, 3], [[1.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]], {7: frozenset({2, 3, 4})}))
+# Two where only the summation order shows: ten compactness pairs, and the
+# triplet pairs of a three-member class, each summed in another order.
+@example(([27, 20, 33, 37, 19], [[1.0, 1.0, 0.25, 0.25, -0.5], [1.0, 1.0, 1.0, 0.0, 0.25],
+                                 [0.25, 1.0, 1.0, -0.5, -0.5], [0.25, 0.0, -0.5, 1.0, 0.25],
+                                 [-0.5, 0.25, -0.5, 0.25, 1.0]], {7: frozenset({33, 37, 19, 20, 27})}))
+@example(([15, 6, 35, 4, 12, 8], [[1.0, 0.25, 0.25, 0.25, 0.0, 0.0], [0.25, 1.0, 0.25, 0.0, 0.0, 0.0],
+                                  [0.25, 0.25, 1.0, 0.25, 0.25, 0.25], [0.25, 0.0, 0.25, 1.0, 0.25, 0.0],
+                                  [0.0, 0.0, 0.25, 0.25, 1.0, 0.0], [0.0, 0.0, 0.25, 0.0, 0.0, 1.0]],
+          {7: frozenset({12, 4, 15})}))
 def test_score_all_matches_naive_oracle(case):
     labels, values, classes = case
     expected = tuple(
@@ -239,6 +253,8 @@ def test_score_all_matches_naive_oracle(case):
     scores = score_all(make_sim(values, labels), classes)
     assert scores == expected
     assert all(type(score) is float for score in scores)
+    assert tuple(metric(make_sim(values, labels), classes) for metric in (
+        score_compactness, score_nearest_neighbor, score_precision_at_k, score_triplet)) == expected
 
 
 def score_row(method="aa", context="mset", weighting="none", window=3,
@@ -355,3 +371,56 @@ class TestRunner:
         assert {(f.method, f.error) for f in failures} == {
             ("ac", "FloatingPointError: overflow in the ac scores")
         }
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers must inherit the patched _run_job")
+    def test_dead_worker_fails_only_the_unfinished_jobs(self, monkeypatch, tmp_path):
+        traces = [["a", "b", "c", "b"]] * 12
+        log = log_from_label_traces(traces)
+        configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
+        plan = enumerate_benchmark_plan(log, 2, 1)
+        serial, _ = run_intrinsic_benchmark(log, configs, samples=2, master_seed=1)
+        monkeypatch.setattr(intrinsic, "_run_job", _run_job_or_die)
+        scores, failures = run_intrinsic_benchmark(
+            log, configs, samples=2, master_seed=1, parallel=True
+        )
+        # Results arrive in plan order: the scored jobs are a prefix of the
+        # plan, and every later job fails under each config.
+        done = len(scores) // len(configs)
+        assert 0 < done < len(plan.jobs)
+        assert scores == serial[: len(scores)]
+        assert [(f.r, f.w, f.sample, f.method) for f in failures] == [
+            (job.r, job.w, job.sample_index, config.method)
+            for job in plan.jobs[done:]
+            for config in configs
+        ]
+        assert all(f.error.startswith("BrokenProcessPool: ") for f in failures)
+
+        source = tmp_path / "log.csv"
+        source.write_text("case,activity\n" + "".join(
+            f"{case},{act}\n" for case, trace in enumerate(traces) for act in trace
+        ))
+        out = tmp_path / "out"
+        code = main([
+            "intrinsic", "--input", str(source), "--out-dir", str(out),
+            "--method", "aa", "--context", "mset", "--weight", "none",
+            "--samples", "2", "--seed", "1", "--parallel",
+        ])
+        assert code == 1
+        written = json.loads((out / "intrinsic_scores.json").read_text())
+        failed = json.loads((out / "intrinsic_failures.json").read_text())
+        assert written and failed and len(written) + len(failed) == len(plan.jobs)
+        assert all(f["error"].startswith("BrokenProcessPool: ") for f in failed)
+        assert (out / "intrinsic_aggregate.csv").exists()
+
+
+_real_run_job = intrinsic._run_job
+
+
+def _run_job_or_die(log, job, configs, log_id):
+    """Stands in for ``intrinsic._run_job``: the worker that gets the plan's
+    last job dies, after giving the earlier chunks time to finish."""
+    if job == enumerate_benchmark_plan(log, 2, 1).jobs[-1]:
+        time.sleep(0.5)
+        os._exit(3)
+    return _real_run_job(log, job, configs, log_id)

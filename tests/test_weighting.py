@@ -15,6 +15,7 @@ from actsim import (
     extract_occurrences,
     log_from_label_traces,
 )
+from reference import row_index
 from synthetic_logs import random_small_log
 
 
@@ -29,7 +30,7 @@ def worked_ac():
 
 
 def cell(matrix, log, label, context_labels):
-    row = matrix.row_index()[log.alphabet.id_of(label)]
+    row = row_index(matrix)[log.alphabet.id_of(label)]
     symbols = tuple(sorted(log.alphabet.id_of(l) if l != "__PAD__" else 0 for l in context_labels))
     col = next(i for i, key in enumerate(matrix.column_labels) if key.symbols == symbols)
     return matrix.dense()[row, col]
@@ -62,7 +63,7 @@ class TestPmiValues:
         aa = build_aa(table)
         pmi = apply_pmi(aa, table)
         c, d = log.alphabet.id_of("c"), log.alphabet.id_of("d")
-        i, j = pmi.row_index()[c], pmi.row_index()[d]
+        i, j = row_index(pmi)[c], row_index(pmi)[d]
         # AA(c,d)=6, #(c)=5, #(d)=7, N=30.
         assert pmi.values[i, j] == pytest.approx(math.log((6 / 30) / ((5 / 30) * (7 / 30))), abs=1e-12)
 
