@@ -15,7 +15,7 @@ from scipy import sparse
 from .contexts import extract_occurrences
 from .errors import ActsimError, EmptyLogError, ParameterError
 from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores
-from .log import EventLog, open_output, write_json
+from .log import EventLog, open_output, write_json, write_json_array
 from .matrices import EmbeddingMatrix
 from .pipeline import MethodConfig, build_embedding
 from .similarity import pairwise_distance_matrix
@@ -147,17 +147,22 @@ def _columns(record_type: type) -> list[str]:
     return [field.name for field in fields(record_type) if field.name != "log_id"]
 
 
-def _json_payload(report: Report) -> object:
+def _json_entries(report: Report) -> Iterator[dict]:
+    """One JSON object per record, made as it is read."""
     record_type, records = _records(report)
     columns = _columns(record_type)
-    entries = [
+    return (
         {
             name: round(value, 6) if name.endswith("_seconds") else value
             for name in columns
             if (value := getattr(record, name)) is not None
         }
         for record in records
-    ]
+    )
+
+
+def _json_payload(report: Report) -> object:
+    entries = list(_json_entries(report))
     if isinstance(report, TimingReport):
         return {
             "schema": 1,
@@ -201,7 +206,10 @@ def export_report(report: Report, target: str | Path, fmt: str = "json") -> None
     if fmt not in ("json", "csv"):
         raise ParameterError(f"unknown report format {fmt!r} (expected json or csv)")
     if fmt == "json":
-        write_json(_json_payload(report), target)
+        if isinstance(report, (TimingReport, AggregateReport)):
+            write_json(_json_payload(report), target)
+        else:  # a record list grows with the sweep: stream it
+            write_json_array(_json_entries(report), target)
         return
     header, rows = _csv_table(report)
     with open_output(target) as handle:

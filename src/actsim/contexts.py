@@ -10,12 +10,10 @@ subwindows, kept in order (sequence kind) or sorted by activity id
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -138,19 +136,60 @@ class OccurrenceTable:
         return values
 
 
-def _packed_keys(contexts: np.ndarray, base: int) -> np.ndarray:
-    """One int64 key per row of ``contexts``; equal rows get equal keys.
+def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
+    """One int64 key per context of the ``(n-1, n_events)`` symbol array
+    ``columns`` (one row per window slot); equal contexts get equal keys.
 
-    Rows are packed in base ``base`` when every key fits in an int64;
-    otherwise each row's key is its rank among the distinct rows.
+    Contexts are packed in base ``base`` when every key fits in an int64;
+    otherwise each context's key is its rank among the distinct ones.
     """
-    if base ** contexts.shape[1] >= 2**63:
-        return np.unique(contexts, axis=0, return_inverse=True)[1].reshape(-1)
-    keys = np.zeros(len(contexts), dtype=np.int64)
-    for column in contexts.T:
+    if base ** len(columns) >= 2**63:
+        return np.unique(columns.T, axis=0, return_inverse=True)[1].reshape(-1)
+    keys = np.zeros(columns.shape[1], dtype=np.int64)
+    for column in columns:
         keys *= base
         keys += column
     return keys
+
+
+def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
+    """The ``(n-1, len(centers))`` context symbols of every event of the
+    traces laid end to end in ``centers``: slot j holds the event
+    ``shifts[j]`` places away in the same trace, or PAD past either end."""
+    ends = np.repeat(np.cumsum(lengths), lengths)
+    after = ends - np.arange(1, len(centers) + 1)  # events after each one in its trace
+    before = np.repeat(lengths, lengths) - after - 1
+    left = (n - 1) // 2
+    shifts = [shift for shift in range(-left, n - left) if shift != 0]
+    columns = np.empty((n - 1, len(centers)), dtype=np.int64)
+    for slot, shift in enumerate(shifts):
+        inside = before >= -shift if shift < 0 else after >= shift
+        np.copyto(columns[slot], np.where(inside, np.roll(centers, -shift), PAD))
+    return columns
+
+
+def _sort_columns(columns: np.ndarray) -> None:
+    """Sort every column of a short ``(width, m)`` array in place, by an
+    odd-even transposition network of elementwise minima and maxima."""
+    width = len(columns)
+    for step in range(width):
+        for i in range(step % 2, width - 1, 2):
+            low = np.minimum(columns[i], columns[i + 1])
+            np.maximum(columns[i], columns[i + 1], out=columns[i + 1])
+            columns[i] = low
+
+
+def _intern_contexts(
+    centers: np.ndarray, lengths: np.ndarray, n: int, kind: ContextKind, base: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_ctx, n-1)`` symbols of the distinct contexts in order of
+    first appearance, and the context number of every event. The window
+    arrays live only here, so they are freed before the counts are built."""
+    columns = _context_columns(centers, lengths, n)
+    if kind is ContextKind.MULTISET:
+        _sort_columns(columns)
+    first, numbers = _intern(_packed_keys(columns, base))
+    return np.ascontiguousarray(columns[:, first].T), numbers
 
 
 def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +208,10 @@ def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
+    groups = np.cumsum(starts, out=ordered)  # reuses the sorted keys' memory
+    groups -= 1
     numbers = np.empty_like(perm)
-    numbers[perm] = rank[np.cumsum(starts) - 1]
+    numbers[perm] = rank[groups]
     return first[order], numbers
 
 
@@ -179,11 +220,12 @@ def extract_occurrences(
 ) -> OccurrenceTable:
     """Run the window scan and return the full count table.
 
-    The scan visits distinct traces in log order and weights each by its
-    multiplicity, which leaves both the totals and the context interning
-    order unchanged (a repeated trace can never introduce a context that
-    its first occurrence did not). All windows are gathered at once from
-    one padded array of the distinct traces.
+    The scan visits the log's distinct traces (``log.variants``) in log
+    order and weights each by its multiplicity, which leaves both the
+    totals and the context interning order unchanged (a repeated trace can
+    never introduce a context that its first occurrence did not). Each
+    context slot is one shifted copy of the variants' events, and the
+    counts come straight from one sort of the (row, context) keys.
     """
     kind = _coerce_kind(kind)
     if log.is_empty:
@@ -192,39 +234,48 @@ def extract_occurrences(
         raise ParameterError(f"window size must be at least 2, got {window_size}")
 
     n = window_size
-    left = (n - 1) // 2
-    variants = Counter(log.traces)
-    lengths = np.fromiter(map(len, variants), dtype=np.int64, count=len(variants))
-    weights = np.repeat(np.fromiter(variants.values(), dtype=np.int64), lengths)
-    centers = np.fromiter(chain.from_iterable(variants), dtype=np.int64, count=len(weights))
-
-    # Variant v occupies lengths[v] + n - 1 slots of the padded array, its
-    # events starting after `left` PADs, so the window of global event e
-    # starts at slot e + v (n - 1).
-    starts = np.arange(len(centers)) + np.repeat(np.arange(len(variants)) * (n - 1), lengths)
-    padded = np.full(len(centers) + len(variants) * (n - 1), PAD, dtype=np.int64)
-    padded[starts + left] = centers
-    offsets = np.delete(np.arange(n), left)
-    contexts = padded[starts[:, None] + offsets]
-    if kind is ContextKind.MULTISET:
-        contexts.sort(axis=1)
-
-    first, context_ids = _intern(_packed_keys(contexts, len(log.alphabet) + 1))
+    centers, lengths, multiplicities = log.variants
+    symbols, context_ids = _intern_contexts(centers, lengths, n, kind, len(log.alphabet) + 1)
     occurs = np.bincount(centers) > 0
     activities = np.flatnonzero(occurs)
     rows = (np.cumsum(occurs) - 1)[centers]
-    counts = sparse.csr_matrix(
-        (weights, (rows, context_ids)),
-        shape=(len(activities), len(first)),
-        dtype=np.int64,
-    )
+    weights = np.repeat(multiplicities, lengths)
+    counts = _csr_counts(rows, context_ids, weights, (len(activities), len(symbols)))
     activity_totals = np.asarray(counts.sum(axis=1)).ravel()
     return OccurrenceTable(
         window_size=n,
         kind=kind,
-        symbols=contexts[first],
+        symbols=symbols,
         counts=counts,
         context_totals=np.asarray(counts.sum(axis=0)).ravel(),
         activity_totals=dict(zip(activities.tolist(), activity_totals.tolist())),
         total_events=int(weights.sum()),
     )
+
+
+def _csr_counts(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """The canonical int64 CSR of the summed ``weights`` per (row, col):
+    indices sorted within each row, no duplicates, no explicit zeros (every
+    weight is positive), index arrays as narrow as scipy would pick."""
+    cells = rows * shape[1] + cols
+    perm = cells.argsort()
+    ordered = cells[perm]
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    heads = np.flatnonzero(starts)
+    cells = ordered[heads]
+    # Per-cell sums as differences of the running total at each cell's
+    # last sorted position (cheaper than add.reduceat over short runs).
+    ends = np.append(heads[1:], len(ordered)) - 1
+    data = np.diff(np.cumsum(weights[perm])[ends], prepend=0)
+    index_dtype = np.int32 if max(len(cells), *shape) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
+    np.cumsum(np.bincount(cells // shape[1], minlength=shape[0]), out=indptr[1:])
+    matrix = sparse.csr_matrix(
+        (data, (cells % shape[1]).astype(index_dtype), indptr), shape=shape, copy=False
+    )
+    matrix.has_canonical_format = True
+    return matrix

@@ -19,6 +19,8 @@ from typing import AbstractSet, Iterable, Mapping
 
 from itertools import combinations
 
+import numpy as np
+
 from .errors import EmptyLogError, ParameterError
 from .log import EventLog, write_json
 
@@ -62,10 +64,32 @@ class GroundTruthLog:
 
     def restore_traces(self) -> tuple[tuple[int, ...], ...]:
         """Traces with every clone mapped back through phi."""
-        phi = self.classes.phi
-        return tuple(
-            tuple(phi.get(aid, aid) for aid in trace) for trace in self.log.traces
-        )
+        log = self.log
+        original = np.arange(len(log.alphabet) + 1)
+        original[list(self.classes.phi)] = list(self.classes.phi.values())
+        return EventLog.from_arrays(original[log.events], log.offsets, log.alphabet).traces
+
+
+def _pool_slots(picks: np.ndarray, rank: np.ndarray, w: int) -> np.ndarray:
+    """The pool slot (0..w-1, in clone-id order) that each draw takes.
+
+    ``rank`` numbers each activity's draws from 0, activity after
+    activity. Every w draws of an activity empty one full pool: each
+    pops index ``picks[i]`` of the slots still in it, kept ascending.
+    """
+    step = rank % w
+    rounds = np.cumsum(step == 0) - 1  # one row per pool fill
+    popped = np.zeros((rounds[-1] + 1, w), dtype=np.int64)
+    popped[rounds, step] = picks
+    left = np.broadcast_to(np.arange(w), popped.shape)
+    slots = np.empty_like(popped)
+    every = np.arange(len(popped))
+    for t in range(w):
+        index = popped[:, t]
+        slots[:, t] = left[every, index]
+        behind = np.arange(w - t - 1) >= index[:, None]  # these move up one place
+        left = np.where(behind, left[:, 1 : w - t], left[:, : w - t - 1])
+    return slots[rounds, step]
 
 
 def generate_ground_truth_log(
@@ -127,28 +151,37 @@ def generate_ground_truth_log(
         for cid in ids:
             phi[cid] = aid
 
+    # One draw per (trace, selected activity), at the activity's first
+    # event in that trace; every event of the activity in that trace takes
+    # the drawn clone. Draws are numbered activity by activity.
+    events, offsets = log.events, log.offsets
+    runs = []  # per selected activity: its event positions, their draw numbers
+    first_events, ranks, first_clones = [], [], []  # per draw, activity by activity
+    drawn = 0
+    for aid, ids in clone_ids.items():
+        where = np.flatnonzero(events == aid)
+        trace = np.searchsorted(offsets, where, side="right")
+        new = np.empty(len(where), dtype=bool)
+        new[0] = True
+        np.not_equal(trace[1:], trace[:-1], out=new[1:])
+        runs.append((where, np.cumsum(new) + (drawn - 1)))
+        first_events.append(where[new])
+        ranks.append(np.arange(len(first_events[-1])))
+        first_clones.append(np.full(len(first_events[-1]), ids[0]))
+        drawn += len(first_events[-1])
+    order = np.concatenate(first_events).argsort()  # draws in (trace, position) order
+    rank = np.concatenate(ranks)
+    # The k-th draw of an activity finds w - k % w clones left in its pool,
+    # so every pool size is known before the draws, which stay in log order.
     rng = random.Random(seed)
-    pools: dict[int, list[int]] = {aid: list(ids) for aid, ids in clone_ids.items()}
-    traces: list[tuple[int, ...]] = []
-    for trace in log.traces:
-        chosen: dict[int, int] = {}
-        out: list[int] = []
-        for aid in trace:
-            if aid in selected_set:
-                clone = chosen.get(aid)
-                if clone is None:
-                    pool = pools[aid]
-                    if not pool:
-                        pool = list(clone_ids[aid])
-                        pools[aid] = pool
-                    clone = pool.pop(rng.randrange(len(pool)))
-                    chosen[aid] = clone
-                out.append(clone)
-            else:
-                out.append(aid)
-        traces.append(tuple(out))
+    picks = np.empty(drawn, dtype=np.int64)
+    picks[order] = [rng.randrange(size) for size in (w - rank[order] % w).tolist()]
+    clone_of = np.concatenate(first_clones) + _pool_slots(picks, rank, w)
 
-    derived = EventLog(tuple(traces), alphabet)
+    derived_events = events.copy()
+    for where, draw in runs:
+        derived_events[where] = clone_of[draw]
+    derived = EventLog.from_arrays(derived_events, offsets, alphabet)
     return GroundTruthLog(
         log=derived,
         classes=ClassAssignment(phi=phi, psi=psi),

@@ -10,8 +10,12 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from .errors import EmptyLogError, ExportError, FormatError, ParameterError
 
@@ -84,55 +88,152 @@ class Alphabet:
         return Alphabet(self._id_to_label[1:] + tuple(new_labels))
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """An ordered list of traces over an interned alphabet.
+def _split(flat: list, offsets: np.ndarray) -> Iterator[list]:
+    """The slices of ``flat`` between consecutive ``offsets``."""
+    bounds = offsets.tolist()
+    return (flat[start:end] for start, end in zip(bounds, bounds[1:]))
 
-    The log is a multiset of traces; the list order is kept so that
-    downstream scans (context interning, ground-truth derivation) are
-    deterministic. Traces are tuples of activity ids and never contain
-    the PAD id.
+
+class Variants(NamedTuple):
+    """The distinct traces of a log, in order of first appearance.
+
+    ``events`` holds their activity ids one variant after another,
+    ``lengths`` the length and ``counts`` the multiplicity of each.
     """
 
-    traces: tuple[tuple[int, ...], ...]
-    alphabet: Alphabet
+    events: np.ndarray
+    lengths: np.ndarray
+    counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        limit = len(self.alphabet)
-        for index, trace in enumerate(self.traces):
-            if not trace:
-                raise ParameterError(f"trace {index} is empty")
-            if min(trace) < 1 or max(trace) > limit:
-                raise ParameterError(
-                    f"trace {index} contains an id outside the alphabet (PAD is not allowed)"
-                )
+
+class EventLog:
+    """An ordered list of traces over an interned alphabet, stored columnar.
+
+    ``events`` is a read-only int64 array of every activity id, trace
+    after trace, and trace i is ``events[offsets[i]:offsets[i + 1]]``.
+    The log is a multiset of traces; the order is kept so that downstream
+    scans (context interning, ground-truth derivation) are deterministic.
+    Traces are never empty and never contain the PAD id.
+
+    ``traces`` (tuples of activity ids) and ``variants`` are derived on
+    first read and cached. ``EventLog(traces, alphabet)`` packs the tuples
+    and keeps them as the ``traces`` view; :meth:`from_arrays` builds a log
+    that makes no tuples unless ``traces`` is read.
+    """
+
+    def __init__(self, traces: Sequence[Sequence[int]], alphabet: Alphabet) -> None:
+        traces = tuple(traces)
+        lengths = np.fromiter(map(len, traces), dtype=np.int64, count=len(traces))
+        offsets = np.zeros(len(traces) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        events = np.fromiter(chain.from_iterable(traces), dtype=np.int64, count=int(offsets[-1]))
+        self._init_arrays(events, offsets, alphabet)
+        self.__dict__["traces"] = tuple(map(tuple, traces))
+
+    @classmethod
+    def from_arrays(cls, events: np.ndarray, offsets: np.ndarray, alphabet: Alphabet) -> "EventLog":
+        """A log over int64 ``events`` split at ``offsets`` (``offsets[0] == 0``,
+        ``offsets[-1] == len(events)``). The arrays are kept, not copied, and
+        made read-only."""
+        log = cls.__new__(cls)
+        log._init_arrays(events, offsets, alphabet)
+        return log
+
+    def _init_arrays(self, events: np.ndarray, offsets: np.ndarray, alphabet: Alphabet) -> None:
+        events = np.asarray(events, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if offsets.ndim != 1 or not len(offsets) or offsets[0] != 0 or offsets[-1] != len(events):
+            raise ParameterError("trace offsets must run from 0 to the number of events")
+        lengths = np.diff(offsets)
+        limit = len(alphabet)
+        if len(lengths) and (lengths.min() <= 0 or events.min() < 1 or events.max() > limit):
+            if lengths.min() < 0:
+                raise ParameterError("trace offsets must not decrease")
+            # The first failing trace decides: an empty one, or the trace
+            # of the first id outside 1..limit.
+            empty = np.flatnonzero(lengths == 0)
+            bad = np.flatnonzero((events < 1) | (events > limit))
+            bad_trace = int(np.searchsorted(offsets, bad[0], side="right")) - 1 if len(bad) else None
+            if len(empty) and (bad_trace is None or empty[0] < bad_trace):
+                raise ParameterError(f"trace {empty[0]} is empty")
+            raise ParameterError(
+                f"trace {bad_trace} contains an id outside the alphabet (PAD is not allowed)"
+            )
+        events.flags.writeable = False
+        offsets.flags.writeable = False
+        vars(self).update(events=events, offsets=offsets, alphabet=alphabet)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"EventLog is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return EventLog.from_arrays, (self.events, self.offsets, self.alphabet)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return (
+            self.alphabet == other.alphabet
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.events, other.events)
+        )
+
+    def __repr__(self) -> str:
+        return f"EventLog({self.n_traces} traces, {self.n_events} events, {self.alphabet!r})"
+
+    @cached_property
+    def traces(self) -> tuple[tuple[int, ...], ...]:
+        """The traces as tuples of activity ids, built on first read."""
+        return tuple(map(tuple, _split(self.events.tolist(), self.offsets)))
+
+    @cached_property
+    def variants(self) -> Variants:
+        """The distinct-trace decomposition, computed once per log.
+
+        Traces are compared as the bytes of their event slices, which are
+        equal exactly when the id sequences are.
+        """
+        width = self.events.itemsize
+        data = self.events.tobytes()
+        counts = Counter(_split(data, self.offsets * width))
+        keys = list(counts)
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) // width
+        multiplicities = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
+        lengths.flags.writeable = multiplicities.flags.writeable = False
+        return Variants(np.frombuffer(b"".join(keys), dtype=np.int64), lengths, multiplicities)
 
     @property
     def is_empty(self) -> bool:
-        return not self.traces
+        return self.n_traces == 0
+
+    @property
+    def n_traces(self) -> int:
+        return len(self.offsets) - 1
 
     @property
     def n_events(self) -> int:
-        return sum(len(trace) for trace in self.traces)
+        return len(self.events)
 
     def activity_counts(self) -> Counter:
-        """Occurrence count per activity id, over all events."""
-        counts: Counter = Counter()
-        for trace in self.traces:
-            counts.update(trace)
-        return counts
+        """Occurrence count per occurring activity id, over all events."""
+        counts = np.bincount(self.events)
+        present = np.flatnonzero(counts)
+        return Counter(dict(zip(present.tolist(), counts[present].tolist())))
+
+    def _flat_labels(self) -> list[str]:
+        labels = (PAD_LABEL,) + self.alphabet.labels()
+        return [labels[aid] for aid in self.events.tolist()]
 
     def label_traces(self) -> list[tuple[str, ...]]:
-        label_of = self.alphabet.label_of
-        return [tuple(label_of(a) for a in trace) for trace in self.traces]
+        return list(map(tuple, _split(self._flat_labels(), self.offsets)))
 
 
 def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
     """Build a log from label sequences, interning labels by first appearance."""
     order: dict[str, int] = {}
-    traces: list[tuple[int, ...]] = []
+    ids: list[int] = []
+    offsets = [0]
     for trace in label_traces:
-        ids = []
         for label in trace:
             aid = order.get(label)
             if aid is None:
@@ -141,8 +242,10 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
                 aid = len(order) + 1
                 order[label] = aid
             ids.append(aid)
-        traces.append(tuple(ids))
-    return EventLog(tuple(traces), Alphabet(order))
+        offsets.append(len(ids))
+    return EventLog.from_arrays(
+        np.array(ids, dtype=np.int64), np.array(offsets, dtype=np.int64), Alphabet(order)
+    )
 
 
 def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
@@ -195,6 +298,21 @@ def write_json(payload: object, target: IO[str] | str | Path) -> None:
     with open_output(target) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) -> None:
+    """Write the list of ``entries`` exactly as :func:`write_json` would,
+    one entry at a time, so the list is never held in memory."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    with open_output(target) as handle:
+        opening = "["
+        for entry in entries:
+            text = encode(entry)
+            # JSON escapes newlines inside strings, so every raw newline is
+            # layout and takes one more level of indentation.
+            handle.write(opening + "\n  " + text.replace("\n", "\n  "))
+            opening = ","
+        handle.write("[]\n" if opening == "[" else "\n]\n")
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
@@ -376,10 +494,8 @@ def write_log_csv(log: EventLog, target: IO[str] | str | Path) -> None:
     with open_output(target) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["case", "activity"])
-        label_of = log.alphabet.label_of
-        for index, trace in enumerate(log.traces, start=1):
-            for aid in trace:
-                writer.writerow([index, label_of(aid)])
+        for case, labels in enumerate(_split(log._flat_labels(), log.offsets), start=1):
+            writer.writerows(zip(repeat(case), labels))
 
 
 @dataclass(frozen=True)
@@ -414,6 +530,7 @@ def compute_stats(log: EventLog) -> LogStats:
         raise EmptyLogError("empty log: no traces to summarize")
     counts = log.activity_counts()
     total = sum(counts.values())
+    variant_count = len(log.variants.counts)
     entries = []
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     for rank, (aid, count) in enumerate(ordered, start=1):
@@ -422,10 +539,10 @@ def compute_stats(log: EventLog) -> LogStats:
         )
     return LogStats(
         activity_count=len(counts),
-        trace_count=len(log.traces),
-        variant_count=len(set(log.traces)),
-        variant_ratio=len(set(log.traces)) / len(log.traces),
-        avg_trace_length=total / len(log.traces),
+        trace_count=log.n_traces,
+        variant_count=variant_count,
+        variant_ratio=variant_count / log.n_traces,
+        avg_trace_length=total / log.n_traces,
         total_events=total,
         rank_entries=tuple(entries),
     )

@@ -52,10 +52,15 @@ def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatri
     row_tot, col_tot = _totals(matrix, table)
     n = float(table.total_events)
     if sparse.issparse(matrix.values):
-        coo = matrix.values.tocoo()
-        data = np.log(coo.data.astype(np.float64) * n / (row_tot[coo.row] * col_tot[coo.col]))
+        # The counts' own pattern, in its storage order: no re-sort. The
+        # index arrays are copied, as eliminate_zeros compacts in place.
+        counts = matrix.values
+        rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+        data = np.log(
+            counts.data.astype(np.float64) * n / (row_tot[rows] * col_tot[counts.indices])
+        )
         out = sparse.csr_matrix(
-            (data, (coo.row, coo.col)), shape=matrix.values.shape, dtype=np.float64
+            (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
         )
         out.eliminate_zeros()
     else:

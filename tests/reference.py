@@ -6,7 +6,8 @@ plain-Python cosine. Nothing is shared with the package's optimized
 paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
-CSV writer formats every cell of a dense row, one at a time.
+CSV writer formats every cell of a dense row, one at a time. The ground
+truth walks every event of every trace.
 ``pair_counts`` and ``row_index`` are lookup views over the package's own
 objects, read by the tests only.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import random
 from itertools import combinations, permutations
 
 PAD = 0
@@ -230,3 +232,39 @@ def naive_matrix_csv(header, row_labels, rows):
     for label, row in zip(row_labels, rows):
         writer.writerow([label] + [format(v, ".17g") for v in row])
     return buffer.getvalue()
+
+
+def naive_ground_truth(traces, alphabet_size, selected, w, seed):
+    """(derived traces, phi, psi) of the clone-replacement derivation.
+
+    Clone ids follow the alphabet, w per selected id in ascending id
+    order. Traces are visited in order; within a trace, the first event
+    of each selected activity draws ``pool.pop(rng.randrange(len(pool)))``
+    from that activity's pool (refilled in id order once empty), and every
+    later event of the activity in the trace reuses the draw.
+    """
+    clone_ids = {}
+    next_id = alphabet_size + 1
+    for aid in sorted(selected):
+        clone_ids[aid] = tuple(range(next_id, next_id + w))
+        next_id += w
+    phi = {cid: aid for aid, ids in clone_ids.items() for cid in ids}
+    psi = {aid: frozenset(ids) for aid, ids in clone_ids.items()}
+    rng = random.Random(seed)
+    pools = {aid: list(ids) for aid, ids in clone_ids.items()}
+    derived = []
+    for trace in traces:
+        chosen = {}
+        out = []
+        for aid in trace:
+            if aid in clone_ids:
+                if aid not in chosen:
+                    if not pools[aid]:
+                        pools[aid] = list(clone_ids[aid])
+                    pool = pools[aid]
+                    chosen[aid] = pool.pop(rng.randrange(len(pool)))
+                out.append(chosen[aid])
+            else:
+                out.append(aid)
+        derived.append(tuple(out))
+    return tuple(derived), phi, psi

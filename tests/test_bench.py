@@ -180,6 +180,17 @@ class TestExport:
             writer.writerows(rows)
             assert target.read_bytes() == buffer.getvalue().encode("utf-8")
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_record_lists_stream_the_same_bytes(self, tmp_path, count):
+        errors = ["line one\nline two", 'a "quoted", comma', "caf\u00e9 \u2192 \U0001f600", "tab\tend"]
+        failures = [
+            FailedJob("aa", "seq", "pmi", 5, 2, 3, i, errors[i % len(errors)]) for i in range(count)
+        ]
+        target = tmp_path / "failures.json"
+        export_report(failures, target)
+        expected = json.dumps(bench._json_payload(failures), indent=2, sort_keys=True) + "\n"
+        assert target.read_bytes() == expected.encode("utf-8")
+
     def test_scores_serialization_keys(self, tmp_path):
         scores, _ = run_intrinsic_benchmark(
             worked_log(), [make_config("aa", "mset", "none", 3)], samples=1, master_seed=3

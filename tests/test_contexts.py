@@ -11,10 +11,13 @@ from actsim import (
     EventLog,
     Alphabet,
     ParameterError,
+    expand_grid,
     extract_occurrences,
+    generate_ground_truth_log,
     log_from_label_traces,
     render_context,
 )
+from actsim import pipeline
 from reference import naive_counts, pair_counts
 from synthetic_logs import random_small_log
 
@@ -218,3 +221,66 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     assert dict(table.activity_totals) == act
     assert list(table.context_totals) == [ctx[c] for c in order]
     assert {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()} == pair
+
+
+def _assert_matches_naive(table, traces, window, kind):
+    pair, ctx, act, order = naive_counts(traces, window, kind)
+    assert list(table.contexts) == order
+    assert dict(table.activity_totals) == act
+    assert list(table.context_totals) == [ctx[c] for c in order]
+    assert {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()} == pair
+    assert table.counts.has_canonical_format
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(1, 3), min_size=1, max_size=6).map(tuple),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(2, 5),
+    st.sampled_from(["mset", "seq"]),
+    st.integers(0, 2**32),
+)
+def test_array_built_logs_match_naive_reference(traces, window, kind, seed):
+    # Repeats of a few short traces exercise the variant weights; the
+    # derived log is built from arrays and never holds trace tuples.
+    flat = np.array([aid for trace in traces for aid in trace], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(trace) for trace in traces])
+    log = EventLog.from_arrays(flat, offsets, Alphabet(["a", "b", "c"]))
+    _assert_matches_naive(extract_occurrences(log, window, kind), traces, window, kind)
+
+    gt = generate_ground_truth_log(log, {traces[0][0]}, w=2, seed=seed)
+    table = extract_occurrences(gt.log, window, kind)
+    assert "traces" not in vars(gt.log)
+    _assert_matches_naive(table, gt.log.traces, window, kind)
+
+
+def test_shared_tables_dedupe_once(monkeypatch):
+    log = log_from_label_traces([list("abcab"), list("ba"), list("abcab")] * 4)
+    gt = generate_ground_truth_log(log, {log.alphabet.id_of("a")}, w=3, seed=5)
+    variants = EventLog.variants
+    decompositions = []
+
+    def counting(self):
+        decompositions.append(self)
+        return variants.func(self)
+
+    spy = type(variants)(counting)
+    spy.__set_name__(EventLog, "variants")
+    monkeypatch.setattr(EventLog, "variants", spy)
+    extractions = []
+    extract = pipeline.extract_occurrences
+
+    def counting_extract(*args):
+        extractions.append(args[1:])
+        return extract(*args)
+
+    # shared_tables reaches extract_occurrences through its module binding,
+    # where outside tooling may wrap it.
+    monkeypatch.setattr(pipeline, "extract_occurrences", counting_extract)
+    grid = expand_grid(("aa", "ac", "substitution"), ("mset", "seq"), ("none", "pmi"), (3, 5))
+    tables = pipeline.shared_tables(gt.log, grid)
+    assert len(tables) == len(extractions) == 4
+    assert len(decompositions) == 1 and decompositions[0] is gt.log

@@ -4,6 +4,8 @@ from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from actsim import (
     Alphabet,
@@ -17,6 +19,7 @@ from actsim import (
     splitmix64,
     write_classes_json,
 )
+from reference import naive_ground_truth
 from synthetic_logs import random_small_log
 
 
@@ -140,6 +143,41 @@ class TestGenerate:
         target = tmp_path / "classes.json"
         write_classes_json(gt, target)
         assert json.loads(target.read_text()) == {"b__1": "b", "b__2": "b"}
+
+
+@st.composite
+def derivation_cases(draw):
+    """(traces, alphabet size, selected ids, w, seed); ids are drawn from a
+    small alphabet so that traces repeat selected activities, and up to
+    twelve traces with w up to 5 make pools refill."""
+    size = draw(st.integers(1, 5))
+    traces = draw(
+        st.lists(
+            st.lists(st.integers(1, size), min_size=1, max_size=8).map(tuple),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    occurring = sorted({aid for trace in traces for aid in trace})
+    selected = draw(st.sets(st.sampled_from(occurring), min_size=1))
+    return tuple(traces), size, selected, draw(st.integers(2, 5)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derivation_cases())
+# A selected activity repeated inside a trace, and traces without one.
+@example((((1, 2, 1, 1), (2, 2), (1, 3, 1), (3,)), 3, {1}, 2, 11))
+# Seven traces through pools of w = 2 and 3: both refill twice.
+@example((((1, 2, 2, 1),) * 7, 2, {1, 2}, 3, 5))
+@example((((2, 1), (1,), (2, 2, 2), (1, 2)) * 2, 2, {1, 2}, 2, 0))
+def test_generate_matches_naive_oracle(case):
+    traces, size, selected, w, seed = case
+    log = EventLog(traces, Alphabet(f"x{i}" for i in range(1, size + 1)))
+    gt = generate_ground_truth_log(log, selected, w=w, seed=seed)
+    derived, phi, psi = naive_ground_truth(traces, size, selected, w, seed)
+    assert gt.log.traces == derived
+    assert gt.classes.phi == phi
+    assert gt.classes.psi == psi
 
 
 class TestPlan:

@@ -1,6 +1,8 @@
 import io
+import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,6 +84,81 @@ class TestEventLog:
         counts = log.activity_counts()
         by_label = {log.alphabet.label_of(a): c for a, c in counts.items()}
         assert by_label == {"a": 6, "b": 6, "c": 5, "d": 7, "e": 6}
+
+    OUTSIDE = "contains an id outside the alphabet (PAD is not allowed)"
+
+    @pytest.mark.parametrize(
+        "traces, message",
+        [
+            (((1,), (), (0,)), "trace 1 is empty"),
+            (((1,), (1, 2), ()), f"trace 1 {OUTSIDE}"),
+            (((1, 1), (1, 0, 1)), f"trace 1 {OUTSIDE}"),
+            (((1,), (1,), (2,)), f"trace 2 {OUTSIDE}"),
+            (((),), "trace 0 is empty"),
+            (((1,), (), ()), "trace 1 is empty"),
+        ],
+    )
+    def test_first_failing_trace_decides(self, traces, message):
+        # Both constructors validate the same way: PAD (0) and len + 1 are
+        # the nearest ids outside the alphabet, and the earlier trace wins.
+        alphabet = Alphabet(["a"])
+        flat = np.array([aid for trace in traces for aid in trace], dtype=np.int64)
+        offsets = np.cumsum([0] + [len(trace) for trace in traces])
+        for build in (
+            lambda: EventLog(traces, alphabet),
+            lambda: EventLog.from_arrays(flat, offsets, alphabet),
+        ):
+            with pytest.raises(ParameterError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_offsets_must_span_the_events(self):
+        alphabet = Alphabet(["a"])
+        with pytest.raises(ParameterError, match="offsets"):
+            EventLog.from_arrays(np.array([1, 1]), np.array([0, 1]), alphabet)
+        with pytest.raises(ParameterError, match="offsets"):
+            EventLog.from_arrays(np.array([1, 1]), np.array([0, 2, 1, 2]), alphabet)
+
+    def test_empty_log(self):
+        log = EventLog((), Alphabet(["a"]))
+        assert log.is_empty and log.n_traces == 0 and log.n_events == 0
+        assert log.traces == () and log.label_traces() == []
+        assert log.offsets.tolist() == [0] and log.events.tolist() == []
+        assert log.activity_counts() == {}
+        assert len(log.variants.counts) == 0
+
+    def test_traces_round_trip(self):
+        traces = ((1, 2, 2), (3,), (1, 2, 2), (2, 1))
+        log = EventLog(traces, Alphabet(["a", "b", "c"]))
+        assert log.traces == traces
+        assert log.events.tolist() == [1, 2, 2, 3, 1, 2, 2, 2, 1]
+        assert log.offsets.tolist() == [0, 3, 4, 7, 9]
+        rebuilt = EventLog.from_arrays(log.events.copy(), log.offsets.copy(), log.alphabet)
+        assert "traces" not in vars(rebuilt)  # no tuples until they are read
+        assert rebuilt.traces == traces and rebuilt == log
+        assert pickle.loads(pickle.dumps(rebuilt)) == log
+
+    def test_variants_in_first_appearance_order(self):
+        log = EventLog(((2, 1), (1,), (2, 1), (1, 1), (1,), (2, 1)), Alphabet(["a", "b"]))
+        events, lengths, counts = log.variants
+        assert events.tolist() == [2, 1, 1, 1, 1]
+        assert lengths.tolist() == [2, 1, 2]
+        assert counts.tolist() == [3, 2, 1]
+        assert log.variants is log.variants
+
+    def test_absent_activity_counts_zero(self):
+        log = EventLog(((1, 3, 3),), Alphabet(["a", "b", "c"]))
+        counts = log.activity_counts()
+        assert counts[2] == 0 and 2 not in counts
+        assert counts == {1: 1, 3: 2}
+
+    def test_arrays_are_read_only(self):
+        for log in (worked_log(), EventLog(((1, 2),), Alphabet(["a", "b"]))):
+            for array in (log.events, log.offsets, *log.variants):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+            with pytest.raises(AttributeError):
+                log.events = np.array([1])
 
 
 class TestParseCsv:

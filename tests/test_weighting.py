@@ -13,10 +13,11 @@ from actsim import (
     build_aa,
     build_ac,
     extract_occurrences,
+    generate_ground_truth_log,
     log_from_label_traces,
 )
 from reference import row_index
-from synthetic_logs import random_small_log
+from synthetic_logs import random_small_log, structured_log
 
 
 def worked_log():
@@ -84,6 +85,53 @@ class TestPmiValues:
         log, table, ac = worked_ac()
         ppmi = apply_ppmi(ac, table)
         assert cell(ppmi, log, "d", ("b", "d")) == 0.0
+
+
+def coo_pmi(table):
+    """PMI of the raw AC counts through COO and a rebuilt CSR."""
+    coo = table.counts.tocoo()
+    row_tot = np.array([table.activity_totals[a] for a in table.activities()], dtype=np.float64)
+    col_tot = np.asarray(table.context_totals, dtype=np.float64)
+    n = float(table.total_events)
+    data = np.log(coo.data.astype(np.float64) * n / (row_tot[coo.row] * col_tot[coo.col]))
+    out = sparse.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape, dtype=np.float64)
+    out.eliminate_zeros()
+    return out
+
+
+class TestOwnPattern:
+    @pytest.fixture(scope="class")
+    def sweep_logs(self):
+        # The benchmark's W1 log, and one of its derived logs.
+        log = structured_log(7, 2000, 20)
+        return [log, generate_ground_truth_log(log, {1, 4, 9}, w=5, seed=11).log]
+
+    @pytest.mark.parametrize("kind", ["mset", "seq"])
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_pattern_and_bits_match_coo(self, sweep_logs, kind, window):
+        for log in sweep_logs:
+            table = extract_occurrences(log, window, kind)
+            expected = coo_pmi(table)
+            pmi = apply_pmi(build_ac(table), table).values
+            assert np.array_equal(pmi.indptr, expected.indptr)
+            assert np.array_equal(pmi.indices, expected.indices)
+            assert np.array_equal(pmi.data.view(np.uint64), expected.data.view(np.uint64))
+            ppmi = apply_ppmi(build_ac(table), table).values
+            clamped = expected.copy()
+            np.maximum(clamped.data, 0.0, out=clamped.data)
+            clamped.eliminate_zeros()
+            assert np.array_equal(ppmi.indptr, clamped.indptr)
+            assert np.array_equal(ppmi.indices, clamped.indices)
+            assert np.array_equal(ppmi.data.view(np.uint64), clamped.data.view(np.uint64))
+
+    def test_eliminated_zero_leaves_the_counts_alone(self):
+        # One event: j N = r c, so the only cell's PMI is ln 1 = 0 and is dropped.
+        log = log_from_label_traces([["a"]])
+        table = extract_occurrences(log, 3, "mset")
+        pmi = apply_pmi(build_ac(table), table).values
+        assert pmi.nnz == 0 and pmi.indptr.tolist() == [0, 0]
+        assert table.counts.indptr.tolist() == [0, 1]
+        assert table.counts.indices.tolist() == [0] and table.counts.data.tolist() == [1]
 
 
 class TestScaleInvariance:
