@@ -6,13 +6,15 @@ import csv
 import io
 import json
 import xml.etree.ElementTree as ET
+from array import array
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -228,43 +230,73 @@ class EventLog:
         return list(map(tuple, _split(self._flat_labels(), self.offsets)))
 
 
-def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
-    """Build a log from label sequences, interning labels by first appearance."""
-    order: dict[str, int] = {}
-    ids: list[int] = []
-    offsets = [0]
-    for trace in label_traces:
-        for label in trace:
-            aid = order.get(label)
-            if aid is None:
-                if label == PAD_LABEL:
-                    raise FormatError(f"activity label {PAD_LABEL!r} is reserved")
-                aid = len(order) + 1
-                order[label] = aid
-            ids.append(aid)
-        offsets.append(len(ids))
+class _ReservedKey(LookupError):
+    """A key that :class:`_Codes` refuses to number."""
+
+
+class _Codes(dict):
+    """Interns keys as dense codes 1, 2, ... in order of first lookup.
+
+    ``codes[key]`` is the code of ``key``, numbering a new key on the spot:
+    a key seen before costs one dict lookup in C, and only a new key runs
+    Python. A new key in ``reserved`` raises :class:`_ReservedKey` instead,
+    so the parsers test for bad keys once per distinct key, not per event.
+    Iterating the codes gives the keys in code order.
+    """
+
+    __slots__ = ("reserved",)
+
+    def __init__(self, reserved: Iterable[object]) -> None:
+        super().__init__()
+        self.reserved = frozenset(reserved)
+
+    def __missing__(self, key: object) -> int:
+        if key in self.reserved:
+            raise _ReservedKey(key)
+        code = self[key] = len(self) + 1
+        return code
+
+
+def _log(events: array, offsets: array, labels: Iterable[str]) -> EventLog:
+    """The log over int64 ``events`` and ``offsets`` buffers, whose ids
+    are the positions of ``labels``, counted from 1."""
     return EventLog.from_arrays(
-        np.array(ids, dtype=np.int64), np.array(offsets, dtype=np.int64), Alphabet(order)
+        np.frombuffer(events, dtype=np.int64),
+        np.frombuffer(offsets, dtype=np.int64),
+        Alphabet(labels),
     )
 
 
-def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
-    """The source's text in chunks of ``size`` characters (all of it at
-    once when ``size`` is -1), without a leading UTF-8 byte-order mark.
+def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
+    """Build a log from label sequences, interning labels by first appearance."""
+    codes = _Codes(reserved=(PAD_LABEL,))
+    ids = array("q")
+    offsets = array("q", [0])
+    try:
+        for trace in label_traces:
+            ids.extend(map(codes.__getitem__, trace))
+            offsets.append(len(ids))
+    except _ReservedKey:
+        raise FormatError(f"activity label {PAD_LABEL!r} is reserved") from None
+    return _log(ids, offsets, codes)
 
-    A path is opened as ``utf-8-sig``. Failing to read or decode a path,
-    or to decode a stream, is a :class:`FormatError`.
+
+@contextmanager
+def _reading(source: TextSource) -> Iterator[IO[str]]:
+    """A text handle on ``source``: a path opened as ``utf-8-sig`` with
+    universal newlines and closed on exit, a string in a ``StringIO``, or
+    the stream itself. Pass the first text read to :func:`_unmarked`.
+
+    Failing to read or decode a path, or to decode a stream, inside the
+    block is a :class:`FormatError`.
     """
-    if isinstance(source, str):
-        yield source.removeprefix("\ufeff")
-        return
     is_path = isinstance(source, Path)
     try:
-        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
-            chunk = handle.read(size)  # utf-8-sig has stripped a path's mark
-            yield chunk if is_path else chunk.removeprefix("\ufeff")
-            while chunk := handle.read(size):
-                yield chunk
+        if is_path:
+            with open(source, encoding="utf-8-sig") as handle:
+                yield handle
+        else:
+            yield io.StringIO(source) if isinstance(source, str) else source
     except OSError as exc:
         if not is_path:
             raise
@@ -272,6 +304,25 @@ def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
     except UnicodeDecodeError as exc:
         where = source if is_path else "the input stream"
         raise FormatError(f"cannot decode {where} as UTF-8: {exc}") from exc
+
+
+def _unmarked(head: str, source: TextSource) -> str:
+    """The first text read from ``source`` without a leading UTF-8
+    byte-order mark (``utf-8-sig`` has already dropped a path's)."""
+    return head if isinstance(source, Path) else head.removeprefix("\ufeff")
+
+
+def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
+    """The text of ``source`` in chunks of ``size`` characters, as
+    :func:`_reading` reads it; a string is one chunk and is not copied."""
+    if isinstance(source, str):
+        yield _unmarked(source, source)
+        return
+    with _reading(source) as handle:
+        chunk = handle.read(size)
+        yield _unmarked(chunk, source)
+        while chunk := handle.read(size):
+            yield chunk
 
 
 @contextmanager
@@ -315,14 +366,35 @@ def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) ->
         handle.write("[]\n" if opening == "[" else "\n]\n")
 
 
-def _parse_timestamp(raw: str, row: int) -> datetime:
+_EPOCHS = (datetime(1970, 1, 1), datetime(1970, 1, 1, tzinfo=timezone.utc))
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _timestamp_key(raw: str) -> tuple[int, bool]:
+    """Microseconds since the epoch of an ISO-8601 timestamp, and whether
+    it is timezone-aware; two keys of one kind order as their datetimes.
+    Raises :class:`ValueError` when ``raw`` does not parse."""
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
-    try:
-        return datetime.fromisoformat(text)
-    except ValueError:
-        raise FormatError(f"row {row}: unparseable timestamp {raw!r}") from None
+    stamp = datetime.fromisoformat(text)
+    aware = stamp.tzinfo is not None
+    return (stamp - _EPOCHS[aware]) // _MICROSECOND, aware
+
+
+def _row_problem(row: list[str], needed: int, case_idx: int, act_idx: int) -> str | None:
+    """Why a CSV row holds no event: None for a blank row, else its first
+    problem of a short row, an empty case id, an empty label and a
+    reserved label."""
+    if not any(row):
+        return None
+    if len(row) < needed:
+        return f"expected at least {needed} fields, got {len(row)}"
+    if row[case_idx] == "":
+        return "empty case id"
+    if row[act_idx] == "":
+        return "empty activity label"
+    return f"activity label {PAD_LABEL!r} is reserved"
 
 
 def parse_csv(
@@ -345,126 +417,186 @@ def parse_csv(
         keep file order); otherwise file order is kept.
 
     Traces are emitted in order of first appearance of their case id.
-    Row numbers in error messages are 1-based file lines (the header is
-    line 1).
+    Row numbers in error messages are 1-based CSV records (the header is
+    row 1); a record the csv module rejects is a format error too.
+
+    The rows are streamed: each becomes a case code and a label code, so
+    memory follows the events, not the text.
     """
-    reader = csv.reader(io.StringIO("".join(_text_chunks(source, size=-1))))
-    header = next(reader, None)
-    if header is None:
-        raise EmptyLogError("empty log: the file has no rows")
-
-    def column(name: str) -> int:
+    cases = _Codes(reserved=("",))
+    labels = _Codes(reserved=("", PAD_LABEL))
+    case_of, label_of = array("q"), array("q")
+    stamps, aware = array("q"), array("b")
+    blank = 0
+    with _reading(source) as handle:
+        head = _unmarked(next(handle, ""), source)
+        reader = csv.reader(chain((head,), handle) if head else handle)
         try:
-            return header.index(name)
-        except ValueError:
-            raise FormatError(f"missing column {name!r} in CSV header") from None
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise FormatError(f"row 1: {exc}") from None
+        if header is None:
+            raise EmptyLogError("empty log: the file has no rows")
 
-    case_idx = column(case_column)
-    act_idx = column(activity_column)
-    ts_idx = column(timestamp_column) if timestamp_column is not None else None
-    needed = max(i for i in (case_idx, act_idx, ts_idx) if i is not None) + 1
-
-    cases: dict[str, list] = {}
-    for line, row in enumerate(reader, start=2):
-        if not row or all(field == "" for field in row):
-            continue
-        if len(row) < needed:
-            raise FormatError(f"row {line}: expected at least {needed} fields, got {len(row)}")
-        case = row[case_idx]
-        label = row[act_idx]
-        if case == "":
-            raise FormatError(f"row {line}: empty case id")
-        if label == "":
-            raise FormatError(f"row {line}: empty activity label")
-        if label == PAD_LABEL:
-            raise FormatError(f"row {line}: activity label {PAD_LABEL!r} is reserved")
-        entry = (label,) if ts_idx is None else (_parse_timestamp(row[ts_idx], line), label)
-        cases.setdefault(case, []).append(entry)
-
-    if not cases:
-        raise EmptyLogError("empty log: the file contains no events")
-
-    label_traces: list[list[str]] = []
-    for case, entries in cases.items():
-        if ts_idx is not None:
+        def column(name: str) -> int:
             try:
-                entries.sort(key=lambda e: e[0])
-            except TypeError:
-                raise FormatError(
-                    f"case {case!r}: cannot order events, timestamps mix "
-                    "timezone-aware and naive values"
-                ) from None
-            label_traces.append([label for _, label in entries])
-        else:
-            label_traces.append([label for (label,) in entries])
-    return log_from_label_traces(label_traces)
+                return header.index(name)
+            except ValueError:
+                raise FormatError(f"missing column {name!r} in CSV header") from None
+
+        case_idx = column(case_column)
+        act_idx = column(activity_column)
+        ts_idx = column(timestamp_column) if timestamp_column is not None else None
+        needed = max(i for i in (case_idx, act_idx, ts_idx) if i is not None) + 1
+        try:
+            for row in reader:
+                try:
+                    case = cases[row[case_idx]]
+                    label = labels[row[act_idx]]
+                    raw = row[ts_idx] if ts_idx is not None else None
+                except (IndexError, _ReservedKey):
+                    problem = _row_problem(row, needed, case_idx, act_idx)
+                    if problem is None:
+                        blank += 1
+                        continue
+                    raise FormatError(f"row {len(case_of) + blank + 2}: {problem}") from None
+                if raw is not None:
+                    try:
+                        key, is_aware = _timestamp_key(raw)
+                    except ValueError:
+                        line = len(case_of) + blank + 2
+                        raise FormatError(f"row {line}: unparseable timestamp {raw!r}") from None
+                    stamps.append(key)
+                    aware.append(is_aware)
+                case_of.append(case)
+                label_of.append(label)
+        except csv.Error as exc:
+            raise FormatError(f"row {len(case_of) + blank + 2}: {exc}") from None
+
+    if not case_of:
+        raise EmptyLogError("empty log: the file contains no events")
+    case_codes = np.frombuffer(case_of, dtype=np.int64)
+    lengths = np.bincount(case_codes)[1:]
+    if ts_idx is not None:
+        # Only a case that mixes aware and naive timestamps cannot be
+        # ordered; the first such case in order of appearance is named.
+        n_aware = np.bincount(case_codes, weights=np.frombuffer(aware, dtype=np.int8))[1:]
+        mixed = np.flatnonzero((n_aware > 0) & (n_aware < lengths))
+        if len(mixed):
+            case = list(cases)[mixed[0]]
+            raise FormatError(
+                f"case {case!r}: cannot order events, timestamps mix "
+                "timezone-aware and naive values"
+            )
+    # From here on the case ids, and then the codes in file order, are
+    # dropped as soon as they are used: they would set the memory peak.
+    del cases
+    if ts_idx is not None:
+        order = np.lexsort((np.frombuffer(stamps, dtype=np.int64), case_codes))
+    else:
+        order = np.argsort(case_codes, kind="stable")
+    events = np.frombuffer(label_of, dtype=np.int64)[order]
+    del case_codes, case_of, label_of, order
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    # Renumber the labels by their first appearance in trace order.
+    first = np.unique(events, return_index=True)[1]
+    by_first = np.argsort(first)
+    renumber = np.empty(len(first) + 1, dtype=np.int64)
+    renumber[by_first + 1] = np.arange(1, len(first) + 1)
+    keys = list(labels)
+    alphabet = Alphabet(keys[code] for code in by_first.tolist())
+    return EventLog.from_arrays(renumber[events], offsets, alphabet)
 
 
-def _local_name(tag: str) -> str:
-    # XES files often carry a default namespace; match on the local part.
-    return tag.rsplit("}", 1)[-1]
-
-
-def _end_elements(source: TextSource) -> Iterator[tuple[str, ET.Element]]:
-    """An ``("end", element)`` pair for every element of an XML document,
-    as its end tag is parsed."""
-    parser = ET.XMLPullParser(events=("end",))
-    try:
-        # A chunk's events wait in the parser until they are read; small
-        # chunks keep them from outliving young garbage-collector
-        # generations, whose promotions trigger full passes over the tree.
-        for chunk in _text_chunks(source, 1 << 12):
-            parser.feed(chunk)
-            yield from parser.read_events()
-        parser.close()
-    except ET.ParseError as exc:
-        raise FormatError(f"malformed XES/XML: {exc}") from exc
-    yield from parser.read_events()
+_TRACE, _EVENT, _STRING = 1, 2, 3
+_ROLES = {"trace": _TRACE, "event": _EVENT, "string": _STRING}
 
 
 def parse_xes(source: TextSource) -> EventLog:
     """Parse an XES document; only ``concept:name`` of each event is read.
 
-    The document is streamed: each trace is read when its end tag is
-    parsed and then cleared, so memory holds the labels, not the tree.
-    Trace and event order follow the document. Any other attribute is
-    ignored. A trace without events, or an event without a
+    The document is streamed through an expat parser that builds no tree:
+    memory holds the label ids, not the elements. A ``trace`` at any depth
+    is a trace; its events are its ``event`` children, and an event's name
+    is the ``value`` of its first ``string`` child whose ``key`` is
+    ``concept:name``. Trace and event order follow the document. Any other
+    attribute is ignored. A trace without events, or an event without a
     ``concept:name`` string, is a format error naming the trace index.
+    Each trace is checked when its end tag is parsed, so of a bad trace and
+    malformed XML the one earlier in the document is reported.
     """
-    label_traces: list[list[str]] = []
-    for _, element in _end_elements(source):
-        if _local_name(element.tag) != "trace":
-            continue
-        trace_index = len(label_traces)
-        labels: list[str] = []
-        for child in element:
-            if _local_name(child.tag) != "event":
-                continue
-            name = None
-            for attr in child:
-                if (
-                    _local_name(attr.tag) == "string"
-                    and attr.get("key") == "concept:name"
-                ):
-                    name = attr.get("value")
-                    break
-            if name is None:
-                raise FormatError(
-                    f"trace {trace_index}: event {len(labels)} lacks a concept:name string"
-                )
-            if name == PAD_LABEL:
-                raise FormatError(
-                    f"trace {trace_index}: activity label {PAD_LABEL!r} is reserved"
-                )
-            labels.append(name)
-        if not labels:
-            raise FormatError(f"trace {trace_index} has no events")
-        label_traces.append(labels)
-        element.clear()
+    roles: dict[str, int] = {}  # tag -> role, by the tag's local name
+    # The role of each open element: a trace, an event of a trace that has
+    # no name yet, or 0 for anything else.
+    stack = [0]
+    push, pop = stack.append, stack.pop
+    # The name of each event of the open traces, trace after trace (None
+    # for an event without one), and where each open trace's names start.
+    names: list = []
+    add_name = names.append
+    starts: list[int] = []
+    codes = _Codes(reserved=(None, PAD_LABEL))
+    events = array("q")
+    offsets = array("q", [0])
 
-    if not label_traces:
+    def start(tag: str, attrib: dict[str, str]) -> None:
+        role = roles.get(tag)
+        if role is None:
+            # XES files often carry a default namespace; match on the local part.
+            role = roles[tag] = _ROLES.get(tag.rpartition("}")[2], 0)
+        if role == _STRING:
+            if stack[-1] == _EVENT and attrib.get("key") == "concept:name":
+                add_name(attrib.get("value"))
+                stack[-1] = 0
+            push(0)
+        elif role == _EVENT:
+            push(_EVENT if stack[-1] == _TRACE else 0)
+        else:
+            if role == _TRACE:
+                starts.append(len(names))
+            push(role)
+
+    def end(tag: str) -> None:
+        role = pop()
+        if not role:
+            return
+        if role == _EVENT:
+            add_name(None)
+            return
+        first = starts.pop()
+        trace = names[first:]
+        del names[first:]
+        index = len(offsets) - 1
+        try:
+            events.extend(map(codes.__getitem__, trace))
+        except _ReservedKey:
+            for position, name in enumerate(trace):
+                if name is None:
+                    raise FormatError(
+                        f"trace {index}: event {position} lacks a concept:name string"
+                    ) from None
+                if name == PAD_LABEL:
+                    raise FormatError(
+                        f"trace {index}: activity label {PAD_LABEL!r} is reserved"
+                    ) from None
+        if not trace:
+            raise FormatError(f"trace {index} has no events")
+        offsets.append(len(events))
+
+    parser = ET.XMLParser(target=SimpleNamespace(start=start, end=end))
+    try:
+        # A check that fails inside the parser stops it, and the ``feed``
+        # that parsed the trace's end tag raises it.
+        for chunk in _text_chunks(source, 1 << 16):
+            parser.feed(chunk)
+        parser.close()
+    except ET.ParseError as exc:
+        raise FormatError(f"malformed XES/XML: {exc}") from exc
+
+    if len(offsets) == 1:
         raise EmptyLogError("empty log: the XES document has no traces")
-    return log_from_label_traces(label_traces)
+    return _log(events, offsets, codes)
 
 
 def read_log(

@@ -7,7 +7,9 @@ paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
 CSV writer formats every cell of a dense row, one at a time. The ground
-truth walks every event of every trace.
+truth walks every event of every trace. The CSV and XES parsers collect
+label traces and intern them at the end; they build the package's
+``EventLog`` and raise its errors, so their outcomes compare directly.
 ``pair_counts`` and ``row_index`` are lookup views over the package's own
 objects, read by the tests only.
 """
@@ -18,9 +20,20 @@ import csv
 import io
 import math
 import random
+import xml.etree.ElementTree as ET
+from contextlib import nullcontext
+from datetime import datetime
 from itertools import combinations, permutations
+from pathlib import Path
+from typing import IO, Iterable, Iterator, Sequence, Union
+
+import numpy as np
+
+from actsim import Alphabet, EmptyLogError, EventLog, FormatError
 
 PAD = 0
+PAD_LABEL = "__PAD__"
+TextSource = Union[str, IO[str], Path]
 
 
 def enumerate_windows(traces, n):
@@ -268,3 +281,208 @@ def naive_ground_truth(traces, alphabet_size, selected, w, seed):
                 out.append(aid)
         derived.append(tuple(out))
     return tuple(derived), phi, psi
+
+
+# The CSV and XES parsers in their plainest form, the oracle of the
+# streamed parsers: the whole CSV text in one string, per-case lists of
+# labels (with a datetime each when timestamps are given), a pull parser
+# that hands every XML element to Python, and labels interned from the
+# finished label traces.
+
+
+def _log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
+    """Build a log from label sequences, interning labels by first appearance."""
+    order: dict[str, int] = {}
+    ids: list[int] = []
+    offsets = [0]
+    for trace in label_traces:
+        for label in trace:
+            aid = order.get(label)
+            if aid is None:
+                if label == PAD_LABEL:
+                    raise FormatError(f"activity label {PAD_LABEL!r} is reserved")
+                aid = len(order) + 1
+                order[label] = aid
+            ids.append(aid)
+        offsets.append(len(ids))
+    return EventLog.from_arrays(
+        np.array(ids, dtype=np.int64), np.array(offsets, dtype=np.int64), Alphabet(order)
+    )
+
+
+def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
+    """The source's text in chunks of ``size`` characters (all of it at
+    once when ``size`` is -1), without a leading UTF-8 byte-order mark.
+
+    A path is opened as ``utf-8-sig``. Failing to read or decode a path,
+    or to decode a stream, is a :class:`FormatError`.
+    """
+    if isinstance(source, str):
+        yield source.removeprefix("\ufeff")
+        return
+    is_path = isinstance(source, Path)
+    try:
+        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
+            chunk = handle.read(size)  # utf-8-sig has stripped a path's mark
+            yield chunk if is_path else chunk.removeprefix("\ufeff")
+            while chunk := handle.read(size):
+                yield chunk
+    except OSError as exc:
+        if not is_path:
+            raise
+        raise FormatError(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        where = source if is_path else "the input stream"
+        raise FormatError(f"cannot decode {where} as UTF-8: {exc}") from exc
+
+
+def _parse_timestamp(raw: str, row: int) -> datetime:
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    try:
+        return datetime.fromisoformat(text)
+    except ValueError:
+        raise FormatError(f"row {row}: unparseable timestamp {raw!r}") from None
+
+
+def naive_parse_csv(
+    source: TextSource,
+    case_column: str = "case",
+    activity_column: str = "activity",
+    timestamp_column: str | None = None,
+) -> EventLog:
+    """Parse a CSV event stream into an :class:`EventLog`.
+
+    Parameters
+    ----------
+    source
+        CSV text, an open text stream, or a path.
+    case_column, activity_column
+        Header names of the case-id and activity-label columns.
+    timestamp_column
+        Optional header name of an ISO-8601 timestamp column. When given,
+        events within a case are ordered by timestamp (stable sort, ties
+        keep file order); otherwise file order is kept.
+
+    Traces are emitted in order of first appearance of their case id.
+    Row numbers in error messages are 1-based file lines (the header is
+    line 1).
+    """
+    reader = csv.reader(io.StringIO("".join(_text_chunks(source, size=-1))))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyLogError("empty log: the file has no rows")
+
+    def column(name: str) -> int:
+        try:
+            return header.index(name)
+        except ValueError:
+            raise FormatError(f"missing column {name!r} in CSV header") from None
+
+    case_idx = column(case_column)
+    act_idx = column(activity_column)
+    ts_idx = column(timestamp_column) if timestamp_column is not None else None
+    needed = max(i for i in (case_idx, act_idx, ts_idx) if i is not None) + 1
+
+    cases: dict[str, list] = {}
+    for line, row in enumerate(reader, start=2):
+        if not row or all(field == "" for field in row):
+            continue
+        if len(row) < needed:
+            raise FormatError(f"row {line}: expected at least {needed} fields, got {len(row)}")
+        case = row[case_idx]
+        label = row[act_idx]
+        if case == "":
+            raise FormatError(f"row {line}: empty case id")
+        if label == "":
+            raise FormatError(f"row {line}: empty activity label")
+        if label == PAD_LABEL:
+            raise FormatError(f"row {line}: activity label {PAD_LABEL!r} is reserved")
+        entry = (label,) if ts_idx is None else (_parse_timestamp(row[ts_idx], line), label)
+        cases.setdefault(case, []).append(entry)
+
+    if not cases:
+        raise EmptyLogError("empty log: the file contains no events")
+
+    label_traces: list[list[str]] = []
+    for case, entries in cases.items():
+        if ts_idx is not None:
+            try:
+                entries.sort(key=lambda e: e[0])
+            except TypeError:
+                raise FormatError(
+                    f"case {case!r}: cannot order events, timestamps mix "
+                    "timezone-aware and naive values"
+                ) from None
+            label_traces.append([label for _, label in entries])
+        else:
+            label_traces.append([label for (label,) in entries])
+    return _log_from_label_traces(label_traces)
+
+
+def _local_name(tag: str) -> str:
+    # XES files often carry a default namespace; match on the local part.
+    return tag.rsplit("}", 1)[-1]
+
+
+def _end_elements(source: TextSource) -> Iterator[tuple[str, ET.Element]]:
+    """An ``("end", element)`` pair for every element of an XML document,
+    as its end tag is parsed."""
+    parser = ET.XMLPullParser(events=("end",))
+    try:
+        # A chunk's events wait in the parser until they are read; small
+        # chunks keep them from outliving young garbage-collector
+        # generations, whose promotions trigger full passes over the tree.
+        for chunk in _text_chunks(source, 1 << 12):
+            parser.feed(chunk)
+            yield from parser.read_events()
+        parser.close()
+    except ET.ParseError as exc:
+        raise FormatError(f"malformed XES/XML: {exc}") from exc
+    yield from parser.read_events()
+
+
+def naive_parse_xes(source: TextSource) -> EventLog:
+    """Parse an XES document; only ``concept:name`` of each event is read.
+
+    The document is streamed: each trace is read when its end tag is
+    parsed and then cleared, so memory holds the labels, not the tree.
+    Trace and event order follow the document. Any other attribute is
+    ignored. A trace without events, or an event without a
+    ``concept:name`` string, is a format error naming the trace index.
+    """
+    label_traces: list[list[str]] = []
+    for _, element in _end_elements(source):
+        if _local_name(element.tag) != "trace":
+            continue
+        trace_index = len(label_traces)
+        labels: list[str] = []
+        for child in element:
+            if _local_name(child.tag) != "event":
+                continue
+            name = None
+            for attr in child:
+                if (
+                    _local_name(attr.tag) == "string"
+                    and attr.get("key") == "concept:name"
+                ):
+                    name = attr.get("value")
+                    break
+            if name is None:
+                raise FormatError(
+                    f"trace {trace_index}: event {len(labels)} lacks a concept:name string"
+                )
+            if name == PAD_LABEL:
+                raise FormatError(
+                    f"trace {trace_index}: activity label {PAD_LABEL!r} is reserved"
+                )
+            labels.append(name)
+        if not labels:
+            raise FormatError(f"trace {trace_index} has no events")
+        label_traces.append(labels)
+        element.clear()
+
+    if not label_traces:
+        raise EmptyLogError("empty log: the XES document has no traces")
+    return _log_from_label_traces(label_traces)

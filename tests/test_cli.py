@@ -259,6 +259,20 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot decode") and "UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("long.csv", "case,activity\n1,a\n1," + "x" * 200_000 + "\n",
+             "error: row 3: field larger than field limit"),
+            ("cut.xes", XES_DOC[:200], "error: malformed XES/XML: unclosed token"),
+        ],
+    )
+    def test_unparseable_input(self, name, text, message, tmp_path, capsys):
+        source = tmp_path / name
+        source.write_text(text)
+        assert run(["stats", "--input", source, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     @pytest.mark.parametrize("command", ["stats", "embed", "distances"])
     def test_out_dir_is_a_file(self, command, worked_csv, tmp_path, capsys):
         blocker = tmp_path / "taken"

@@ -1,10 +1,12 @@
+import csv
 import io
 import pickle
 import tracemalloc
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsim import (
@@ -21,6 +23,7 @@ from actsim import (
     write_log_csv,
     write_stats_csv,
 )
+from reference import naive_parse_csv, naive_parse_xes
 from synthetic_logs import big_uniform_log
 
 WORKED_CSV = "case,activity\n" + "".join(
@@ -232,6 +235,29 @@ class TestParseCsv:
         source.write_bytes("case,activity\n1,a\n1,b\n".encode("utf-8-sig"))
         assert parse_csv(source).label_traces() == [("a", "b")]
 
+    @pytest.mark.parametrize("wrap", [str, io.StringIO])
+    def test_bare_carriage_return_names_row(self, wrap):
+        with pytest.raises(FormatError, match="^row 3: new-line character seen in unquoted"):
+            parse_csv(wrap("case,activity\n1,a\n1,b\rc\n"))
+
+    def test_field_over_the_csv_limit_names_row(self):
+        text = "case,activity\n1,a\n1," + "x" * (csv.field_size_limit() + 1) + "\n"
+        with pytest.raises(FormatError, match="^row 3: field larger than field limit"):
+            parse_csv(text)
+
+    def test_path_is_streamed(self, tmp_path):
+        log = big_uniform_log(3, n_traces=5000)
+        source = tmp_path / "big.csv"
+        write_log_csv(log, source)
+        tracemalloc.start()
+        try:
+            parsed = parse_csv(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.label_traces() == log.label_traces()
+        assert peak < 5 * source.stat().st_size
+
     def test_not_utf8(self, tmp_path):
         data = "case,activity\n1,café\n".encode("latin-1")
         source = tmp_path / "latin1.csv"
@@ -296,9 +322,9 @@ class TestParseXes:
 
     @staticmethod
     def document(label_traces) -> str:
-        event = '<event><string key="concept:name" value="{}"/></event>'
+        event = '<event><string key="concept:name" value={}/></event>'
         traces = (
-            "<trace>" + "".join(event.format(label) for label in trace) + "</trace>\n"
+            "<trace>" + "".join(event.format(quoteattr(label)) for label in trace) + "</trace>\n"
             for trace in label_traces
         )
         return (
@@ -335,6 +361,179 @@ class TestParseXes:
             tracemalloc.stop()
         assert parsed.label_traces() == log.label_traces()
         assert peak < 4 * source.stat().st_size
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(['say "hi"', "a & b", "<tag>", "ünïcödé", "日本", "plain"]),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_any_labels_roundtrip(self, label_traces):
+        assert parse_xes(self.document(label_traces)) == log_from_label_traces(label_traces)
+
+
+def parse_outcome(parse, source, **options):
+    """The log and alphabet a parser returns, or the type and message of
+    the format error it raises."""
+    try:
+        log = parse(source, **options)
+    except (FormatError, EmptyLogError) as exc:
+        return type(exc), str(exc)
+    return log, log.alphabet
+
+
+def sources(text: str, path):
+    """``text`` as a string, as a stream and as a UTF-8 file at ``path``."""
+    path.write_bytes(text.encode("utf-8"))
+    return {"str": lambda: text, "stream": lambda: io.StringIO(text), "path": lambda: path}
+
+
+def rare(common, *faults, weight=8):
+    """``common`` most of the time and each of ``faults`` now and then."""
+    return st.sampled_from([None] * weight + list(faults)).flatmap(
+        lambda fault: common if fault is None else fault
+    )
+
+
+CSV_CASES = ["1", "2", "c,3", 'q"4']
+CSV_LABELS = ["a", "b", "x, y", 'say "hi"', "two\r\nlines", "ünï"]
+CSV_STAMPS = {
+    "naive": ["2024-01-01T10:00:00", " 2024-01-01T09:59:59 ", "2024-01-01"],
+    "aware": ["2024-01-01T10:00:00Z", "2024-01-01T09:00:00z", "2024-01-01T10:00:00+02:00"],
+}
+
+
+@st.composite
+def csv_documents(draw):
+    """CSV text as ``csv.writer`` writes it, so the csv module accepts it:
+    mostly good rows, with now and then a blank line, a row of empty
+    fields, a short row, an empty case or label, ``__PAD__``, or a bad
+    timestamp; the timestamps of a document may mix aware and naive."""
+    header = draw(st.permutations(["case", "activity", "ts", "other"]))
+    stamps = draw(st.sampled_from([["naive"], ["aware"], ["naive", "aware"]]))
+    stamp = st.sampled_from([value for kind in stamps for value in CSV_STAMPS[kind]])
+    row = st.fixed_dictionaries(
+        {
+            "case": rare(st.sampled_from(CSV_CASES), st.just(""), weight=60),
+            "activity": rare(st.sampled_from(CSV_LABELS), st.just(""), st.just("__PAD__"), weight=60),
+            "ts": rare(stamp, st.just("not-a-time"), st.just(""), weight=60),
+            "other": st.just("x"),
+        }
+    ).map(lambda fields: [fields[name] for name in header])
+    rows = rare(
+        row,
+        st.just([]),  # a blank line
+        st.just([""] * len(header)),  # a row of empty fields
+        row.flatmap(lambda fields: st.integers(1, len(fields) - 1).map(lambda n: fields[:n])),
+        weight=60,
+    )
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(header)
+    writer.writerows(draw(st.lists(rows, max_size=12)))
+    return draw(st.sampled_from(["", "\ufeff"])) + buffer.getvalue()
+
+
+XES_LABELS = ["a", "b", "", 'q"x', "a & b", "<c>", "ünï"]
+XES_NAMESPACES = {
+    "none": ("", ""),
+    "default": ("", ' xmlns="http://www.xes-standard.org/"'),
+    "prefixed": ("x:", ' xmlns:x="http://www.xes-standard.org/"'),
+}
+
+
+@st.composite
+def xes_documents(draw):
+    """XES text over three namespace styles: mostly events named by their
+    first ``concept:name`` string, among other attributes and nested
+    strings that do not count, with now and then a reserved or missing
+    name, a name without a value, an empty or nested trace, a trace deeper
+    in the log, or a document cut short."""
+    prefix, declaration = XES_NAMESPACES[draw(st.sampled_from(sorted(XES_NAMESPACES)))]
+
+    def tag(name, body="", attributes=""):
+        name = prefix + name
+        return f"<{name}{attributes}>{body}</{name}>" if body else f"<{name}{attributes}/>"
+
+    def string(key, value=None):
+        value = "" if value is None else f" value={quoteattr(value)}"
+        return tag("string", attributes=f" key={quoteattr(key)}{value}")
+
+    label = st.sampled_from(XES_LABELS)
+    name = label.map(lambda value: string("concept:name", value))
+    other = st.one_of(
+        label.map(lambda value: string("org:resource", value)),
+        label.map(lambda value: tag("list", string("concept:name", value), ' key="nested"')),
+        st.just(tag("date", attributes=' key="time:timestamp" value="2024-01-01T00:00:00"')),
+    )
+    naming = rare(
+        name,
+        st.just(""),  # no name
+        st.just(string("concept:name", "__PAD__")),
+        name.map(lambda valid: string("concept:name") + valid),  # no value, then a value
+    )
+    event = st.tuples(
+        st.lists(other, max_size=2), naming, st.lists(st.one_of(other, name), max_size=1),
+        st.sampled_from(["", ' id="7"']),
+    ).map(lambda parts: tag("event", "".join(parts[0]) + parts[1] + "".join(parts[2]), parts[3]))
+
+    def trace(child):
+        return rare(st.lists(child, min_size=1, max_size=4), st.just([])).map(
+            lambda parts: tag("trace", "".join(parts))
+        )
+
+    plain_trace = trace(rare(event, name))  # a name at trace level does not count
+    nested_trace = trace(rare(event, plain_trace, weight=2))
+    log_child = rare(
+        st.one_of(plain_trace, nested_trace),
+        event,  # an event outside any trace
+        plain_trace.map(lambda body: tag("group", body)),  # a trace deeper in the log
+    )
+    text = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        + f"<{prefix}log{declaration}>"
+        + "".join(draw(st.lists(log_child, max_size=6)))
+        + f"</{prefix}log>\n"
+    )
+    if draw(st.sampled_from([False] * 4 + [True])):
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+class TestParserOracle:
+    """The streamed parsers against the plain ones in ``reference.py``:
+    the same log and alphabet, or the same error and message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_documents(), st.sampled_from([None, "ts"]))
+    def test_csv(self, tmp_path_factory, text, timestamp_column):
+        path = tmp_path_factory.mktemp("csv") / "log.csv"
+        for kind, source in sources(text, path).items():
+            expected = parse_outcome(naive_parse_csv, source(), timestamp_column=timestamp_column)
+            actual = parse_outcome(parse_csv, source(), timestamp_column=timestamp_column)
+            assert actual == expected, kind
+
+    @settings(max_examples=200, deadline=None)
+    @given(xes_documents())
+    @example(
+        "<log><trace><event><string key='concept:name' value='a'/></event>"
+        "<trace><event><string key='concept:name' value='b'/></event></trace>"
+        "<event><string key='concept:name' value='c'/></event></trace></log>"
+    )
+    def test_xes(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("xes") / "log.xes"
+        for kind, source in sources(text, path).items():
+            assert parse_outcome(parse_xes, source()) == parse_outcome(naive_parse_xes, source()), kind
 
 
 class TestRoundTrip:
