@@ -126,6 +126,15 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _remove_stale(path: Path) -> None:
+    """Remove a report that an earlier run left in a reused output directory
+    and this run does not write."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ExportError(f"cannot remove {path}: {exc}") from exc
+
+
 def _single_config(args: argparse.Namespace) -> MethodConfig:
     context = args.context
     if context is None:
@@ -245,10 +254,15 @@ def _cmd_intrinsic(args: argparse.Namespace) -> int:
     )
     out = _out_dir(args)
     export_report(scores, out / "intrinsic_scores.json", "json")
+    aggregate, failed = out / "intrinsic_aggregate.csv", out / "intrinsic_failures.json"
     if scores:
-        export_report(aggregate_scores(scores, failures), out / "intrinsic_aggregate.csv", "csv")
+        export_report(aggregate_scores(scores, failures), aggregate, "csv")
+    else:
+        _remove_stale(aggregate)
     if failures:
-        export_report(failures, out / "intrinsic_failures.json", "json")
+        export_report(failures, failed, "json")
+    else:
+        _remove_stale(failed)
     print(f"{len(scores)} scored jobs, {len(failures)} failed")
     return 1 if failures else 0
 

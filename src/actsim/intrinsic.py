@@ -6,9 +6,10 @@ the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
 
-``score_all`` computes all four in one pass over numpy row blocks of one
-validated class layout; each single-metric function selects from it. Its
-per-pair, per-member and per-class means stay Python sums over
+``score_all`` computes all four in one pass: the classes of each size are
+one stacked numpy block, read through a class layout that is cached on
+the value of (labels, classes); each single-metric function selects from
+it. Its per-pair, per-member and per-class means stay Python sums over
 ``.tolist()`` in the order of the loop oracles in ``tests/reference.py``:
 numpy's pairwise float summation would change the last bit.
 """
@@ -19,6 +20,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -87,15 +89,62 @@ def score_all(
 ) -> tuple[float, float, float, float]:
     """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes.
 
-    The classes are validated once against the matrix; each class is then
-    read as the block of its member rows, sorted by activity id, and
-    yields its four per-class values.
+    The classes are validated against the matrix's labels and laid out as
+    groups of equal size (see :func:`_class_layout`); each group is then
+    scored as one stacked block of its classes' member rows.
+    """
+    layout = _class_layout(
+        sim.labels, tuple((original, tuple(clones)) for original, clones in classes.items())
+    )
+    values = sim.values
+    cells = values[layout.off]
+    lo = float(cells.min())
+    span = float(cells.max()) - lo
+    per_class: list = [None] * len(classes)
+    for group in layout.groups:
+        for slot, metrics in zip(group.slots, _group_scores(values, group, lo, span)):
+            per_class[slot] = metrics
+    return tuple(sum(m[i] for m in per_class) / len(per_class) for i in range(4))
+
+
+@dataclass(frozen=True, eq=False)
+class _SizeGroup:
+    """The m classes of one size k, with the masks that do not depend on
+    similarity values; n is the number of labels."""
+
+    slots: tuple[int, ...]  # each class's position in the classes' order
+    rows: np.ndarray  # (m, k) member rows, each class sorted by activity id
+    own: np.ndarray  # (m, k, n) a member's own column
+    in_class: np.ndarray  # (m, n) the class's columns
+    outside: np.ndarray  # (m, 1, n) every other column
+    ids: np.ndarray  # (m, k, n) each column's activity id
+    positions: np.ndarray  # (m, 1, 1) each class's position in the group
+    upper: np.ndarray  # (k, k) unordered pairs, in combinations order
+    off: np.ndarray  # (k, k) ordered pairs, in permutations order
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassLayout:
+    off: np.ndarray  # (n, n) the off-diagonal cells
+    groups: tuple[_SizeGroup, ...]
+
+
+@lru_cache(maxsize=1)
+def _class_layout(
+    labels: tuple[int, ...], classes: tuple[tuple[int, tuple[int, ...]], ...]
+) -> _ClassLayout:
+    """Validate the (original, members) classes against ``labels`` and group
+    them by size.
+
+    It depends on no similarity value, so it is cached on its arguments:
+    the configs of one job score the same classes over the same labels.
+    An exception is not cached.
     """
     if not classes:
         raise ParameterError("no classes given")
-    index = {aid: i for i, aid in enumerate(sim.labels)}
-    layout = []
-    for original, clones in classes.items():
+    index = {aid: i for i, aid in enumerate(labels)}
+    by_size: dict[int, list[tuple[int, list[int]]]] = {}
+    for slot, (original, clones) in enumerate(classes):
         if len(clones) < 2:
             raise ParameterError(f"class of original {original} has fewer than 2 members")
         for clone in clones:
@@ -104,42 +153,57 @@ def score_all(
                     f"class member {clone} (original {original}) has no row in the "
                     "similarity matrix; it never occurs in the derived log"
                 )
-        layout.append(np.array([index[clone] for clone in sorted(clones)], dtype=np.intp))
+        rows = [index[clone] for clone in sorted(clones)]
+        by_size.setdefault(len(rows), []).append((slot, rows))
+    columns = np.arange(len(labels))
+    groups = []
+    for k, members in by_size.items():
+        rows = np.array([member_rows for _, member_rows in members], dtype=np.intp)
+        own = columns == rows[:, :, None]
+        in_class = own.any(axis=1)
+        off = ~np.eye(k, dtype=bool)
+        groups.append(_SizeGroup(
+            slots=tuple(slot for slot, _ in members), rows=rows, own=own,
+            in_class=in_class, outside=~in_class[:, None, :],
+            ids=np.broadcast_to(np.asarray(labels), own.shape).copy(),
+            positions=np.arange(len(members))[:, None, None], upper=np.triu(off), off=off,
+        ))
+    return _ClassLayout(off=~np.eye(len(labels), dtype=bool), groups=tuple(groups))
 
-    values = sim.values
-    # off[:k, :k] picks a k-member block's ordered pairs in permutations
-    # order, upper[:k, :k] its unordered pairs in combinations order.
-    off = ~np.eye(values.shape[0], dtype=bool)
-    upper = np.triu(off)
-    lo = float(values[off].min())
-    span = float(values[off].max()) - lo
-    columns = np.arange(values.shape[0])
-    ids = np.broadcast_to(np.asarray(sim.labels), values.shape)
-    per_class = []
-    for rows in layout:
-        k = len(rows)
-        block = values[rows]
-        own = columns == rows[:, None]
-        in_class = own.any(axis=0)
-        outside = ~in_class
-        comp = 0.0
-        if span != 0.0:
-            pair_scores = ((block[:, rows][upper[:k, :k]] - lo) / span).tolist()
-            comp = sum(pair_scores) / len(pair_scores)
-        row_max = np.where(own, -np.inf, block).max(axis=1, keepdims=True)
-        missed = int(np.count_nonzero(((block == row_max) & outside).any(axis=1)))
-        # The last key sorts first: the member itself goes after every candidate.
-        order = np.lexsort((ids[rows], -block, own))
-        precisions = [hits / (k - 1) for hits in in_class[order[:, : k - 1]].sum(axis=1).tolist()]
-        tri = 1.0
-        outsiders = int(np.count_nonzero(outside))
-        if outsiders:
-            # wins[a, b] counts the outsiders o with s(a, o) < s(a, b).
-            wins = (block[:, None, outside] < block[:, rows, None]).sum(axis=2)
-            pair_scores = [count / outsiders for count in wins[off[:k, :k]].tolist()]
-            tri = sum(pair_scores) / len(pair_scores)
-        per_class.append((comp, (k - missed) / k, sum(precisions) / len(precisions), tri))
-    return tuple(sum(m[i] for m in per_class) / len(per_class) for i in range(4))
+
+def _group_scores(
+    values: np.ndarray, group: _SizeGroup, lo: float, span: float
+) -> list[tuple[float, float, float, float]]:
+    """The four per-class values of each class of ``group``, in its order."""
+    rows = group.rows
+    m, k = rows.shape
+    block = values[rows]
+    inner = values[rows[:, :, None], rows[:, None, :]]
+    comps = [0.0] * m
+    if span != 0.0:
+        comps = [sum(pairs) / len(pairs) for pairs in ((inner[:, group.upper] - lo) / span).tolist()]
+    row_max = np.where(group.own, -np.inf, block).max(axis=2, keepdims=True)
+    missed = ((block == row_max) & group.outside).any(axis=2).sum(axis=1).tolist()
+    # The last key sorts first: the member itself goes after every candidate.
+    order = np.lexsort((group.ids, -block, group.own))
+    hits = group.in_class[group.positions, order[:, :, : k - 1]].sum(axis=2).tolist()
+    precs = []
+    for member_hits in hits:
+        precisions = [count / (k - 1) for count in member_hits]
+        precs.append(sum(precisions) / len(precisions))
+    tris = [1.0] * m
+    outsiders = values.shape[0] - k
+    if outsiders:
+        # beaten[c, a, b, o]: outsider o of class c has s(a, o) < s(a, b).
+        beaten = (block[:, :, None, :] < inner[..., None]) & group.outside[:, :, None, :]
+        tris = []
+        for counts in beaten.sum(axis=3)[:, group.off].tolist():
+            pair_scores = [count / outsiders for count in counts]
+            tris.append(sum(pair_scores) / len(pair_scores))
+    return [
+        (comp, (k - miss) / k, prec, tri)
+        for comp, miss, prec, tri in zip(comps, missed, precs, tris)
+    ]
 
 
 @dataclass(frozen=True)

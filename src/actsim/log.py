@@ -281,10 +281,23 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
     return _log(ids, offsets, codes)
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, split as ``io.StringIO(text)`` splits them.
+
+    A ``StringIO`` holds 4 bytes per character, so it is given one slice
+    of about 64k characters at a time, each cut after a line feed.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 @contextmanager
-def _reading(source: TextSource) -> Iterator[IO[str]]:
+def _reading(source: TextSource) -> Iterator[IO[str] | Iterator[str]]:
     """A text handle on ``source``: a path opened as ``utf-8-sig`` with
-    universal newlines and closed on exit, a string in a ``StringIO``, or
+    universal newlines and closed on exit, a string's :func:`_lines`, or
     the stream itself. Pass the first text read to :func:`_unmarked`.
 
     Failing to read or decode a path, or to decode a stream, inside the
@@ -296,7 +309,7 @@ def _reading(source: TextSource) -> Iterator[IO[str]]:
             with open(source, encoding="utf-8-sig") as handle:
                 yield handle
         else:
-            yield io.StringIO(source) if isinstance(source, str) else source
+            yield _lines(source) if isinstance(source, str) else source
     except OSError as exc:
         if not is_path:
             raise

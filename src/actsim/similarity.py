@@ -77,12 +77,10 @@ def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
     are snapped to s = +/-1 so identical rows get distance 0.0 exactly;
     zero rows follow the cosine_distance convention.
     """
-    values = matrix.values
-    if sparse.issparse(values):
-        gram = (values.astype(np.float64) @ values.T.astype(np.float64)).toarray()
-    else:
-        dense = values.astype(np.float64)
-        gram = dense @ dense.T
+    x = matrix.values.astype(np.float64)
+    gram = x @ x.T
+    if sparse.issparse(gram):
+        gram = gram.toarray()
     diag = np.diag(gram).copy()
     norms = np.sqrt(diag)
     outer = np.outer(norms, norms)

@@ -2,7 +2,8 @@
 
 Everything here favors obviousness over speed: explicit window
 enumeration over the padded traces, quadratic matrix assembly, and
-plain-Python cosine. Nothing is shared with the package's optimized
+plain-Python cosine (``two_copy_cosine`` is the exception: the previous
+numpy cosine, kept to pin its bits). Nothing is shared with the package's optimized
 paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
@@ -28,6 +29,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
+from scipy import sparse
 
 from actsim import Alphabet, EmptyLogError, EventLog, FormatError
 
@@ -133,6 +135,30 @@ def naive_similarity_matrix(rows):
         for j in range(size):
             out[i][j] = 1.0 - naive_cosine_distance(rows[i], rows[j])
     return out
+
+
+def two_copy_cosine(values):
+    """The cosine similarities of the rows of ``values`` as
+    ``pairwise_distance_matrix`` computed them before it converted the
+    matrix once: the Gram matrix of a float copy and a transposed float
+    copy. Kept verbatim so the one-copy Gram is checked bit for bit."""
+    if sparse.issparse(values):
+        gram = (values.astype(np.float64) @ values.T.astype(np.float64)).toarray()
+    else:
+        dense = values.astype(np.float64)
+        gram = dense @ dense.T
+    diag = np.diag(gram).copy()
+    norms = np.sqrt(diag)
+    outer = np.outer(norms, norms)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.where(outer > 0.0, gram / np.where(outer > 0.0, outer, 1.0), 0.0)
+    exact = (gram * gram == np.outer(diag, diag)) & (outer > 0.0)
+    sims[exact] = np.sign(gram[exact])
+    zero = norms == 0.0
+    sims[np.ix_(zero, zero)] = 1.0
+    np.clip(sims, -1.0, 1.0, out=sims)
+    np.fill_diagonal(sims, 1.0)
+    return sims
 
 
 def _class_members(labels, classes):

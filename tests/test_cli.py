@@ -188,6 +188,41 @@ class TestIntrinsic:
         assert len(agg) == 2 and agg[1].startswith("aa,mset,none,3,")
         assert f"{len(scores)} scored jobs, {len(failures)} failed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("first_fails", [True, False])
+    def test_rerun_removes_the_reports_it_does_not_write(self, worked_csv, tmp_path,
+                                                         monkeypatch, first_fails):
+        def score_all_or_raise(sim, classes):
+            raise FloatingPointError("every config overflowed")
+
+        out = tmp_path / "out"
+        argv = [
+            "intrinsic", "--input", worked_csv, "--out-dir", out,
+            "--method", "aa", "--context", "mset", "--weight", "none",
+            "--samples", "1", "--seed", "1",
+        ]
+        for failing in (first_fails, not first_fails):
+            with monkeypatch.context() as patch:
+                if failing:
+                    patch.setattr(intrinsic, "score_all", score_all_or_raise)
+                assert run(argv) == (1 if failing else 0)
+            scores = json.loads((out / "intrinsic_scores.json").read_text())
+            assert bool(scores) is not failing
+            assert (out / "intrinsic_failures.json").exists() is failing
+            assert (out / "intrinsic_aggregate.csv").exists() is not failing
+
+    def test_stale_report_that_cannot_be_removed_is_export_error(self, worked_csv, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "out"
+        # A directory in the failures report's place cannot be unlinked.
+        (out / "intrinsic_failures.json").mkdir(parents=True)
+        code = run([
+            "intrinsic", "--input", worked_csv, "--out-dir", out,
+            "--method", "aa", "--context", "mset", "--weight", "none",
+            "--samples", "1", "--seed", "1",
+        ])
+        assert code == 2
+        assert "cannot remove" in capsys.readouterr().err
+
     def test_invalid_single_config_rejected(self, worked_csv, tmp_path, capsys):
         code = run([
             "intrinsic", "--input", worked_csv, "--out-dir", tmp_path / "out",

@@ -14,12 +14,15 @@ from actsim import (
     DataError,
     FailedJob,
     IntrinsicScores,
+    METHODS,
     ParameterError,
     PairwiseSimilarity,
     Provenance,
+    WEIGHTINGS,
     aggregate_scores,
     build_embedding,
     enumerate_benchmark_plan,
+    expand_grid,
     extract_occurrences,
     generate_ground_truth_log,
     log_from_label_traces,
@@ -34,12 +37,14 @@ from actsim import (
 )
 from actsim import intrinsic
 from actsim.cli import main
+from actsim.pipeline import shared_tables, similarity_for_config
 from reference import (
     naive_compactness,
     naive_nearest_neighbor,
     naive_precision_at_k,
     naive_triplet,
 )
+from synthetic_logs import structured_log
 
 
 def make_sim(matrix, labels=None):
@@ -255,6 +260,100 @@ def test_score_all_matches_naive_oracle(case):
     assert all(type(score) is float for score in scores)
     assert tuple(metric(make_sim(values, labels), classes) for metric in (
         score_compactness, score_nearest_neighbor, score_precision_at_k, score_triplet)) == expected
+
+
+def naive_scores(labels, values, classes):
+    return tuple(
+        metric(labels, values, classes)
+        for metric in (naive_compactness, naive_nearest_neighbor, naive_precision_at_k, naive_triplet)
+    )
+
+
+@st.composite
+def shared_size_cases(draw):
+    """(labels, values, classes) over up to 14 labels where at least two
+    classes share a size, so one size group stacks several classes."""
+    n = draw(st.integers(4, 14))
+    labels = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+    palette = draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0]), min_size=1, max_size=4, unique=True))
+    values = [[1.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(st.sampled_from(palette))
+    members = draw(st.permutations(labels))
+    shared = draw(st.integers(2, n // 2))
+    classes = {}
+    for _ in range(draw(st.integers(2, n // shared))):
+        classes[200 - len(classes)] = frozenset(members[:shared])
+        members = members[shared:]
+    while len(members) >= 2 and draw(st.booleans()):
+        size = draw(st.integers(2, len(members)))
+        classes[300 + len(classes)] = frozenset(members[:size])
+        members = members[size:]
+    return labels, values, draw(st.permutations(list(classes.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_size_cases())
+def test_size_groups_match_naive_oracle(case):
+    labels, values, items = case
+    classes = dict(items)
+    assert score_all(make_sim(values, labels), classes) == naive_scores(labels, values, classes)
+
+
+def test_score_all_matches_naive_oracle_on_sweep_matrices():
+    # One plan sample of the W1 grid on a small structured log: every job
+    # under every config, each class layout reused across its configs.
+    log = structured_log(7, 300, 12)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+    assert len(configs) == 26
+    checked = 0
+    for job in enumerate_benchmark_plan(log, 1, 42).jobs:
+        gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
+        tables = shared_tables(gt.log, configs)
+        classes = gt.classes.psi
+        for config in configs:
+            sim = similarity_for_config(tables[(config.kind, config.window)], config)
+            labels, values = list(sim.labels), sim.values.tolist()
+            assert score_all(sim, classes) == naive_scores(labels, values, classes)
+            checked += 1
+    assert checked >= 26 * 20
+
+
+class TestLayoutMemo:
+    def test_alternating_classes_over_the_same_labels(self):
+        rng = random.Random(5)
+        raw = np.array([[rng.random() for _ in range(6)] for _ in range(6)])
+        values = (raw + raw.T) / 2
+        np.fill_diagonal(values, 1.0)
+        labels = [4, 9, 1, 7, 3, 8]
+        sim = make_sim(values, labels)
+        first = {1: frozenset({4, 9}), 2: frozenset({1, 7})}
+        second = {1: frozenset({4, 1, 3}), 2: {7, 8}}
+        for classes in (first, second, first, second):
+            expected = naive_scores(labels, values.tolist(), classes)
+            assert score_all(sim, classes) == expected
+
+    def test_mutated_mapping_is_scored_as_it_now_is(self):
+        values = symmetric({(1, 2): 0.9, (3, 4): 0.2, (1, 3): 0.5, (2, 4): 0.1}, 4)
+        sim = make_sim(values)
+        classes = {9: {1, 2}}
+        before = score_all(sim, classes)
+        classes[9].add(3)
+        classes[8] = {4, 1}
+        after = score_all(sim, classes)
+        assert after != before
+        assert after == naive_scores([1, 2, 3, 4], values.tolist(), classes)
+        del classes[8]
+        classes[9].discard(3)
+        assert score_all(sim, classes) == before
+
+    def test_a_failed_layout_is_not_cached(self):
+        sim = make_sim(symmetric({(1, 2): 0.5}, 2))
+        for _ in range(3):
+            with pytest.raises(DataError, match="class member 5 .*no row"):
+                score_all(sim, {9: frozenset({1, 5})})
+        assert score_all(sim, {9: frozenset({1, 2})}) == (0.0, 1.0, 1.0, 1.0)
 
 
 def score_row(method="aa", context="mset", weighting="none", window=3,

@@ -258,6 +258,23 @@ class TestParseCsv:
         assert parsed.label_traces() == log.label_traces()
         assert peak < 5 * source.stat().st_size
 
+    def test_string_is_streamed_like_a_path(self, tmp_path):
+        log = big_uniform_log(3, n_traces=5000)
+        source = tmp_path / "big.csv"
+        write_log_csv(log, source)
+        text = source.read_text(encoding="utf-8")
+        peaks = {}
+        for given_source in (source, text):
+            tracemalloc.start()
+            try:
+                parsed = parse_csv(given_source)
+                peaks[type(given_source)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert parsed.label_traces() == log.label_traces()
+        # A StringIO over the whole string would add 4 bytes per character.
+        assert peaks[str] <= 1.5 * peaks[type(source)]
+
     def test_not_utf8(self, tmp_path):
         data = "case,activity\n1,café\n".encode("latin-1")
         source = tmp_path / "latin1.csv"

@@ -7,7 +7,9 @@ import pytest
 from actsim import (
     ParameterError,
     apply_pmi,
+    apply_ppmi,
     build_ac,
+    build_aa,
     cosine_distance,
     extract_occurrences,
     log_from_label_traces,
@@ -15,8 +17,8 @@ from actsim import (
     substitution_scores,
     write_distance_csv,
 )
-from reference import naive_similarity_matrix
-from synthetic_logs import random_small_log
+from reference import naive_similarity_matrix, two_copy_cosine
+from synthetic_logs import random_small_log, structured_log
 from test_matrices import FOUR_TRACE
 
 
@@ -122,6 +124,16 @@ class TestPairwise:
         assert sim.values[0, 1] == 1.0
         assert sim.distance_matrix()[0, 1] == 0.0
 
+
+    @pytest.mark.parametrize("kind", ["mset", "seq"])
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_one_float_copy_keeps_the_bits(self, kind, window):
+        # The benchmark's W1 log: AC raw, PMI and PPMI (sparse) and AA (dense).
+        table = extract_occurrences(structured_log(7, 2000, 20), window, kind)
+        ac = build_ac(table)
+        for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table), build_aa(table)):
+            sims = pairwise_distance_matrix(matrix).values
+            assert sims.tobytes() == two_copy_cosine(matrix.values).tobytes()
 
 class TestSubstitution:
     def test_worked_values(self):
