@@ -13,8 +13,8 @@ import numpy as np
 from scipy import sparse
 
 from .contexts import extract_occurrences
-from .errors import ActsimError, EmptyLogError, ParameterError
-from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores
+from .errors import EmptyLogError, ParameterError
+from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores, _error_text
 from .log import EventLog, open_output, write_json, write_json_array
 from .matrices import EmbeddingMatrix
 from .pipeline import MethodConfig, build_embedding
@@ -84,8 +84,8 @@ def run_runtime_bench(
     """Time every config on an already parsed log.
 
     Each stage is run ``repetitions`` times and the median wall time kept.
-    An invalid config (for example substitution over multiset contexts)
-    produces an error record and the sweep continues.
+    A config that raises, invalid (for example substitution over multiset
+    contexts) or failing, produces an error record and the sweep continues.
     """
     if log.is_empty:
         raise EmptyLogError("empty log: nothing to benchmark")
@@ -113,8 +113,8 @@ def run_runtime_bench(
                     lambda: pairwise_distance_matrix(built), repetitions
                 )
             stats = _values_stats(built.values)
-        except ActsimError as exc:
-            records.append(TimingRecord(**labels, error=str(exc)))
+        except Exception as exc:
+            records.append(TimingRecord(**labels, error=_error_text(exc)))
             continue
         records.append(
             TimingRecord(

@@ -96,24 +96,29 @@ class OccurrenceTable:
     context symbols in interning order (first appearance during the
     trace-order scan), so matrix columns built from this table have a
     reproducible layout. ``counts`` is the raw activity-context matrix
-    as int64 CSR: row i is the i-th occurring activity id ascending,
-    column j is context j, and cell (i, j) is #(a, c). ``context_totals``
-    is indexed by context index; ``activity_totals`` has a key for every
-    activity that occurs in the log and never one for PAD. Treat the
-    arrays as read-only.
+    as int64 CSR: row i is activity ``row_labels[i]`` (the occurring ids
+    ascending, never PAD), column j is context j, and cell (i, j) is
+    #(a, c). ``row_totals`` and ``context_totals`` are the int64 row and
+    column sums of ``counts``. Treat the arrays as read-only.
     """
 
     window_size: int
     kind: ContextKind
     symbols: np.ndarray
     counts: sparse.csr_matrix
+    row_labels: tuple[int, ...]
+    row_totals: np.ndarray
     context_totals: np.ndarray
-    activity_totals: Mapping[int, int]
     total_events: int
 
     def activities(self) -> list[int]:
         """Occurring activity ids, ascending."""
-        return sorted(self.activity_totals)
+        return list(self.row_labels)
+
+    @cached_property
+    def activity_totals(self) -> Mapping[int, int]:
+        """Each occurring activity id's event count, keyed by id."""
+        return dict(zip(self.row_labels, self.row_totals.tolist()))
 
     @cached_property
     def contexts(self) -> tuple[tuple[int, ...], ...]:
@@ -155,16 +160,19 @@ def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
 def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """The ``(n-1, len(centers))`` context symbols of every event of the
     traces laid end to end in ``centers``: slot j holds the event
-    ``shifts[j]`` places away in the same trace, or PAD past either end."""
-    ends = np.repeat(np.cumsum(lengths), lengths)
-    after = ends - np.arange(1, len(centers) + 1)  # events after each one in its trace
-    before = np.repeat(lengths, lengths) - after - 1
+    ``shifts[j]`` places away in the same trace, or PAD past either end.
+    Each slot is one gather from a copy with ``pad`` PADs around every
+    trace; one slot at a time, as an index array for all slots at once
+    would be as large as the columns."""
     left = (n - 1) // 2
+    pad = n - 1 - left
+    at = np.arange(len(centers)) + pad * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    padded = np.full(len(centers) + pad * (len(lengths) + 1), PAD, dtype=np.int64)
+    padded[at] = centers
     shifts = [shift for shift in range(-left, n - left) if shift != 0]
     columns = np.empty((n - 1, len(centers)), dtype=np.int64)
     for slot, shift in enumerate(shifts):
-        inside = before >= -shift if shift < 0 else after >= shift
-        np.copyto(columns[slot], np.where(inside, np.roll(centers, -shift), PAD))
+        np.take(padded, at + shift, out=columns[slot])
     return columns
 
 
@@ -224,7 +232,7 @@ def extract_occurrences(
     order and weights each by its multiplicity, which leaves both the
     totals and the context interning order unchanged (a repeated trace can
     never introduce a context that its first occurrence did not). Each
-    context slot is one shifted copy of the variants' events, and the
+    context slot is one gather from a padded copy of the variants, and the
     counts come straight from one sort of the (row, context) keys.
     """
     kind = _coerce_kind(kind)
@@ -241,14 +249,14 @@ def extract_occurrences(
     rows = (np.cumsum(occurs) - 1)[centers]
     weights = np.repeat(multiplicities, lengths)
     counts = _csr_counts(rows, context_ids, weights, (len(activities), len(symbols)))
-    activity_totals = np.asarray(counts.sum(axis=1)).ravel()
     return OccurrenceTable(
         window_size=n,
         kind=kind,
         symbols=symbols,
         counts=counts,
+        row_labels=tuple(activities.tolist()),
+        row_totals=np.asarray(counts.sum(axis=1)).ravel(),
         context_totals=np.asarray(counts.sum(axis=0)).ravel(),
-        activity_totals=dict(zip(activities.tolist(), activity_totals.tolist())),
         total_events=int(weights.sum()),
     )
 

@@ -75,20 +75,17 @@ def _pool_slots(picks: np.ndarray, rank: np.ndarray, w: int) -> np.ndarray:
 
     ``rank`` numbers each activity's draws from 0, activity after
     activity. Every w draws of an activity empty one full pool: each
-    pops index ``picks[i]`` of the slots still in it, kept ascending.
+    pops index ``picks[i]`` of the slots still in it, kept ascending. The
+    picks of one pool are the Lehmer code of the order its slots leave
+    in, decoded right to left; a slot depends only on the picks before
+    it, so an unfinished last pool decodes too.
     """
     step = rank % w
     rounds = np.cumsum(step == 0) - 1  # one row per pool fill
-    popped = np.zeros((rounds[-1] + 1, w), dtype=np.int64)
-    popped[rounds, step] = picks
-    left = np.broadcast_to(np.arange(w), popped.shape)
-    slots = np.empty_like(popped)
-    every = np.arange(len(popped))
-    for t in range(w):
-        index = popped[:, t]
-        slots[:, t] = left[every, index]
-        behind = np.arange(w - t - 1) >= index[:, None]  # these move up one place
-        left = np.where(behind, left[:, 1 : w - t], left[:, : w - t - 1])
+    slots = np.zeros((rounds[-1] + 1, w), dtype=np.int64)
+    slots[rounds, step] = picks
+    for t in range(w - 2, -1, -1):
+        slots[:, t + 1 :] += slots[:, t + 1 :] >= slots[:, t, None]
     return slots[rounds, step]
 
 
@@ -130,7 +127,10 @@ def generate_ground_truth_log(
             raise ParameterError(f"selected activity {label!r} does not occur in the log")
 
     clone_labels: list[str] = []
+    clone_ids: dict[int, tuple[int, ...]] = {}
     for aid in sorted(selected_set):
+        first = len(log.alphabet) + 1 + len(clone_labels)
+        clone_ids[aid] = tuple(range(first, first + w))
         base = log.alphabet.label_of(aid)
         for k in range(1, w + 1):
             label = f"{base}__{k}"
@@ -138,18 +138,8 @@ def generate_ground_truth_log(
                 raise ParameterError(f"clone label {label!r} collides with an existing activity")
             clone_labels.append(label)
     alphabet = log.alphabet.extended(clone_labels)
-
-    phi: dict[int, int] = {}
-    psi: dict[int, frozenset[int]] = {}
-    clone_ids: dict[int, tuple[int, ...]] = {}
-    next_id = len(log.alphabet) + 1
-    for aid in sorted(selected_set):
-        ids = tuple(range(next_id, next_id + w))
-        next_id += w
-        clone_ids[aid] = ids
-        psi[aid] = frozenset(ids)
-        for cid in ids:
-            phi[cid] = aid
+    phi = {cid: aid for aid, ids in clone_ids.items() for cid in ids}
+    psi = {aid: frozenset(ids) for aid, ids in clone_ids.items()}
 
     # One draw per (trace, selected activity), at the activity's first
     # event in that trace; every event of the activity in that trace takes

@@ -59,13 +59,6 @@ class EmbeddingMatrix:
         return row.toarray()[0] if sparse.issparse(row) else row
 
 
-def _activities(table: OccurrenceTable) -> tuple[int, ...]:
-    activities = table.activities()
-    if not activities:
-        raise ParameterError("occurrence table has no activities")
-    return tuple(activities)
-
-
 def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
     """Activity-context matrix: AC(a, c) = #(a, c), stored sparse.
 
@@ -76,7 +69,7 @@ def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
     alphabet plus PAD.
     """
     return EmbeddingMatrix(
-        row_labels=_activities(table),
+        row_labels=table.row_labels,
         column_labels=ContextKeys(table.kind, table.symbols),
         values=table.counts,
         provenance=Provenance("ac", table.kind, table.window_size, "none"),
@@ -91,10 +84,9 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
     mass. The values are the table's cached read-only
     :attr:`~OccurrenceTable.aa_counts`, computed once per table.
     """
-    activities = _activities(table)
     return EmbeddingMatrix(
-        row_labels=activities,
-        column_labels=activities,
+        row_labels=table.row_labels,
+        column_labels=table.row_labels,
         values=table.aa_counts,
         provenance=Provenance("aa", table.kind, table.window_size, "none"),
     )

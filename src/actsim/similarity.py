@@ -14,6 +14,7 @@ from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
 from .log import Alphabet, write_json
 from .matrices import EmbeddingMatrix, Provenance, _write_matrix_csv, build_aa
+from .weighting import _log_ratios
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +111,12 @@ def substitution_scores(table: OccurrenceTable) -> PairwiseSimilarity:
     if table.kind is not ContextKind.SEQUENCE:
         raise ParameterError("substitution scores are defined over sequence contexts only")
     aa = build_aa(table)
-    counts = aa.values.astype(np.float64)
-    totals = np.array([table.activity_totals[a] for a in aa.row_labels], dtype=np.float64)
-    n = float(table.total_events)
-    denom = np.outer(totals, totals) * 2.0
-    np.fill_diagonal(denom, (totals * totals))
-    scores = np.zeros_like(counts)
-    mask = counts > 0
-    scores[mask] = np.log(counts[mask] * n / denom[mask])
+    totals = table.row_totals.astype(np.float64)
+    expected = np.outer(totals, totals) * 2.0
+    np.fill_diagonal(expected, totals * totals)
     return PairwiseSimilarity(
         labels=aa.row_labels,
-        values=scores,
+        values=_log_ratios(aa.values, float(table.total_events), expected),
         flavor="substitution",
         provenance=Provenance("substitution", table.kind, table.window_size, "none"),
     )

@@ -33,64 +33,49 @@ def _check_pair(matrix: EmbeddingMatrix, table: OccurrenceTable) -> None:
             f"matrix is ({prov.kind.value}, n={prov.window_size}), "
             f"table is ({table.kind.value}, n={table.window_size})"
         )
-    if matrix.row_labels != tuple(table.activities()):
+    if matrix.row_labels != table.row_labels:
         raise ParameterError("matrix rows do not match the table's activities")
 
 
-def _totals(matrix: EmbeddingMatrix, table: OccurrenceTable) -> tuple[np.ndarray, np.ndarray]:
-    row = np.array([table.activity_totals[a] for a in matrix.row_labels], dtype=np.float64)
-    if matrix.provenance.method == "aa":
-        col = row
-    else:
-        col = np.asarray(table.context_totals, dtype=np.float64)
-    return row, col
+def _log_ratios(counts: np.ndarray, n: float, expected: np.ndarray) -> np.ndarray:
+    """ln(count * n / expected) where the count is positive, 0.0 elsewhere:
+    the one log-ratio behind PMI, PPMI and substitution scores."""
+    out = np.zeros(counts.shape)
+    mask = counts > 0
+    out[mask] = np.log(counts[mask] * n / expected[mask])
+    return out
 
 
 def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
     """PMI-weight a raw count matrix; ``table`` must be the one it was built from."""
     _check_pair(matrix, table)
-    row_tot, col_tot = _totals(matrix, table)
     n = float(table.total_events)
-    if sparse.issparse(matrix.values):
+    row_tot = table.row_totals.astype(np.float64)
+    col_tot = row_tot if matrix.provenance.method == "aa" else table.context_totals
+    counts = matrix.values
+    if sparse.issparse(counts):
         # The counts' own pattern, in its storage order: no re-sort. The
         # index arrays are copied, as eliminate_zeros compacts in place.
-        counts = matrix.values
         rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-        data = np.log(
-            counts.data.astype(np.float64) * n / (row_tot[rows] * col_tot[counts.indices])
+        expected = row_tot[rows] * col_tot[counts.indices]
+        values = sparse.csr_matrix(
+            (_log_ratios(counts.data, n, expected), counts.indices.copy(), counts.indptr.copy()),
+            shape=counts.shape,
         )
-        out = sparse.csr_matrix(
-            (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
-        )
-        out.eliminate_zeros()
+        values.eliminate_zeros()
     else:
-        counts = matrix.values.astype(np.float64)
-        out = np.zeros_like(counts)
-        mask = counts > 0
-        ratio = counts * n / np.outer(row_tot, col_tot)
-        out[mask] = np.log(ratio[mask])
-    return EmbeddingMatrix(
-        row_labels=matrix.row_labels,
-        column_labels=matrix.column_labels,
-        values=out,
-        provenance=replace(matrix.provenance, weighting="pmi"),
-    )
+        values = _log_ratios(counts, n, np.outer(row_tot, col_tot))
+    return replace(matrix, values=values, provenance=replace(matrix.provenance, weighting="pmi"))
 
 
 def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
-    """PMI followed by clamping negatives to zero."""
+    """PMI followed by clamping negatives to zero; a sparse result drops
+    the zeros the clamp makes."""
     weighted = apply_pmi(matrix, table)
     values = weighted.values
-    if sparse.issparse(values):
-        values = values.copy()
-        np.maximum(values.data, 0.0, out=values.data)
-        values.eliminate_zeros()
-    else:
-        values = np.maximum(values, 0.0)
-    return EmbeddingMatrix(
-        row_labels=weighted.row_labels,
-        column_labels=weighted.column_labels,
-        values=values,
+    return replace(
+        weighted,
+        values=values.maximum(0) if sparse.issparse(values) else np.maximum(values, 0.0),
         provenance=replace(weighted.provenance, weighting="ppmi"),
     )
 

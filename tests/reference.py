@@ -2,8 +2,10 @@
 
 Everything here favors obviousness over speed: explicit window
 enumeration over the padded traces, quadratic matrix assembly, and
-plain-Python cosine (``two_copy_cosine`` is the exception: the previous
-numpy cosine, kept to pin its bits). Nothing is shared with the package's optimized
+plain-Python cosine (``two_copy_cosine``, ``previous_dense_weighting`` and
+``previous_substitution`` are the exceptions: the previous numpy cosine,
+dense PMI/PPMI and substitution scores, kept to pin their bits). Nothing
+is shared with the package's optimized
 paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
@@ -159,6 +161,39 @@ def two_copy_cosine(values):
     np.clip(sims, -1.0, 1.0, out=sims)
     np.fill_diagonal(sims, 1.0)
     return sims
+
+
+def previous_dense_weighting(matrix, table, weighting):
+    """The PMI (``weighting="pmi"``) or PPMI of a dense AA ``matrix`` as
+    ``apply_pmi`` and ``apply_ppmi`` computed it before the table held its
+    row totals as an array. Kept verbatim so the shared log-ratio kernel
+    is checked bit for bit."""
+    row_tot = np.array([table.activity_totals[a] for a in matrix.row_labels], dtype=np.float64)
+    col_tot = row_tot
+    n = float(table.total_events)
+    counts = matrix.values.astype(np.float64)
+    out = np.zeros_like(counts)
+    mask = counts > 0
+    ratio = counts * n / np.outer(row_tot, col_tot)
+    out[mask] = np.log(ratio[mask])
+    if weighting == "ppmi":
+        out = np.maximum(out, 0.0)
+    return out
+
+
+def previous_substitution(aa, table):
+    """The substitution scores of the AA matrix ``aa`` of a sequence
+    ``table`` as ``substitution_scores`` computed them before the shared
+    log-ratio kernel. Kept verbatim to pin their bits."""
+    counts = aa.values.astype(np.float64)
+    totals = np.array([table.activity_totals[a] for a in aa.row_labels], dtype=np.float64)
+    n = float(table.total_events)
+    denom = np.outer(totals, totals) * 2.0
+    np.fill_diagonal(denom, (totals * totals))
+    scores = np.zeros_like(counts)
+    mask = counts > 0
+    scores[mask] = np.log(counts[mask] * n / denom[mask])
+    return scores
 
 
 def _class_members(labels, classes):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from actsim import intrinsic, score_all
+from actsim import bench, build_embedding, intrinsic, score_all
 from actsim.cli import main
 
 XES_DOC = """<?xml version="1.0" encoding="UTF-8"?>
@@ -264,6 +264,33 @@ class TestBench:
         payload = json.loads((out / "bench_report.json").read_text())
         assert len(payload["records"]) == 1
         assert "error" in payload["records"][0]
+
+    def test_unexpected_exception_becomes_error_record(self, worked_csv, tmp_path,
+                                                       monkeypatch, capsys):
+        def build_or_raise(table, config):
+            if config.weighting == "pmi":
+                raise FloatingPointError("pmi weights overflowed")
+            return build_embedding(table, config)
+
+        monkeypatch.setattr(bench, "build_embedding", build_or_raise)
+        out = tmp_path / "out"
+        code = run([
+            "bench", "--input", worked_csv, "--out-dir", out,
+            "--method", "aa,ac", "--context", "mset", "--weight", "none,pmi",
+            "--reps", "1",
+        ])
+        assert code == 1
+        records = json.loads((out / "bench_report.json").read_text())["records"]
+        assert [(r["method"], r["weighting"]) for r in records] == [
+            ("aa", "none"), ("aa", "pmi"), ("ac", "none"), ("ac", "pmi"),
+        ]
+        for record in records:
+            if record["weighting"] == "pmi":
+                assert record["error"] == "FloatingPointError: pmi weights overflowed"
+                assert record["embedding_dimension"] == 0
+            else:
+                assert "error" not in record and record["embedding_dimension"] > 0
+        assert "4 records, 2 errors" in capsys.readouterr().out
 
 
 class TestUsage:

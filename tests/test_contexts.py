@@ -257,6 +257,24 @@ def test_array_built_logs_match_naive_reference(traces, window, kind, seed):
     _assert_matches_naive(table, gt.log.traces, window, kind)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=7), min_size=1, max_size=6),
+    st.integers(2, 5),
+    st.sampled_from(["mset", "seq"]),
+)
+def test_row_labels_and_totals_describe_the_rows(raw_traces, window, kind):
+    # Ids 1..6 of which only some occur, so row i is not activity i + 1.
+    log = EventLog(tuple(map(tuple, raw_traces)), Alphabet(list("abcdef")))
+    table = extract_occurrences(log, window, kind)
+    assert table.row_labels == tuple(table.activities())
+    assert table.row_labels == tuple(sorted({a for trace in raw_traces for a in trace}))
+    assert table.row_totals.dtype == np.int64
+    assert table.row_totals.tolist() == np.asarray(table.counts.sum(axis=1)).ravel().tolist()
+    assert table.row_totals.sum() == table.total_events == log.n_events
+    assert table.activity_totals == dict(zip(table.row_labels, table.row_totals.tolist()))
+
+
 def test_shared_tables_dedupe_once(monkeypatch):
     log = log_from_label_traces([list("abcab"), list("ba"), list("abcab")] * 4)
     gt = generate_ground_truth_log(log, {log.alphabet.id_of("a")}, w=3, seed=5)

@@ -15,8 +15,9 @@ from actsim import (
     extract_occurrences,
     generate_ground_truth_log,
     log_from_label_traces,
+    substitution_scores,
 )
-from reference import row_index
+from reference import previous_dense_weighting, previous_substitution, row_index
 from synthetic_logs import random_small_log, structured_log
 
 
@@ -123,6 +124,34 @@ class TestOwnPattern:
             assert np.array_equal(ppmi.indptr, clamped.indptr)
             assert np.array_equal(ppmi.indices, clamped.indices)
             assert np.array_equal(ppmi.data.view(np.uint64), clamped.data.view(np.uint64))
+
+    @pytest.mark.parametrize("kind", ["mset", "seq"])
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_ppmi_keeps_the_clamped_storage(self, sweep_logs, kind, window):
+        for log in sweep_logs:
+            table = extract_occurrences(log, window, kind)
+            clamped = apply_pmi(build_ac(table), table).values.copy()
+            np.maximum(clamped.data, 0.0, out=clamped.data)
+            clamped.eliminate_zeros()
+            ppmi = apply_ppmi(build_ac(table), table).values
+            assert ppmi.indptr.dtype == clamped.indptr.dtype
+            assert ppmi.indices.dtype == clamped.indices.dtype
+            assert ppmi.has_canonical_format == clamped.has_canonical_format
+
+    @pytest.mark.parametrize("kind", ["mset", "seq"])
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_dense_bits_match_the_previous_expressions(self, sweep_logs, kind, window):
+        for log in sweep_logs:
+            table = extract_occurrences(log, window, kind)
+            aa = build_aa(table)
+            for weighting in ("pmi", "ppmi"):
+                got = apply_weighting(aa, table, weighting).values
+                expected = previous_dense_weighting(aa, table, weighting)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            if kind == "seq":
+                got = substitution_scores(table).values
+                expected = previous_substitution(aa, table)
+                assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_eliminated_zero_leaves_the_counts_alone(self):
         # One event: j N = r c, so the only cell's PMI is ln 1 = 0 and is dropped.
