@@ -16,8 +16,8 @@ from .contexts import extract_occurrences
 from .errors import EmptyLogError, ParameterError
 from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores, _error_text
 from .log import EventLog, open_output, write_json, write_json_array
-from .matrices import EmbeddingMatrix
-from .pipeline import MethodConfig, build_embedding
+from .matrices import EmbeddingMatrix, MethodConfig
+from .pipeline import build_embedding
 from .similarity import pairwise_distance_matrix
 
 
@@ -93,12 +93,7 @@ def run_runtime_bench(
         raise ParameterError(f"repetitions must be at least 1, got {repetitions}")
     records: list[TimingRecord] = []
     for config in configs:
-        labels = dict(
-            method=config.method,
-            context=config.kind.value,
-            weighting=config.weighting,
-            window=config.window,
-        )
+        labels = config.echo()
         try:
             config.validate()
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .bench import export_report, run_runtime_bench
@@ -16,17 +17,9 @@ from .contexts import ContextKind, extract_occurrences
 from .errors import ActsimError, ExportError
 from .intrinsic import aggregate_scores, run_intrinsic_benchmark
 from .log import compute_stats, read_log, write_json, write_stats_csv
-from .matrices import write_embedding_csv
-from .pipeline import (
-    METHODS,
-    MethodConfig,
-    build_embedding,
-    expand_grid,
-    make_config,
-    similarity_for_config,
-)
+from .matrices import METHODS, WEIGHTINGS, MethodConfig, write_embedding_csv
+from .pipeline import build_embedding, expand_grid, make_config, similarity_for_config
 from .similarity import PairwiseSimilarity, write_distance_csv
-from .weighting import WEIGHTINGS
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -177,16 +170,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     stats = compute_stats(log)
     out = _out_dir(args)
     write_stats_csv(stats, out / "stats.csv")
-    summary = {
-        "schema": 1,
-        "activity_count": stats.activity_count,
-        "trace_count": stats.trace_count,
-        "variant_count": stats.variant_count,
-        "variant_ratio": stats.variant_ratio,
-        "avg_trace_length": stats.avg_trace_length,
-        "total_events": stats.total_events,
-        "rank_tie_order": "activity id ascending",
-    }
+    summary = {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "rank_entries"}
+    summary.update(schema=1, rank_tie_order="activity id ascending")
     write_json(summary, out / "stats.json")
     print(
         f"{stats.trace_count} traces, {stats.activity_count} activities, "
@@ -201,18 +186,6 @@ def _table_for_args(args: argparse.Namespace):
     return log, config, extract_occurrences(log, config.window, config.kind)
 
 
-def _write_meta(path: Path, config: MethodConfig, extra: dict) -> None:
-    meta = {
-        "schema": 1,
-        "method": config.method,
-        "context": config.kind.value,
-        "weighting": config.weighting,
-        "window": config.window,
-    }
-    meta.update(extra)
-    write_json(meta, path)
-
-
 def _cmd_embed(args: argparse.Namespace) -> int:
     log, config, table = _table_for_args(args)
     built = build_embedding(table, config)
@@ -224,11 +197,8 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     else:
         write_embedding_csv(built, log.alphabet, out / "embedding.csv")
         rows, cols = built.shape
-        _write_meta(
-            out / "embedding.meta.json",
-            config,
-            {"rows": rows, "columns": cols},
-        )
+        meta = dict(built.config.echo(), schema=1, rows=rows, columns=cols)
+        write_json(meta, out / "embedding.meta.json")
     print(f"embedding.csv written ({rows} x {cols}, {config.describe()})")
     return 0
 

@@ -111,10 +111,6 @@ class OccurrenceTable:
     context_totals: np.ndarray
     total_events: int
 
-    def activities(self) -> list[int]:
-        """Occurring activity ids, ascending."""
-        return list(self.row_labels)
-
     @cached_property
     def activity_totals(self) -> Mapping[int, int]:
         """Each occurring activity id's event count, keyed by id."""

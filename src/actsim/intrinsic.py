@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .pipeline import MethodConfig, shared_tables, similarity_for_config
+from .matrices import MethodConfig
+from .pipeline import shared_tables, similarity_for_config
 from .similarity import PairwiseSimilarity
 
 
@@ -247,10 +248,7 @@ def _error_text(exc: Exception) -> str:
 
 def _labels(job: PlanJob, config: MethodConfig, log_id: str) -> dict:
     """The fields a score or failure record of (job, config) starts with."""
-    return dict(
-        method=config.method, context=config.kind.value, weighting=config.weighting,
-        window=config.window, r=job.r, w=job.w, sample=job.sample_index, log_id=log_id,
-    )
+    return dict(config.echo(), r=job.r, w=job.w, sample=job.sample_index, log_id=log_id)
 
 
 def _fail_every_config(

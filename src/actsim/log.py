@@ -664,10 +664,6 @@ class LogStats:
     total_events: int
     rank_entries: tuple[RankFrequencyEntry, ...]
 
-    @property
-    def rank_frequency(self) -> list[tuple[int, float]]:
-        return [(e.rank, e.relative_frequency) for e in self.rank_entries]
-
 
 def compute_stats(log: EventLog) -> LogStats:
     """Compute :class:`LogStats`; frequency ties are ordered by ActivityId."""

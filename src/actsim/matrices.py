@@ -1,4 +1,5 @@
-"""Count matrices over an occurrence table: activity-activity and activity-context."""
+"""Count matrices over an occurrence table: activity-activity and activity-context,
+each carrying the method config that made it."""
 
 from __future__ import annotations
 
@@ -15,14 +16,52 @@ from .errors import ParameterError
 from .log import PAD_LABEL, Alphabet, open_output
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """How a matrix was produced; checked before weighting is applied."""
+METHODS = ("aa", "ac", "substitution")
+WEIGHTINGS = ("none", "pmi", "ppmi")
 
-    method: str  # "aa" | "ac" | "substitution"
+
+@dataclass(frozen=True)
+class MethodConfig:
+    """One embedding variant: method x context kind x weighting x window size.
+
+    It is also the record of how a matrix was made: every matrix and
+    similarity carries the config that built it. Substitution scores are
+    only defined over sequence contexts and raw counts, so any other
+    combination is rejected.
+    """
+
+    method: str
     kind: ContextKind
-    window_size: int
-    weighting: str  # "none" | "pmi" | "ppmi"
+    weighting: str
+    window: int
+
+    def validate(self) -> "MethodConfig":
+        if self.method not in METHODS:
+            raise ParameterError(f"unknown method {self.method!r} (expected one of {METHODS})")
+        if self.weighting not in WEIGHTINGS:
+            raise ParameterError(
+                f"unknown weighting {self.weighting!r} (expected one of {WEIGHTINGS})"
+            )
+        if self.window < 2:
+            raise ParameterError(f"window size must be at least 2, got {self.window}")
+        if self.method == "substitution":
+            if self.kind is not ContextKind.SEQUENCE:
+                raise ParameterError("substitution requires sequence contexts")
+            if self.weighting != "none":
+                raise ParameterError("substitution requires weighting none")
+        return self
+
+    def describe(self) -> str:
+        return f"{self.method}/{self.kind.value}/{self.weighting}/{self.window}"
+
+    def echo(self) -> dict:
+        """The config echo every sidecar and report record starts with."""
+        return {
+            "method": self.method,
+            "context": self.kind.value,
+            "weighting": self.weighting,
+            "window": self.window,
+        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +78,7 @@ class EmbeddingMatrix:
     row_labels: tuple[int, ...]
     column_labels: Union[tuple[int, ...], ContextKeys]
     values: "np.ndarray | sparse.csr_matrix"
-    provenance: Provenance
+    config: MethodConfig
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -72,7 +111,7 @@ def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
         row_labels=table.row_labels,
         column_labels=ContextKeys(table.kind, table.symbols),
         values=table.counts,
-        provenance=Provenance("ac", table.kind, table.window_size, "none"),
+        config=MethodConfig("ac", table.kind, "none", table.window_size),
     )
 
 
@@ -88,7 +127,7 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
         row_labels=table.row_labels,
         column_labels=table.row_labels,
         values=table.aa_counts,
-        provenance=Provenance("aa", table.kind, table.window_size, "none"),
+        config=MethodConfig("aa", table.kind, "none", table.window_size),
     )
 
 

@@ -1,52 +1,16 @@
-"""Method configurations and the extract-build-weight-compare pipeline."""
+"""Config grids and the extract-build-weight-compare pipeline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence, Union
 
 from .contexts import ContextKind, OccurrenceTable, _coerce_kind, extract_occurrences
 from .errors import ParameterError
 from .log import EventLog
-from .matrices import EmbeddingMatrix, build_aa, build_ac
+from .matrices import EmbeddingMatrix, MethodConfig, build_aa, build_ac
 from .similarity import PairwiseSimilarity, pairwise_distance_matrix, substitution_scores
-from .weighting import WEIGHTINGS, apply_weighting
-
-METHODS = ("aa", "ac", "substitution")
-
-
-@dataclass(frozen=True)
-class MethodConfig:
-    """One embedding variant: method x context kind x weighting x window size.
-
-    Substitution scores are only defined over sequence contexts and raw
-    counts, so any other combination is rejected.
-    """
-
-    method: str
-    kind: ContextKind
-    weighting: str
-    window: int
-
-    def validate(self) -> "MethodConfig":
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r} (expected one of {METHODS})")
-        if self.weighting not in WEIGHTINGS:
-            raise ParameterError(
-                f"unknown weighting {self.weighting!r} (expected one of {WEIGHTINGS})"
-            )
-        if self.window < 2:
-            raise ParameterError(f"window size must be at least 2, got {self.window}")
-        if self.method == "substitution":
-            if self.kind is not ContextKind.SEQUENCE:
-                raise ParameterError("substitution requires sequence contexts")
-            if self.weighting != "none":
-                raise ParameterError("substitution requires weighting none")
-        return self
-
-    def describe(self) -> str:
-        return f"{self.method}/{self.kind.value}/{self.weighting}/{self.window}"
+from .weighting import apply_weighting
 
 
 def make_config(method: str, kind: "ContextKind | str", weighting: str, window: int) -> MethodConfig:

@@ -13,7 +13,7 @@ from scipy import sparse
 from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
 from .log import Alphabet, write_json
-from .matrices import EmbeddingMatrix, Provenance, _write_matrix_csv, build_aa
+from .matrices import EmbeddingMatrix, MethodConfig, _write_matrix_csv, build_aa
 from .weighting import _log_ratios
 
 
@@ -28,7 +28,7 @@ class PairwiseSimilarity:
     labels: tuple[int, ...]
     values: np.ndarray
     flavor: str
-    provenance: Provenance
+    config: MethodConfig
 
     def index_of(self, activity_id: int) -> int:
         try:
@@ -97,7 +97,7 @@ def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
         labels=matrix.row_labels,
         values=sims,
         flavor="cosine",
-        provenance=matrix.provenance,
+        config=matrix.config,
     )
 
 
@@ -118,7 +118,7 @@ def substitution_scores(table: OccurrenceTable) -> PairwiseSimilarity:
         labels=aa.row_labels,
         values=_log_ratios(aa.values, float(table.total_events), expected),
         flavor="substitution",
-        provenance=Provenance("substitution", table.kind, table.window_size, "none"),
+        config=MethodConfig("substitution", table.kind, "none", table.window_size),
     )
 
 
@@ -128,22 +128,19 @@ def write_distance_csv(
     """Write the square matrix plus a ``<name>.meta.json`` sidecar.
 
     Cosine flavor writes distances (1 - s); substitution flavor writes
-    the raw scores. The sidecar records the flavor and provenance so a
-    reader never has to guess what the numbers mean.
+    the raw scores. The sidecar records the flavor and the config echo so
+    a reader never has to guess what the numbers mean.
     """
     path = Path(target)
     cells = sim.distance_matrix() if sim.flavor == "cosine" else sim.values
     labels = [alphabet.label_of(aid) for aid in sim.labels]
     _write_matrix_csv(path, labels, labels, cells)
-    meta = {
-        "schema": 1,
-        "flavor": sim.flavor,
-        "cells": "distance" if sim.flavor == "cosine" else "score",
-        "method": sim.provenance.method,
-        "context": sim.provenance.kind.value,
-        "weighting": sim.provenance.weighting,
-        "window": sim.provenance.window_size,
-        "activities": labels,
-    }
+    meta = dict(
+        sim.config.echo(),
+        schema=1,
+        flavor=sim.flavor,
+        cells="distance" if sim.flavor == "cosine" else "score",
+        activities=labels,
+    )
     meta_path = path.with_name(path.stem + ".meta.json")
     write_json(meta, meta_path)

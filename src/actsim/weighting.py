@@ -15,22 +15,19 @@ from scipy import sparse
 
 from .contexts import OccurrenceTable
 from .errors import ParameterError
-from .matrices import EmbeddingMatrix
-
-
-WEIGHTINGS = ("none", "pmi", "ppmi")
+from .matrices import WEIGHTINGS, EmbeddingMatrix
 
 
 def _check_pair(matrix: EmbeddingMatrix, table: OccurrenceTable) -> None:
-    prov = matrix.provenance
-    if prov.weighting != "none":
-        raise ParameterError(f"matrix is already weighted ({prov.weighting})")
-    if prov.method not in ("aa", "ac"):
-        raise ParameterError(f"weighting does not apply to method {prov.method!r}")
-    if prov.kind != table.kind or prov.window_size != table.window_size:
+    config = matrix.config
+    if config.weighting != "none":
+        raise ParameterError(f"matrix is already weighted ({config.weighting})")
+    if config.method not in ("aa", "ac"):
+        raise ParameterError(f"weighting does not apply to method {config.method!r}")
+    if config.kind != table.kind or config.window != table.window_size:
         raise ParameterError(
             "matrix and table disagree: "
-            f"matrix is ({prov.kind.value}, n={prov.window_size}), "
+            f"matrix is ({config.kind.value}, n={config.window}), "
             f"table is ({table.kind.value}, n={table.window_size})"
         )
     if matrix.row_labels != table.row_labels:
@@ -51,7 +48,7 @@ def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatri
     _check_pair(matrix, table)
     n = float(table.total_events)
     row_tot = table.row_totals.astype(np.float64)
-    col_tot = row_tot if matrix.provenance.method == "aa" else table.context_totals
+    col_tot = row_tot if matrix.config.method == "aa" else table.context_totals
     counts = matrix.values
     if sparse.issparse(counts):
         # The counts' own pattern, in its storage order: no re-sort. The
@@ -65,7 +62,7 @@ def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatri
         values.eliminate_zeros()
     else:
         values = _log_ratios(counts, n, np.outer(row_tot, col_tot))
-    return replace(matrix, values=values, provenance=replace(matrix.provenance, weighting="pmi"))
+    return replace(matrix, values=values, config=replace(matrix.config, weighting="pmi"))
 
 
 def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
@@ -76,7 +73,7 @@ def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatr
     return replace(
         weighted,
         values=values.maximum(0) if sparse.issparse(values) else np.maximum(values, 0.0),
-        provenance=replace(weighted.provenance, weighting="ppmi"),
+        config=replace(weighted.config, weighting="ppmi"),
     )
 
 

@@ -77,7 +77,7 @@ def pair_counts(table):
     """#(a, c) of an occurrence table keyed by (activity id, context index),
     nonzero cells only."""
     coo = table.counts.tocoo()
-    activities = table.activities()
+    activities = table.row_labels
     return {
         (activities[row], col): count
         for row, col, count in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())

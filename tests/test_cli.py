@@ -1,9 +1,24 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from actsim import bench, build_embedding, intrinsic, score_all
+from actsim import (
+    METHODS,
+    WEIGHTINGS,
+    bench,
+    build_embedding,
+    enumerate_benchmark_plan,
+    expand_grid,
+    intrinsic,
+    read_log,
+    run_intrinsic_benchmark,
+    run_runtime_bench,
+    score_all,
+    similarity_for_config,
+)
 from actsim.cli import main
+from actsim.pipeline import shared_tables
 
 XES_DOC = """<?xml version="1.0" encoding="UTF-8"?>
 <log xmlns="http://www.xes-standard.org/">
@@ -167,7 +182,7 @@ class TestIntrinsic:
     def test_unexpected_exception_keeps_the_partial_reports(self, worked_csv, tmp_path,
                                                              monkeypatch, capsys):
         def score_all_or_raise(sim, classes):
-            if sim.provenance.weighting == "pmi":
+            if sim.config.weighting == "pmi":
                 raise FloatingPointError("pmi scores overflowed")
             return score_all(sim, classes)
 
@@ -362,3 +377,42 @@ class TestUsage:
             argv += ["--method", "ac"]
         assert run(argv) == 2
         assert output in capsys.readouterr().err
+
+
+def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monkeypatch):
+    # Over the full grid: each matrix carries the config that built it, and
+    # each sidecar and report record repeats that config's echo.
+    log = read_log(worked_csv)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+    assert len(configs) == 26
+    echoes = [config.echo() for config in configs]
+    tables = shared_tables(log, configs)
+    for config, echo in zip(configs, echoes):
+        table = tables[(config.kind, config.window)]
+        assert build_embedding(table, config).config == config
+        assert similarity_for_config(table, config).config == config
+        for command, sidecar in (("embed", "embedding"), ("distances", "distances")):
+            out = tmp_path / command / config.describe().replace("/", "-")
+            assert run([
+                command, "--input", worked_csv, "--out-dir", out, "--method", config.method,
+                "--context", echo["context"], "--weight", config.weighting,
+                "--window", config.window,
+            ]) == 0
+            meta = json.loads((out / f"{sidecar}.meta.json").read_text())
+            assert {key: meta[key] for key in echo} == echo
+
+    def echoed(records):
+        return [{key: getattr(record, key) for key in echoes[0]} for record in records]
+
+    assert echoed(run_runtime_bench(log, configs, repetitions=1).records) == echoes
+    plan = enumerate_benchmark_plan(log, 1, 42)
+    plan = replace(plan, jobs=plan.jobs[:1])
+    scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
+    assert echoed(scores) == echoes and not failures
+
+    def score_all_raises(sim, classes):
+        raise FloatingPointError("scores overflowed")
+
+    monkeypatch.setattr(intrinsic, "score_all", score_all_raises)
+    scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
+    assert echoed(failures) == echoes and not scores

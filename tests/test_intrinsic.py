@@ -15,9 +15,9 @@ from actsim import (
     FailedJob,
     IntrinsicScores,
     METHODS,
+    MethodConfig,
     ParameterError,
     PairwiseSimilarity,
-    Provenance,
     WEIGHTINGS,
     aggregate_scores,
     build_embedding,
@@ -55,7 +55,7 @@ def make_sim(matrix, labels=None):
         labels=tuple(labels),
         values=values,
         flavor="cosine",
-        provenance=Provenance("aa", ContextKind.MULTISET, 3, "none"),
+        config=MethodConfig("aa", ContextKind.MULTISET, "none", 3),
     )
 
 
@@ -458,7 +458,7 @@ class TestRunner:
         configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
 
         def score_all_or_raise(sim, classes):
-            if sim.provenance.method == "ac":
+            if sim.config.method == "ac":
                 raise FloatingPointError("overflow in the ac scores")
             return score_all(sim, classes)
 

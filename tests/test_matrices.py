@@ -14,9 +14,9 @@ from actsim import (
     PAD_LABEL,
     Alphabet,
     ContextKind,
+    MethodConfig,
     PairwiseSimilarity,
     ParameterError,
-    Provenance,
     build_aa,
     build_ac,
     dimension_bound,
@@ -93,8 +93,8 @@ class TestAc:
 
     def test_provenance(self):
         table = extract_occurrences(worked_log(), 3, "mset")
-        prov = build_ac(table).provenance
-        assert (prov.method, prov.kind.value, prov.window_size, prov.weighting) == (
+        config = build_ac(table).config
+        assert (config.method, config.kind.value, config.window, config.weighting) == (
             "ac",
             "mset",
             3,
@@ -274,8 +274,8 @@ def matrix_cases(draw):
             values[row, col] = value
     else:
         values = csr.tocsc() if layout == "csc" else csr
-    provenance = Provenance("ac", ContextKind.MULTISET, 3, "none")
-    matrix = EmbeddingMatrix(rows, columns, values, provenance)
+    config = MethodConfig("ac", ContextKind.MULTISET, "none", 3)
+    matrix = EmbeddingMatrix(rows, columns, values, config)
     square = np.array(
         draw(st.lists(st.lists(cells, min_size=len(rows), max_size=len(rows)),
                       min_size=len(rows), max_size=len(rows))),
@@ -295,7 +295,7 @@ def test_matrix_writers_match_the_naive_dense_writer(case, flavor):
     write_embedding_csv(matrix, alphabet, buffer)
     assert buffer.getvalue() == naive_matrix_csv(header, row_names, rows)
 
-    sim = PairwiseSimilarity(matrix.row_labels, square, flavor, matrix.provenance)
+    sim = PairwiseSimilarity(matrix.row_labels, square, flavor, matrix.config)
     cells = (1.0 - square) if flavor == "cosine" else square
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "distances.csv"
@@ -316,7 +316,7 @@ def test_duplicate_entries_add_in_storage_order():
     alphabet = Alphabet(["a", "b"])
     for values in (csr, csr.tocsc()):
         matrix = EmbeddingMatrix(
-            (1, 2), (1, 2, 1, 2), values, Provenance("aa", ContextKind.MULTISET, 3, "none")
+            (1, 2), (1, 2, 1, 2), values, MethodConfig("aa", ContextKind.MULTISET, "none", 3)
         )
         buffer = io.StringIO()
         write_embedding_csv(matrix, alphabet, buffer)

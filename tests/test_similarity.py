@@ -104,21 +104,21 @@ class TestPairwise:
             row_labels=ac.row_labels,
             column_labels=ac.column_labels,
             values=ac.dense() * np.array([1.0, 3.0, 0.5, 7.0, 2.0])[:, None],
-            provenance=ac.provenance,
+            config=ac.config,
         )
         a = pairwise_distance_matrix(ac).values
         b = pairwise_distance_matrix(scaled).values
         assert np.allclose(a, b, atol=1e-12)
 
     def test_identical_rows_snap_to_distance_zero(self):
-        from actsim import EmbeddingMatrix, Provenance, ContextKind
+        from actsim import EmbeddingMatrix, MethodConfig, ContextKind
 
         values = np.array([[3, 7, 2], [3, 7, 2], [1, 0, 0]], dtype=np.int64)
         matrix = EmbeddingMatrix(
             row_labels=(1, 2, 3),
             column_labels=(1, 2, 3),
             values=values,
-            provenance=Provenance("aa", ContextKind.SEQUENCE, 3, "none"),
+            config=MethodConfig("aa", ContextKind.SEQUENCE, "none", 3),
         )
         sim = pairwise_distance_matrix(matrix)
         assert sim.values[0, 1] == 1.0
@@ -174,7 +174,7 @@ class TestSubstitution:
     def test_flavor_and_provenance(self):
         ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))
         assert ss.flavor == "substitution"
-        assert ss.provenance.method == "substitution"
+        assert ss.config.method == "substitution"
 
 
 class TestExport:

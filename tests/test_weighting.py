@@ -91,7 +91,7 @@ class TestPmiValues:
 def coo_pmi(table):
     """PMI of the raw AC counts through COO and a rebuilt CSR."""
     coo = table.counts.tocoo()
-    row_tot = np.array([table.activity_totals[a] for a in table.activities()], dtype=np.float64)
+    row_tot = np.array([table.activity_totals[a] for a in table.row_labels], dtype=np.float64)
     col_tot = np.asarray(table.context_totals, dtype=np.float64)
     n = float(table.total_events)
     data = np.log(coo.data.astype(np.float64) * n / (row_tot[coo.row] * col_tot[coo.col]))
@@ -208,5 +208,5 @@ class TestContracts:
 
     def test_provenance_updated(self):
         _, table, ac = worked_ac()
-        assert apply_pmi(ac, table).provenance.weighting == "pmi"
-        assert apply_ppmi(ac, table).provenance.weighting == "ppmi"
+        assert apply_pmi(ac, table).config.weighting == "pmi"
+        assert apply_ppmi(ac, table).config.weighting == "ppmi"
