@@ -16,13 +16,13 @@ from .contexts import extract_occurrences
 from .errors import EmptyLogError, ParameterError
 from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores, _error_text
 from .log import EventLog, open_output, write_json, write_json_array
-from .matrices import EmbeddingMatrix, MethodConfig
+from .matrices import ConfigEcho, EmbeddingMatrix, MethodConfig
 from .pipeline import build_embedding
 from .similarity import pairwise_distance_matrix
 
 
 @dataclass(frozen=True)
-class TimingRecord:
+class TimingRecord(ConfigEcho):
     """Measurements for one config; ``error`` is set when the config failed.
 
     ``embed_seconds`` covers extraction, matrix build and weighting;
@@ -33,10 +33,6 @@ class TimingRecord:
     failed config keeps every measurement at 0.
     """
 
-    method: str
-    context: str
-    weighting: str
-    window: int
     embed_seconds: float = 0.0
     distance_seconds: float = 0.0
     embedding_dimension: int = 0
@@ -50,7 +46,6 @@ class TimingRecord:
 class TimingReport:
     records: tuple[TimingRecord, ...]
     repetitions: int
-    parallel: bool = False
 
 
 def _values_stats(values: "np.ndarray | sparse.csr_matrix") -> dict:
@@ -116,7 +111,7 @@ def run_runtime_bench(
                 **labels, embed_seconds=embed_seconds, distance_seconds=distance_seconds, **stats
             )
         )
-    return TimingReport(records=tuple(records), repetitions=repetitions, parallel=False)
+    return TimingReport(records=tuple(records), repetitions=repetitions)
 
 
 Report = Union[
@@ -161,7 +156,7 @@ def _json_payload(report: Report) -> object:
     if isinstance(report, TimingReport):
         return {
             "schema": 1,
-            "parallel": report.parallel,
+            "parallel": False,
             "repetitions": report.repetitions,
             "records": entries,
         }

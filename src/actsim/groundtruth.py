@@ -59,7 +59,6 @@ class GroundTruthLog:
     classes: ClassAssignment
     r: int
     w: int
-    sample_index: int
     seed: int
 
     def restore_traces(self) -> tuple[tuple[int, ...], ...]:
@@ -94,7 +93,6 @@ def generate_ground_truth_log(
     selected: "AbstractSet[int] | Iterable[int]",
     w: int,
     seed: int,
-    sample_index: int = 0,
 ) -> GroundTruthLog:
     """Replace each selected activity by a balanced pool of w clones.
 
@@ -177,7 +175,6 @@ def generate_ground_truth_log(
         classes=ClassAssignment(phi=phi, psi=psi),
         r=len(selected_set),
         w=w,
-        sample_index=sample_index,
         seed=seed,
     )
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .matrices import MethodConfig
+from .matrices import ConfigEcho, MethodConfig
 from .pipeline import shared_tables, similarity_for_config
 from .similarity import PairwiseSimilarity
 
@@ -208,16 +209,18 @@ def _group_scores(
 
 
 @dataclass(frozen=True)
-class IntrinsicScores:
-    """Metric values of one (job, config) combination."""
+class JobEcho(ConfigEcho):
+    """The config echo, then the plan job: the leading fields of a score or failure."""
 
-    method: str
-    context: str
-    weighting: str
-    window: int
     r: int
     w: int
     sample: int
+
+
+@dataclass(frozen=True)
+class IntrinsicScores(JobEcho):
+    """Metric values of one (job, config) combination."""
+
     i_comp: float
     i_nn: float
     i_prec: float
@@ -226,16 +229,9 @@ class IntrinsicScores:
 
 
 @dataclass(frozen=True)
-class FailedJob:
+class FailedJob(JobEcho):
     """A (job, config) combination that raised; the run keeps going."""
 
-    method: str
-    context: str
-    weighting: str
-    window: int
-    r: int
-    w: int
-    sample: int
     error: str
     log_id: str = "log"
 
@@ -264,9 +260,7 @@ def _run_job(
     the ground truth or its tables fails every config; one while scoring a
     config fails only that config."""
     try:
-        gt = generate_ground_truth_log(
-            log, set(job.selected), job.w, job.seed, sample_index=job.sample_index
-        )
+        gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
         tables = shared_tables(gt.log, configs)
     except Exception as exc:
         return [], _fail_every_config(job, configs, log_id, exc)
@@ -287,6 +281,13 @@ def _run_job(
     return scores, failures
 
 
+def _run_chunk(
+    log: EventLog, jobs: Sequence[PlanJob], configs: tuple[MethodConfig, ...], log_id: str
+) -> list[tuple[list[IntrinsicScores], list[FailedJob]]]:
+    """:func:`_run_job` over consecutive plan jobs, in one pool task."""
+    return [_run_job(log, job, configs, log_id) for job in jobs]
+
+
 def run_intrinsic_benchmark(
     log: EventLog,
     configs: Sequence[MethodConfig],
@@ -298,13 +299,15 @@ def run_intrinsic_benchmark(
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
     """Score every plan job under every config.
 
-    Jobs are independent; with ``parallel`` they run in a process pool but
-    results are collected in plan order, so the output is identical to a
-    serial run. Per-job errors are recorded and never abort the sweep.
+    Jobs are independent; with ``parallel`` they run in a process pool, in
+    chunks of 8, but results are collected in plan order, so the output is
+    identical to a serial run. Per-job errors are recorded and never abort
+    the sweep.
 
-    If a pool worker dies (an OOM kill, ``os._exit``), every job whose
-    result had not been read, in plan order, fails under each config with
-    ``"BrokenProcessPool: ..."``. It is not re-run in this process: a job
+    If a pool worker dies (an OOM kill, ``os._exit``), every job of each
+    chunk that had not finished fails under each config with
+    ``"BrokenProcessPool: ..."``; chunks that finished keep their results,
+    later ones included. A failed job is not re-run in this process: a job
     that killed a worker could kill this process too.
     """
     if not configs:
@@ -312,20 +315,20 @@ def run_intrinsic_benchmark(
     configs = tuple(config.validate() for config in configs)
     if plan is None:
         plan = enumerate_benchmark_plan(log, samples, master_seed)
-    arguments = (repeat(log), plan.jobs, repeat(configs), repeat(log_id))
     if parallel and len(plan.jobs) > 1:
+        chunks = [plan.jobs[start : start + 8] for start in range(0, len(plan.jobs), 8)]
         results = []
         with ProcessPoolExecutor() as pool:
-            try:
-                for result in pool.map(_run_job, *arguments, chunksize=8):
-                    results.append(result)
-            except BrokenProcessPool as exc:
-                results.extend(
-                    ([], _fail_every_config(job, configs, log_id, exc))
-                    for job in plan.jobs[len(results):]
-                )
+            futures = [pool.submit(_run_chunk, log, chunk, configs, log_id) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    results.extend(future.result())
+                except BrokenProcessPool as exc:
+                    results.extend(
+                        ([], _fail_every_config(job, configs, log_id, exc)) for job in chunk
+                    )
     else:
-        results = list(map(_run_job, *arguments))
+        results = list(map(_run_job, repeat(log), plan.jobs, repeat(configs), repeat(log_id)))
     scores: list[IntrinsicScores] = []
     failures: list[FailedJob] = []
     for job_scores, job_failures in results:
@@ -335,15 +338,13 @@ def run_intrinsic_benchmark(
 
 
 @dataclass(frozen=True)
-class AggregateRow:
-    method: str
-    context: str
-    weighting: str
-    window: int
-    i_comp: float
-    i_nn: float
-    i_prec: float
-    i_tri: float
+class AggregateRow(ConfigEcho):
+    """A config's means over its scored jobs, ``None`` if every job failed."""
+
+    i_comp: float | None
+    i_nn: float | None
+    i_prec: float | None
+    i_tri: float | None
     jobs_ok: int
     jobs_failed: int
 
@@ -353,28 +354,28 @@ class AggregateReport:
     rows: tuple[AggregateRow, ...]
 
 
+_config_key = attrgetter(*(field.name for field in fields(ConfigEcho)))
+
+
 def aggregate_scores(
     scores: Sequence[IntrinsicScores], failures: Iterable[FailedJob] = ()
 ) -> AggregateReport:
     """Two-level mean per config: within each original log, then across logs.
 
     Failed jobs contribute nothing to the means; their count is reported
-    next to the number of scored jobs.
+    next to the number of scored jobs. A config whose every job failed
+    still gets its row, with ``None`` means.
     """
     if not scores:
         raise ParameterError("no scores to aggregate")
-
-    def config_key(entry) -> tuple:
-        return (entry.method, entry.context, entry.weighting, entry.window)
-
     by_config: dict[tuple, list[IntrinsicScores]] = {}
     for score in scores:
-        by_config.setdefault(config_key(score), []).append(score)
-    failed_counts = Counter(map(config_key, failures))
+        by_config.setdefault(_config_key(score), []).append(score)
+    failed_counts = Counter(map(_config_key, failures))
 
     rows = []
-    for key in sorted(by_config):
-        group = by_config[key]
+    for key in sorted(by_config.keys() | failed_counts.keys()):
+        group = by_config.get(key, [])
         by_log: dict[str, list[IntrinsicScores]] = {}
         for score in group:
             by_log.setdefault(score.log_id, []).append(score)
@@ -385,8 +386,9 @@ def aggregate_scores(
                 sum(getattr(e, field) for e in entries) / len(entries)
                 for field in ("i_comp", "i_nn", "i_prec", "i_tri")
             ))
-        overall = tuple(sum(m[i] for m in log_means) / len(log_means) for i in range(4))
-        # The key and the four means are AggregateRow's leading fields, in order.
+        overall = (None,) * 4
+        if log_means:
+            overall = tuple(sum(m[i] for m in log_means) / len(log_means) for i in range(4))
         rows.append(
             AggregateRow(*key, *overall, jobs_ok=len(group), jobs_failed=failed_counts[key])
         )

@@ -64,6 +64,16 @@ class MethodConfig:
         }
 
 
+@dataclass(frozen=True)
+class ConfigEcho:
+    """The config echo every report record starts with; see :meth:`MethodConfig.echo`."""
+
+    method: str
+    context: str
+    weighting: str
+    window: int
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """Rows are activities; columns are activities (AA) or contexts (AC).

@@ -56,7 +56,6 @@ class TestRuntimeBench:
         assert len(report.records) == 39
         assert all(r.error is None for r in report.records)
         assert report.repetitions == 1
-        assert report.parallel is False
 
     def test_dimensions_on_worked_log(self):
         log = worked_log()
@@ -250,7 +249,6 @@ GOLDEN_TIMING = TimingReport(
         ),
     ),
     repetitions=3,
-    parallel=False,
 )
 GOLDEN_SCORES = [
     IntrinsicScores(

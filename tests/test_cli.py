@@ -1,11 +1,12 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from actsim import (
     METHODS,
     WEIGHTINGS,
+    aggregate_scores,
     bench,
     build_embedding,
     enumerate_benchmark_plan,
@@ -18,6 +19,7 @@ from actsim import (
     similarity_for_config,
 )
 from actsim.cli import main
+from actsim.matrices import ConfigEcho
 from actsim.pipeline import shared_tables
 
 XES_DOC = """<?xml version="1.0" encoding="UTF-8"?>
@@ -200,7 +202,9 @@ class TestIntrinsic:
         assert {s["weighting"] for s in scores} == {"none"}
         assert {f["error"] for f in failures} == {"FloatingPointError: pmi scores overflowed"}
         agg = (out / "intrinsic_aggregate.csv").read_text().splitlines()
-        assert len(agg) == 2 and agg[1].startswith("aa,mset,none,3,")
+        # The pmi config failed every job: its row counts them, with empty means.
+        assert len(agg) == 3 and agg[1].startswith("aa,mset,none,3,")
+        assert agg[2] == f"aa,mset,pmi,3,,,,,0,{len(failures)}"
         assert f"{len(scores)} scored jobs, {len(failures)} failed" in capsys.readouterr().out
 
     @pytest.mark.parametrize("first_fails", [True, False])
@@ -386,6 +390,8 @@ def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monke
     configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
     assert len(configs) == 26
     echoes = [config.echo() for config in configs]
+    # The echo's keys are the leading fields every report record inherits.
+    assert all(list(echo) == [field.name for field in fields(ConfigEcho)] for echo in echoes)
     tables = shared_tables(log, configs)
     for config, echo in zip(configs, echoes):
         table = tables[(config.kind, config.window)]
@@ -409,6 +415,8 @@ def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monke
     plan = replace(plan, jobs=plan.jobs[:1])
     scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
     assert echoed(scores) == echoes and not failures
+    rows = aggregate_scores(scores).rows
+    assert echoed(rows) == sorted(echoes, key=lambda echo: tuple(echo.values()))
 
     def score_all_raises(sim, classes):
         raise FloatingPointError("scores overflowed")

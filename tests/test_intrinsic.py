@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from actsim import (
     build_embedding,
     enumerate_benchmark_plan,
     expand_grid,
+    export_report,
     extract_occurrences,
     generate_ground_truth_log,
     log_from_label_traces,
@@ -413,6 +416,26 @@ class TestAggregate:
         assert by_key[("aa", "mset", "pmi", 3)].jobs_failed == 1
         assert by_key[("aa", "mset", "none", 3)].jobs_failed == 0
 
+    def test_config_that_failed_every_job_keeps_its_row(self, tmp_path):
+        failures = [
+            FailedJob("ac", "mset", "pmi", 3, r=1, w=2, sample=sample, error="boom")
+            for sample in (0, 1)
+        ]
+        report = aggregate_scores([score_row()], failures)
+        assert [(r.method, r.jobs_ok, r.jobs_failed) for r in report.rows] == [
+            ("aa", 1, 0), ("ac", 0, 2)
+        ]
+        failed = report.rows[1]
+        assert (failed.i_comp, failed.i_nn, failed.i_prec, failed.i_tri) == (None,) * 4
+        export_report(report, tmp_path / "agg.csv", fmt="csv")
+        assert (tmp_path / "agg.csv").read_text().splitlines()[2] == "ac,mset,pmi,3,,,,,0,2"
+        export_report(report, tmp_path / "agg.json")
+        row = json.loads((tmp_path / "agg.json").read_text())["rows"][1]
+        assert row == {
+            "method": "ac", "context": "mset", "weighting": "pmi", "window": 3,
+            "jobs_ok": 0, "jobs_failed": 2,
+        }
+
     def test_empty_scores_rejected(self):
         with pytest.raises(ParameterError):
             aggregate_scores([])
@@ -479,6 +502,11 @@ class TestRunner:
         configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
         plan = enumerate_benchmark_plan(log, 2, 1)
         serial, _ = run_intrinsic_benchmark(log, configs, samples=2, master_seed=1)
+        # Two workers, whatever the CPU count: a later chunk can only finish
+        # before an earlier one while a second worker runs it.
+        monkeypatch.setattr(
+            intrinsic, "ProcessPoolExecutor", partial(ProcessPoolExecutor, max_workers=2)
+        )
         monkeypatch.setattr(intrinsic, "_run_job", _run_job_or_die)
         scores, failures = run_intrinsic_benchmark(
             log, configs, samples=2, master_seed=1, parallel=True
@@ -512,14 +540,36 @@ class TestRunner:
         assert all(f["error"].startswith("BrokenProcessPool: ") for f in failed)
         assert (out / "intrinsic_aggregate.csv").exists()
 
+        # The plan's first job dies: the other worker runs every later chunk
+        # meanwhile, and their results are kept. Only the first chunk of 8
+        # jobs fails.
+        monkeypatch.setattr(intrinsic, "_run_job", _first_job_dies)
+        scores, failures = run_intrinsic_benchmark(
+            log, configs, samples=2, master_seed=1, parallel=True
+        )
+        first_chunk = plan.jobs[:8]
+        assert len(plan.jobs) > len(first_chunk)
+        assert scores == serial[len(first_chunk) * len(configs):]
+        assert [(f.r, f.w, f.sample, f.method) for f in failures] == [
+            (job.r, job.w, job.sample_index, config.method)
+            for job in first_chunk
+            for config in configs
+        ]
+        assert all(f.error.startswith("BrokenProcessPool: ") for f in failures)
+
 
 _real_run_job = intrinsic._run_job
 
 
-def _run_job_or_die(log, job, configs, log_id):
-    """Stands in for ``intrinsic._run_job``: the worker that gets the plan's
-    last job dies, after giving the earlier chunks time to finish."""
-    if job == enumerate_benchmark_plan(log, 2, 1).jobs[-1]:
-        time.sleep(0.5)
+def _run_job_or_die(log, job, configs, log_id, index=-1, after=0.5):
+    """Stands in for ``intrinsic._run_job``: the worker that gets job
+    ``index`` of the plan (by default the last) dies ``after`` seconds
+    later, giving the other chunks time to finish."""
+    if job == enumerate_benchmark_plan(log, 2, 1).jobs[index]:
+        time.sleep(after)
         os._exit(3)
     return _real_run_job(log, job, configs, log_id)
+
+
+def _first_job_dies(log, job, configs, log_id):
+    return _run_job_or_die(log, job, configs, log_id, index=0, after=1.0)
