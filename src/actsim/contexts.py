@@ -153,21 +153,25 @@ def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
     return keys
 
 
+def _shifts(n: int) -> list[int]:
+    """Each context slot's offset from the center, for window size ``n``."""
+    left = (n - 1) // 2
+    return [shift for shift in range(-left, n - left) if shift != 0]
+
+
 def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """The ``(n-1, len(centers))`` context symbols of every event of the
     traces laid end to end in ``centers``: slot j holds the event
-    ``shifts[j]`` places away in the same trace, or PAD past either end.
+    ``_shifts(n)[j]`` places away in the same trace, or PAD past either end.
     Each slot is one gather from a copy with ``pad`` PADs around every
     trace; one slot at a time, as an index array for all slots at once
     would be as large as the columns."""
-    left = (n - 1) // 2
-    pad = n - 1 - left
+    pad = n - 1 - (n - 1) // 2
     at = np.arange(len(centers)) + pad * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     padded = np.full(len(centers) + pad * (len(lengths) + 1), PAD, dtype=np.int64)
     padded[at] = centers
-    shifts = [shift for shift in range(-left, n - left) if shift != 0]
     columns = np.empty((n - 1, len(centers)), dtype=np.int64)
-    for slot, shift in enumerate(shifts):
+    for slot, shift in enumerate(_shifts(n)):
         np.take(padded, at + shift, out=columns[slot])
     return columns
 
@@ -220,7 +224,11 @@ def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def extract_occurrences(
-    log: EventLog, window_size: int, kind: "ContextKind | str"
+    log: EventLog,
+    window_size: int,
+    kind: "ContextKind | str",
+    *,
+    fine: "OccurrenceTable | None" = None,
 ) -> OccurrenceTable:
     """Run the window scan and return the full count table.
 
@@ -230,6 +238,12 @@ def extract_occurrences(
     never introduce a context that its first occurrence did not). Each
     context slot is one gather from a padded copy of the variants, and the
     counts come straight from one sort of the (row, context) keys.
+
+    ``fine``, a sequence table of this same log at a window of at least
+    ``window_size``, replaces the scan: the table is coarsened from its
+    contexts and nonzero cells (see :func:`_coarsen`) and equals the
+    scanned one in every array. A fine table of another kind, a smaller
+    window or another event count is a :class:`ParameterError`.
     """
     kind = _coerce_kind(kind)
     if log.is_empty:
@@ -238,23 +252,65 @@ def extract_occurrences(
         raise ParameterError(f"window size must be at least 2, got {window_size}")
 
     n = window_size
-    centers, lengths, multiplicities = log.variants
-    symbols, context_ids = _intern_contexts(centers, lengths, n, kind, len(log.alphabet) + 1)
-    occurs = np.bincount(centers) > 0
-    activities = np.flatnonzero(occurs)
-    rows = (np.cumsum(occurs) - 1)[centers]
-    weights = np.repeat(multiplicities, lengths)
-    counts = _csr_counts(rows, context_ids, weights, (len(activities), len(symbols)))
+    base = len(log.alphabet) + 1
+    if fine is not None:
+        if (
+            fine.kind is not ContextKind.SEQUENCE
+            or fine.window_size < n
+            or fine.total_events != log.n_events
+        ):
+            raise ParameterError(
+                f"cannot derive ({kind.value}, n={n}) from the ({fine.kind.value}, "
+                f"n={fine.window_size}) table of {fine.total_events} events: it must be "
+                f"a seq table of this log's {log.n_events} events at a window of at least {n}"
+            )
+        symbols, counts = _coarsen(fine, n, kind, base)
+        row_labels, row_totals, total_events = fine.row_labels, fine.row_totals, fine.total_events
+    else:
+        centers, lengths, multiplicities = log.variants
+        symbols, context_ids = _intern_contexts(centers, lengths, n, kind, base)
+        occurs = np.bincount(centers) > 0
+        activities = np.flatnonzero(occurs)
+        rows = (np.cumsum(occurs) - 1)[centers]
+        weights = np.repeat(multiplicities, lengths)
+        counts = _csr_counts(rows, context_ids, weights, (len(activities), len(symbols)))
+        row_labels = tuple(activities.tolist())
+        row_totals = np.asarray(counts.sum(axis=1)).ravel()
+        total_events = int(weights.sum())
     return OccurrenceTable(
         window_size=n,
         kind=kind,
         symbols=symbols,
         counts=counts,
-        row_labels=tuple(activities.tolist()),
-        row_totals=np.asarray(counts.sum(axis=1)).ravel(),
+        row_labels=row_labels,
+        row_totals=row_totals,
         context_totals=np.asarray(counts.sum(axis=0)).ravel(),
-        total_events=int(weights.sum()),
+        total_events=total_events,
     )
+
+
+def _coarsen(
+    fine: OccurrenceTable, n: int, kind: ContextKind, base: int
+) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The symbols and counts of the (kind, n) table of the log that the
+    sequence table ``fine`` counts, at a window of at most its own.
+
+    Windows nest, so the coarse slots are a subset of the fine ones, and a
+    multiset context is its sorted sequence context. Each fine context thus
+    maps to one coarse context. Fine contexts are numbered by first
+    appearance, so numbering the coarse keys by first appearance in fine
+    order numbers each coarse context by its smallest fine number: exactly
+    the order a scan would give. The counts are the fine cells re-keyed.
+    """
+    fine_shifts = _shifts(fine.window_size)
+    columns = fine.symbols.T[[fine_shifts.index(shift) for shift in _shifts(n)]]
+    if kind is ContextKind.MULTISET:
+        _sort_columns(columns)
+    first, numbers = _intern(_packed_keys(columns, base))
+    cells = fine.counts
+    rows = np.repeat(np.arange(cells.shape[0]), np.diff(cells.indptr))
+    counts = _csr_counts(rows, numbers[cells.indices], cells.data, (cells.shape[0], len(first)))
+    return np.ascontiguousarray(columns[:, first].T), counts
 
 
 def _csr_counts(

@@ -16,6 +16,7 @@ numpy's pairwise float summation would change the last bit.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -300,7 +301,8 @@ def run_intrinsic_benchmark(
     """Score every plan job under every config.
 
     Jobs are independent; with ``parallel`` they run in a process pool, in
-    chunks of 8, but results are collected in plan order, so the output is
+    chunks of 8, with one worker per CPU but never more than there are
+    chunks; results are collected in plan order, so the output is
     identical to a serial run. Per-job errors are recorded and never abort
     the sweep.
 
@@ -318,7 +320,7 @@ def run_intrinsic_benchmark(
     if parallel and len(plan.jobs) > 1:
         chunks = [plan.jobs[start : start + 8] for start in range(0, len(plan.jobs), 8)]
         results = []
-        with ProcessPoolExecutor() as pool:
+        with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, log, chunk, configs, log_id) for chunk in chunks]
             for chunk, future in zip(chunks, futures):
                 try:

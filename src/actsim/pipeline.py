@@ -75,10 +75,20 @@ def similarity_for_config(table: OccurrenceTable, config: MethodConfig) -> Pairw
 def shared_tables(
     log: EventLog, configs: Sequence[MethodConfig]
 ) -> dict[tuple[ContextKind, int], OccurrenceTable]:
-    """One extraction per distinct (kind, window) pair used by ``configs``."""
-    tables: dict[tuple[ContextKind, int], OccurrenceTable] = {}
-    for config in configs:
-        key = (config.kind, config.window)
-        if key not in tables:
-            tables[key] = extract_occurrences(log, config.window, config.kind)
-    return tables
+    """One table per distinct (kind, window) pair used by ``configs``, each
+    from one ``extract_occurrences`` call, keyed in config order.
+
+    A single pair is scanned directly. With more, the log is scanned once,
+    as the sequence table at the largest window (made even when no config
+    uses it), and every other table is coarsened from that fine table
+    through ``extract_occurrences(..., fine=...)``.
+    """
+    pairs = dict.fromkeys((config.kind, config.window) for config in configs)
+    if len(pairs) < 2:
+        return {(kind, n): extract_occurrences(log, n, kind) for kind, n in pairs}
+    widest = (ContextKind.SEQUENCE, max(n for _, n in pairs))
+    fine = extract_occurrences(log, widest[1], widest[0])
+    return {
+        (kind, n): fine if (kind, n) == widest else extract_occurrences(log, n, kind, fine=fine)
+        for kind, n in pairs
+    }

@@ -12,12 +12,15 @@ from actsim import (
     enumerate_benchmark_plan,
     expand_grid,
     intrinsic,
+    make_config,
+    pipeline,
     read_log,
     run_intrinsic_benchmark,
     run_runtime_bench,
     score_all,
     similarity_for_config,
 )
+from actsim import cli
 from actsim.cli import main
 from actsim.matrices import ConfigEcho
 from actsim.pipeline import shared_tables
@@ -424,3 +427,28 @@ def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monke
     monkeypatch.setattr(intrinsic, "score_all", score_all_raises)
     scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
     assert echoed(failures) == echoes and not scores
+
+
+def test_single_tables_are_scanned_directly(worked_csv, tmp_path, monkeypatch):
+    # Only a grid of several (kind, window) pairs coarsens its tables from a
+    # fine one; a one-pair grid, embed, distances and bench scan the log.
+    extract = pipeline.extract_occurrences
+    fines = []
+
+    def spy(*args, **kwargs):
+        fines.append(kwargs.get("fine"))
+        return extract(*args, **kwargs)
+
+    for module in (pipeline, cli, bench):
+        monkeypatch.setattr(module, "extract_occurrences", spy)
+    log = read_log(worked_csv)
+    shared_tables(log, expand_grid(METHODS, ("seq",), WEIGHTINGS, (3,)))
+    run_runtime_bench(log, [make_config("ac", "mset", "pmi", 5)], repetitions=1)
+    for command in ("embed", "distances"):
+        assert run([
+            command, "--input", worked_csv, "--out-dir", tmp_path / command,
+            "--method", "aa", "--context", "seq", "--weight", "none", "--window", 4,
+        ]) == 0
+    assert fines == [None] * 4
+    shared_tables(log, expand_grid(("ac",), ("mset", "seq"), ("none",), (3,)))
+    assert fines[4] is None and (fines[5].kind.value, fines[5].window_size) == ("seq", 3)

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actsim import (
@@ -193,11 +193,12 @@ def test_multiset_is_sequence_rekeyed_through_sorting():
         assert {(a, mset.contexts[c]): v for (a, c), v in pair_counts(mset).items()} == merged
 
 
-@pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, False)])
+@pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, False), (512, False)])
 @pytest.mark.parametrize("kind", ["mset", "seq"])
 def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     # Window 8 packs 7 symbols in base |A|+1: 511**7 < 2**63 still packs,
-    # 512**7 == 2**63 must compare whole rows instead.
+    # 512**7 == 2**63 must compare whole rows instead. Coarsened to windows
+    # 3 and 5, the window-8 sequence table packs again.
     unique_axes = []
     real_unique = np.unique
 
@@ -221,6 +222,32 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     assert dict(table.activity_totals) == act
     assert list(table.context_totals) == [ctx[c] for c in order]
     assert {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()} == pair
+
+    fine = extract_occurrences(log, 8, "seq")
+    unique_axes.clear()
+    for window in (3, 5):
+        coarse = extract_occurrences(log, window, kind, fine=fine)
+        _assert_same_table(coarse, extract_occurrences(log, window, kind))
+        _assert_matches_naive(coarse, traces, window, kind)
+    assert unique_axes == []
+
+
+def _assert_same_table(table, direct):
+    """Every array of ``table`` equals ``direct``'s, dtypes and shapes included."""
+    for name in ("window_size", "kind", "row_labels", "total_events"):
+        assert getattr(table, name) == getattr(direct, name), name
+    assert table.counts.shape == direct.counts.shape
+    assert table.counts.has_canonical_format
+    for name, got, want in (
+        ("symbols", table.symbols, direct.symbols),
+        ("indptr", table.counts.indptr, direct.counts.indptr),
+        ("indices", table.counts.indices, direct.counts.indices),
+        ("data", table.counts.data, direct.counts.data),
+        ("row_totals", table.row_totals, direct.row_totals),
+        ("context_totals", table.context_totals, direct.context_totals),
+    ):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert np.array_equal(got, want), name
 
 
 def _assert_matches_naive(table, traces, window, kind):
@@ -290,9 +317,9 @@ def test_shared_tables_dedupe_once(monkeypatch):
     extractions = []
     extract = pipeline.extract_occurrences
 
-    def counting_extract(*args):
+    def counting_extract(*args, **kwargs):
         extractions.append(args[1:])
-        return extract(*args)
+        return extract(*args, **kwargs)
 
     # shared_tables reaches extract_occurrences through its module binding,
     # where outside tooling may wrap it.
@@ -301,3 +328,46 @@ def test_shared_tables_dedupe_once(monkeypatch):
     tables = pipeline.shared_tables(gt.log, grid)
     assert len(tables) == len(extractions) == 4
     assert len(decompositions) == 1 and decompositions[0] is gt.log
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8).map(tuple),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sets(st.integers(2, 6), min_size=1),
+    st.sets(st.sampled_from(["mset", "seq"]), min_size=1),
+    st.integers(2, 3),
+    st.integers(0, 2**32),
+)
+# Even windows, and <2,clone> next to <3,PAD>: in the base log's base they
+# would pack to one key.
+@example(traces=[(1,), (2, 4, 1), (3, 4)], windows={2, 4, 6}, kinds={"mset", "seq"}, w=2, seed=0)
+def test_shared_tables_equal_direct_extraction(traces, windows, kinds, w, seed):
+    # The derived log's alphabet is larger than its base log's, so its
+    # contexts pack in a larger base.
+    flat = np.array([aid for trace in traces for aid in trace], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(trace) for trace in traces])
+    log = EventLog.from_arrays(flat, offsets, Alphabet(list("abcd")))
+    derived = generate_ground_truth_log(log, {traces[0][0]}, w=w, seed=seed).log
+    grid = expand_grid(("ac",), sorted(kinds), ("none",), sorted(windows))
+    for source in (log, derived):
+        tables = pipeline.shared_tables(source, grid)
+        assert list(tables) == [(config.kind, config.window) for config in grid]
+        for (kind, window), table in tables.items():
+            _assert_same_table(table, extract_occurrences(source, window, kind))
+
+
+def test_bad_fine_table_is_a_parameter_error():
+    log = worked_log()
+    other = log_from_label_traces([list("abcde")] * 5)
+    extract_occurrences(log, 4, "mset", fine=extract_occurrences(log, 4, "seq"))
+    for fine in (
+        extract_occurrences(log, 5, "mset"),  # not a sequence table
+        extract_occurrences(log, 3, "seq"),  # a smaller window
+        extract_occurrences(other, 5, "seq"),  # another log's event count
+    ):
+        with pytest.raises(ParameterError):
+            extract_occurrences(log, 4, "mset", fine=fine)

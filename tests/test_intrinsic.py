@@ -3,8 +3,8 @@ import multiprocessing
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from dataclasses import replace
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -494,6 +494,33 @@ class TestRunner:
             ("ac", "FloatingPointError: overflow in the ac scores")
         }
 
+    @pytest.mark.parametrize("cpus, jobs, workers", [
+        (64, 9, 2),  # two chunks of at most 8 jobs
+        (1, 28, 1),
+        (None, 28, 1),  # os.cpu_count() may not know
+        (3, 28, 3),
+    ])
+    def test_pool_has_a_worker_per_chunk_at_most(self, monkeypatch, cpus, jobs, workers):
+        # A stand-in executor records its arguments and runs each chunk in
+        # this process, so no worker process is started.
+        log = log_from_label_traces([["a", "b", "c", "b"]] * 12)
+        configs = [make_config("aa", "mset", "none", 3)]
+        plan = enumerate_benchmark_plan(log, 5, 42)
+        assert len(plan.jobs) >= jobs
+        plan = replace(plan, jobs=plan.jobs[:jobs])
+        pools = []
+
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, **kwargs):
+                pools.append(kwargs)
+                super().__init__(max_workers=1)
+
+        monkeypatch.setattr(intrinsic, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        parallel = run_intrinsic_benchmark(log, configs, plan=plan, parallel=True)
+        assert pools == [{"max_workers": workers}]
+        assert parallel == run_intrinsic_benchmark(log, configs, plan=plan)
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers must inherit the patched _run_job")
     def test_dead_worker_fails_only_the_unfinished_jobs(self, monkeypatch, tmp_path):
@@ -505,7 +532,8 @@ class TestRunner:
         # Two workers, whatever the CPU count: a later chunk can only finish
         # before an earlier one while a second worker runs it.
         monkeypatch.setattr(
-            intrinsic, "ProcessPoolExecutor", partial(ProcessPoolExecutor, max_workers=2)
+            intrinsic, "ProcessPoolExecutor",
+            lambda **kwargs: ProcessPoolExecutor(**{**kwargs, "max_workers": 2}),
         )
         monkeypatch.setattr(intrinsic, "_run_job", _run_job_or_die)
         scores, failures = run_intrinsic_benchmark(
