@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, PAD_LABEL, Alphabet, EventLog
+from .log import PAD, PAD_LABEL, Alphabet, EventLog, _intern
 
 
 class ContextKind(str, Enum):
@@ -198,29 +198,6 @@ def _intern_contexts(
         _sort_columns(columns)
     first, numbers = _intern(_packed_keys(columns, base))
     return np.ascontiguousarray(columns[:, first].T), numbers
-
-
-def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct keys by first appearance.
-
-    Returns (index of each distinct key's first appearance, number of
-    every key). An unstable sort plus a per-run minimum of the original
-    positions costs less than ``np.unique``'s stable sort.
-    """
-    perm = keys.argsort()
-    ordered = keys[perm]
-    starts = np.empty(len(keys), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    groups = np.cumsum(starts, out=ordered)  # reuses the sorted keys' memory
-    groups -= 1
-    numbers = np.empty_like(perm)
-    numbers[perm] = rank[groups]
-    return first[order], numbers
 
 
 def extract_occurrences(

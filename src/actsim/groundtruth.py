@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyLogError, ParameterError
-from .log import EventLog, write_json
+from .log import EventLog, _widen, _with_variant_numbers, write_json
 
 _MASK64 = (1 << 64) - 1
 
@@ -88,6 +88,23 @@ def _pool_slots(picks: np.ndarray, rank: np.ndarray, w: int) -> np.ndarray:
     return slots[rounds, step]
 
 
+def _draws_below(rng: random.Random, sizes: Iterable[int]) -> list[int]:
+    """``[rng.randrange(size) for size in sizes]``, by the rule that
+    ``randrange`` follows for a positive int (``Random._randbelow``): draw
+    ``size.bit_length()`` bits, again while they read ``size`` or more.
+    The picks, the bits drawn and the generator's final state are the
+    same, without two Python calls per pick."""
+    getrandbits = rng.getrandbits
+    picks = []
+    for size in sizes:
+        bits = size.bit_length()
+        pick = getrandbits(bits)
+        while pick >= size:
+            pick = getrandbits(bits)
+        picks.append(pick)
+    return picks
+
+
 def generate_ground_truth_log(
     log: EventLog,
     selected: "AbstractSet[int] | Iterable[int]",
@@ -109,7 +126,8 @@ def generate_ground_truth_log(
 
     Traces are visited in log order; within a trace, pools are consulted
     at the first occurrence of each selected activity, so the derivation
-    is a pure function of (log, selected, w, seed).
+    is a pure function of (log, selected, w, seed). The derived log comes
+    with its ``variant_numbers``, read off the base log's and the draws.
     """
     selected_set = frozenset(selected)
     if not selected_set:
@@ -143,33 +161,36 @@ def generate_ground_truth_log(
     # event in that trace; every event of the activity in that trace takes
     # the drawn clone. Draws are numbered activity by activity.
     events, offsets = log.events, log.offsets
-    runs = []  # per selected activity: its event positions, their draw numbers
-    first_events, ranks, first_clones = [], [], []  # per draw, activity by activity
-    drawn = 0
-    for aid, ids in clone_ids.items():
+    # Per selected activity: its event positions, and per draw the index of
+    # its first event among them and its trace.
+    draws = []
+    for aid in clone_ids:
         where = np.flatnonzero(events == aid)
-        trace = np.searchsorted(offsets, where, side="right")
+        trace = np.searchsorted(offsets, where, side="right") - 1
         new = np.empty(len(where), dtype=bool)
         new[0] = True
         np.not_equal(trace[1:], trace[:-1], out=new[1:])
-        runs.append((where, np.cumsum(new) + (drawn - 1)))
-        first_events.append(where[new])
-        ranks.append(np.arange(len(first_events[-1])))
-        first_clones.append(np.full(len(first_events[-1]), ids[0]))
-        drawn += len(first_events[-1])
-    order = np.concatenate(first_events).argsort()  # draws in (trace, position) order
-    rank = np.concatenate(ranks)
+        heads = np.flatnonzero(new)
+        draws.append((where, heads, trace[heads]))
+    rank = np.concatenate([np.arange(len(heads)) for _, heads, _ in draws])
+    order = np.concatenate([where[heads] for where, heads, _ in draws]).argsort()
     # The k-th draw of an activity finds w - k % w clones left in its pool,
     # so every pool size is known before the draws, which stay in log order.
-    rng = random.Random(seed)
-    picks = np.empty(drawn, dtype=np.int64)
-    picks[order] = [rng.randrange(size) for size in (w - rank[order] % w).tolist()]
-    clone_of = np.concatenate(first_clones) + _pool_slots(picks, rank, w)
+    picks = np.empty(len(rank), dtype=np.int64)
+    picks[order] = _draws_below(random.Random(seed), (w - rank[order] % w).tolist())
+    slots = _pool_slots(picks, rank, w)
 
+    # A derived trace is fixed by its base variant and the slot each of
+    # its selected activities drew, so those number its variant.
     derived_events = events.copy()
-    for where, draw in runs:
-        derived_events[where] = clone_of[draw]
-    derived = EventLog.from_arrays(derived_events, offsets, alphabet)
+    keys = log.variant_numbers.copy()
+    bound = int(keys.max()) + 1
+    ends = np.cumsum([len(heads) for _, heads, _ in draws])
+    for ids, (where, heads, trace), slot in zip(clone_ids.values(), draws, np.split(slots, ends)):
+        derived_events[where] = np.repeat(ids[0] + slot, np.diff(heads, append=len(where)))
+        bound = _widen(keys, w, bound)
+        keys[trace] += slot
+    derived = _with_variant_numbers(EventLog.from_arrays(derived_events, offsets, alphabet), keys)
     return GroundTruthLog(
         log=derived,
         classes=ClassAssignment(phi=phi, psi=psi),

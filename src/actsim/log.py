@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -96,6 +96,56 @@ def _split(flat: list, offsets: np.ndarray) -> Iterator[list]:
     return (flat[start:end] for start, end in zip(bounds, bounds[1:]))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct keys by first appearance.
+
+    Returns (index of each distinct key's first appearance, number of
+    every key). An unstable sort plus a per-run minimum of the original
+    positions costs less than ``np.unique``'s stable sort.
+    """
+    perm = keys.argsort()
+    ordered = keys[perm]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    groups = np.cumsum(starts, out=ordered)  # reuses the sorted keys' memory
+    groups -= 1
+    numbers = np.empty_like(perm)
+    numbers[perm] = rank[groups]
+    return first[order], numbers
+
+
+def _widen(keys: np.ndarray, radix: int, bound: int) -> int:
+    """Shift the int64 ``keys``, all below ``bound``, one base-``radix``
+    digit up in place, and return the bound once a digit is added.
+
+    Keys that the shift could overflow are first renumbered by
+    :func:`_intern`, which keeps equal keys equal and distinct ones
+    distinct.
+    """
+    if bound * radix > 1 << 63:
+        first, keys[:] = _intern(keys)
+        bound = len(first)
+    keys *= radix
+    return bound * radix
+
+
+def _with_variant_numbers(log: "EventLog", keys: np.ndarray) -> "EventLog":
+    """Store ``variant_numbers`` on ``log``, read off int64 ``keys`` that
+    are equal for two traces exactly when the traces are."""
+    vars(log)["variant_numbers"] = _read_only(_intern(keys)[1])
+    return log
+
+
 class Variants(NamedTuple):
     """The distinct traces of a log, in order of first appearance.
 
@@ -117,10 +167,12 @@ class EventLog:
     scans (context interning, ground-truth derivation) are deterministic.
     Traces are never empty and never contain the PAD id.
 
-    ``traces`` (tuples of activity ids) and ``variants`` are derived on
-    first read and cached. ``EventLog(traces, alphabet)`` packs the tuples
-    and keeps them as the ``traces`` view; :meth:`from_arrays` builds a log
-    that makes no tuples unless ``traces`` is read.
+    ``traces`` (tuples of activity ids), ``variant_numbers`` and
+    ``variants`` are derived on first read and cached; code that builds a
+    log and already knows its variants hands them over through
+    :func:`_with_variant_numbers`. ``EventLog(traces, alphabet)`` packs the tuples and keeps
+    them as the ``traces`` view; :meth:`from_arrays` builds a log that
+    makes no tuples unless ``traces`` is read.
     """
 
     def __init__(self, traces: Sequence[Sequence[int]], alphabet: Alphabet) -> None:
@@ -189,20 +241,34 @@ class EventLog:
         return tuple(map(tuple, _split(self.events.tolist(), self.offsets)))
 
     @cached_property
-    def variants(self) -> Variants:
-        """The distinct-trace decomposition, computed once per log.
+    def variant_numbers(self) -> np.ndarray:
+        """The variant of every trace: equal traces share a number, and the
+        distinct traces are numbered 0, 1, ... by first appearance.
 
         Traces are compared as the bytes of their event slices, which are
-        equal exactly when the id sequences are.
+        equal exactly when the id sequences are. One dict pass in trace
+        order maps each trace to the index of its first equal trace.
         """
         width = self.events.itemsize
-        data = self.events.tobytes()
-        counts = Counter(_split(data, self.offsets * width))
-        keys = list(counts)
-        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys)) // width
-        multiplicities = np.fromiter(counts.values(), dtype=np.int64, count=len(keys))
-        lengths.flags.writeable = multiplicities.flags.writeable = False
-        return Variants(np.frombuffer(b"".join(keys), dtype=np.int64), lengths, multiplicities)
+        traces = list(_split(self.events.tobytes(), self.offsets * width))
+        first = np.fromiter(
+            map({}.setdefault, traces, count()), dtype=np.int64, count=len(traces)
+        )
+        new = first == np.arange(len(first))
+        return _read_only((np.cumsum(new) - 1)[first])
+
+    @cached_property
+    def variants(self) -> Variants:
+        """The distinct traces, read off ``variant_numbers``: a trace whose
+        number tops every number before it is its variant's first."""
+        numbers = self.variant_numbers
+        firsts = np.flatnonzero(np.diff(np.maximum.accumulate(numbers), prepend=-1))
+        lengths = np.diff(self.offsets)[firsts]
+        ends = np.cumsum(lengths)
+        at = np.repeat(self.offsets[firsts] - ends + lengths, lengths)
+        at += np.arange(len(at))
+        counts = np.bincount(numbers, minlength=len(firsts))
+        return Variants(*map(_read_only, (self.events[at], lengths, counts)))
 
     @property
     def is_empty(self) -> bool:

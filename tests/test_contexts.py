@@ -304,16 +304,21 @@ def test_row_labels_and_totals_describe_the_rows(raw_traces, window, kind):
 def test_shared_tables_dedupe_once(monkeypatch):
     log = log_from_label_traces([list("abcab"), list("ba"), list("abcab")] * 4)
     gt = generate_ground_truth_log(log, {log.alphabet.id_of("a")}, w=3, seed=5)
-    variants = EventLog.variants
-    decompositions = []
+    calls = {"variants": [], "variant_numbers": []}
 
-    def counting(self):
-        decompositions.append(self)
-        return variants.func(self)
+    def spy(name):
+        cached = getattr(EventLog, name)
 
-    spy = type(variants)(counting)
-    spy.__set_name__(EventLog, "variants")
-    monkeypatch.setattr(EventLog, "variants", spy)
+        def counting(self):
+            calls[name].append(self)
+            return cached.func(self)
+
+        wrapped = type(cached)(counting)
+        wrapped.__set_name__(EventLog, name)
+        monkeypatch.setattr(EventLog, name, wrapped)
+
+    spy("variants")
+    spy("variant_numbers")
     extractions = []
     extract = pipeline.extract_occurrences
 
@@ -327,7 +332,9 @@ def test_shared_tables_dedupe_once(monkeypatch):
     grid = expand_grid(("aa", "ac", "substitution"), ("mset", "seq"), ("none", "pmi"), (3, 5))
     tables = pipeline.shared_tables(gt.log, grid)
     assert len(tables) == len(extractions) == 4
-    assert len(decompositions) == 1 and decompositions[0] is gt.log
+    # The derivation hands the derived log its variant numbers, so the
+    # tables derive its variants once and never dedupe its traces.
+    assert calls == {"variants": [gt.log], "variant_numbers": []}
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from actsim import (
     splitmix64,
     write_classes_json,
 )
+from actsim.groundtruth import _draws_below
 from reference import naive_ground_truth
 from synthetic_logs import random_small_log
 
@@ -178,6 +180,65 @@ def test_generate_matches_naive_oracle(case):
     assert gt.log.traces == derived
     assert gt.classes.phi == phi
     assert gt.classes.psi == psi
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 9), max_size=40), st.integers(0, 2**64))
+@example([1] * 20, 0)  # a pool of one still draws bits
+def test_draws_follow_randrange(sizes, seed):
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert _draws_below(rng, sizes) == [reference.randrange(size) for size in sizes]
+    assert rng.getstate() == reference.getstate()
+
+
+@st.composite
+def shared_derivation_cases(draw):
+    """(traces, alphabet size, selected ids, w, seed) over a few distinct
+    traces repeated many times, so that derived traces repeat too."""
+    size = draw(st.integers(1, 6))
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(1, size), min_size=1, max_size=6).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    traces = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    occurring = sorted({aid for trace in traces for aid in trace})
+    selected = draw(st.sets(st.sampled_from(occurring), min_size=1))
+    return tuple(traces), size, selected, draw(st.integers(2, 6)), draw(st.integers(0, 2**64))
+
+
+def packing_boundary_case(r):
+    """r activities with pools of two, all in one trace between two traces
+    without any (base variants 0 and 2). At r = 61 the keys pack without
+    renumbering; at r = 63 and 64, 2 * 2**r wraps to a multiple of 2**64,
+    so variants 0 and 2 would merge unless the keys are renumbered."""
+    clones = tuple(range(3, r + 3))
+    return ((1,), clones, (2,), clones, (1,), clones) * 2, r + 2, set(clones), 2, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_derivation_cases())
+@example(packing_boundary_case(61))
+@example(packing_boundary_case(63))
+@example(packing_boundary_case(64))
+def test_derived_log_carries_its_variants(case):
+    traces, size, selected, w, seed = case
+    log = EventLog(traces, Alphabet(f"x{i}" for i in range(1, size + 1)))
+    gt = generate_ground_truth_log(log, selected, w=w, seed=seed)
+    assert "variant_numbers" in vars(gt.log)
+    fresh = EventLog.from_arrays(gt.log.events, gt.log.offsets, gt.log.alphabet)
+    numbers: dict[tuple[int, ...], int] = {}
+    assert gt.log.variant_numbers.tolist() == [
+        numbers.setdefault(trace, len(numbers)) for trace in gt.log.traces
+    ]
+    for carried, deduped in zip(
+        (gt.log.variant_numbers, *gt.log.variants), (fresh.variant_numbers, *fresh.variants)
+    ):
+        assert carried.dtype == deduped.dtype
+        assert carried.flags.writeable == deduped.flags.writeable
+        assert np.array_equal(carried, deduped)
 
 
 class TestPlan:

@@ -37,6 +37,20 @@ def worked_log() -> EventLog:
     return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
 
 
+@st.composite
+def repeated_traces(draw):
+    """(alphabet size, traces): a few distinct traces, each repeated."""
+    size = draw(st.integers(1, 600))
+    pool = draw(
+        st.lists(
+            st.lists(st.integers(1, size), min_size=1, max_size=12).map(tuple),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return size, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
 class TestAlphabet:
     def test_pad_is_id_zero(self):
         alphabet = Alphabet(["x", "y"])
@@ -128,7 +142,7 @@ class TestEventLog:
         assert log.traces == () and log.label_traces() == []
         assert log.offsets.tolist() == [0] and log.events.tolist() == []
         assert log.activity_counts() == {}
-        assert len(log.variants.counts) == 0
+        assert len(log.variants.counts) == 0 and len(log.variant_numbers) == 0
 
     def test_traces_round_trip(self):
         traces = ((1, 2, 2), (3,), (1, 2, 2), (2, 1))
@@ -148,6 +162,30 @@ class TestEventLog:
         assert lengths.tolist() == [2, 1, 2]
         assert counts.tolist() == [3, 2, 1]
         assert log.variants is log.variants
+        assert log.variant_numbers.tolist() == [0, 1, 0, 2, 1, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_traces())
+    # Traces that differ only in their first event, only in their length,
+    # or that end with another whole trace.
+    @example((511, [(1,) + (511,) * 9, (2,) + (511,) * 9, (1,) + (511,) * 9, (1,) * 8, (1,) * 9]))
+    @example((600, [(600,) * 14, (599,) + (600,) * 13, (600,) * 14, (1,)]))
+    @example((511, [(1,) * 7 + (5, 6, 7, 8, 9, 10, 11), (5, 6, 7, 8, 9, 10, 11)]))
+    @example((2, [(1,) * 65, (1,) * 64, (1,) * 65, (1,) * 64 + (2,), (2,) + (1,) * 64, (1,) * 65]))
+    def test_variant_numbers_match_a_dedupe(self, case):
+        size, traces = case
+        log = EventLog(traces, Alphabet(f"a{i}" for i in range(size)))
+        numbers: dict[tuple[int, ...], int] = {}
+        expected = [numbers.setdefault(trace, len(numbers)) for trace in traces]
+        assert log.variant_numbers.dtype == np.int64
+        assert log.variant_numbers.tolist() == expected
+        events, lengths, counts = log.variants
+        distinct = list(numbers)
+        assert events.tolist() == [aid for trace in distinct for aid in trace]
+        assert lengths.tolist() == list(map(len, distinct))
+        assert counts.tolist() == [traces.count(trace) for trace in distinct]
+        for array in (log.variant_numbers, events, lengths, counts):
+            assert array.dtype == np.int64 and not array.flags.writeable
 
     def test_absent_activity_counts_zero(self):
         log = EventLog(((1, 3, 3),), Alphabet(["a", "b", "c"]))
