@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
@@ -26,8 +26,9 @@ class TimingRecord(ConfigEcho):
     """Measurements for one config; ``error`` is set when the config failed.
 
     ``embed_seconds`` covers extraction, matrix build and weighting;
-    ``distance_seconds`` covers the full pairwise matrix and is 0 for
-    substitution configs, whose cells already are the scores. Memory is
+    ``distance_seconds`` covers the full pairwise matrix, including the
+    table's pair plan, and is 0 for substitution configs, whose cells
+    already are the scores. Memory is
     estimated analytically: dense as rows x dimension x 8 bytes, sparse
     as stored nonzeros x 16 (8-byte value plus 8 bytes of indices). A
     failed config keeps every measurement at 0.
@@ -99,8 +100,13 @@ def run_runtime_bench(
             embed_seconds, built = _median_of(embed_stage, repetitions)
             distance_seconds = 0.0
             if isinstance(built, EmbeddingMatrix):
+                # Each repetition compares over a copy of the table with an
+                # empty cache, so each one pays for the table's pair plan.
+                copies = iter(
+                    [replace(built, table=replace(built.table)) for _ in range(repetitions)]
+                )
                 distance_seconds, _ = _median_of(
-                    lambda: pairwise_distance_matrix(built), repetitions
+                    lambda: pairwise_distance_matrix(next(copies)), repetitions
                 )
             stats = _values_stats(built.values)
         except Exception as exc:

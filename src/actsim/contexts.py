@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -122,19 +122,101 @@ class OccurrenceTable:
         return tuple(map(tuple, self.symbols.tolist()))
 
     @cached_property
+    def pair_plan(self) -> "PairPlan | None":
+        """The row pairs that share a column of ``counts``, built on first
+        use; None when there are more than ``_PAIR_CAP`` of them."""
+        return _pair_plan(self.counts)
+
+    @cached_property
     def aa_counts(self) -> np.ndarray:
         """The raw activity-activity counts, rows and columns as in ``counts``.
 
         With M = ``counts`` and B its nonzero indicator this is
         M Bᵀ + (M Bᵀ)ᵀ, evaluated on first use and kept read-only so every
-        AA build over this table shares the one array.
+        AA build over this table shares the one array. Cell (i, j) sums
+        M[i, k] + M[j, k] over the pairs of :attr:`pair_plan`, and the
+        diagonal is twice ``row_totals``; a table without a plan takes the
+        sparse product. Either way the counts are exact int64.
         """
-        indicator = self.counts.copy()
-        indicator.data = np.ones_like(indicator.data)
-        half = (self.counts @ indicator.T).toarray()
-        values = half + half.T
+        plan = self.pair_plan
+        if plan is None:
+            indicator = self.counts.copy()
+            indicator.data = np.ones_like(indicator.data)
+            half = (self.counts @ indicator.T).toarray()
+            values = half + half.T
+        else:
+            data = self.counts.data
+            sums = plan.symmetric(2 * self.row_totals, data[plan.left] + data[plan.right])
+            values = sums.astype(np.int64)
         values.flags.writeable = False
         return values
+
+
+# A table whose columns hold more row pairs than this keeps scipy's sparse
+# products: the plan's memory grows with the pairs (6 bytes each when
+# narrow). The benchmark's sweep tables hold at most about 52k pairs, and
+# its 100k-trace log's smallest table about 670k.
+_PAIR_CAP = 1 << 18
+
+
+def _narrow(bound: int) -> type:
+    """The narrowest of uint16, int32 and int64 that holds 0 .. bound - 1."""
+    if bound <= 1 << 16:
+        return np.uint16
+    return np.int32 if bound <= 1 << 31 else np.int64
+
+
+class PairPlan(NamedTuple):
+    """Every pair of rows i < j that share a column k of a CSR count matrix.
+
+    ``left`` and ``right`` are the storage positions of M[i, k] and
+    M[j, k], and ``cells`` is i * n + j; pairs are listed by ascending k.
+    ``rows`` is the row of each stored count. A sum over a cell's pairs
+    therefore adds its terms in ascending k, as scipy's sparse product
+    does, so the two give the same bits.
+    """
+
+    rows: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    cells: np.ndarray
+
+    def symmetric(self, diagonal: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The float64 n x n matrix with ``diagonal`` on its diagonal and,
+        in cells (i, j) and (j, i), the sum of ``weights`` over the pairs of
+        cell i * n + j, added from +0.0 in plan order."""
+        n = len(diagonal)
+        upper = np.bincount(self.cells, weights=weights, minlength=n * n).reshape(n, n)
+        full = np.add(upper, upper.T, dtype=np.float64)  # no pairs: bincount gives int64
+        np.fill_diagonal(full, diagonal)
+        return full
+
+
+def _pair_plan(counts: sparse.csr_matrix) -> "PairPlan | None":
+    """The :class:`PairPlan` of a canonical CSR ``counts``, or None when
+    its columns hold more than ``_PAIR_CAP`` row pairs."""
+    n, n_cols = counts.shape
+    sizes = np.bincount(counts.indices, minlength=n_cols)
+    n_pairs = int((sizes * (sizes - 1) // 2).sum())
+    if n_pairs > _PAIR_CAP:
+        return None
+    # Storage positions by column; rows stay ascending within a column, as
+    # the sort is stable (a radix sort for narrow indices).
+    order = counts.indices.astype(_narrow(n_cols)).argsort(kind="stable")
+    # Each position pairs with the later positions of its column.
+    nnz = len(order)
+    later = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, nnz + 1)
+    first = np.repeat(np.arange(nnz), later)
+    second = first + 1 + np.arange(n_pairs) - np.repeat(np.cumsum(later) - later, later)
+    rows = np.repeat(np.arange(n, dtype=_narrow(n)), np.diff(counts.indptr))
+    ranked = rows[order].astype(np.int64)
+    positions = _narrow(nnz)
+    return PairPlan(
+        rows=rows,
+        left=order[first].astype(positions),
+        right=order[second].astype(positions),
+        cells=(ranked[first] * n + ranked[second]).astype(_narrow(n * n)),
+    )
 
 
 def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:

@@ -161,35 +161,44 @@ def generate_ground_truth_log(
     # event in that trace; every event of the activity in that trace takes
     # the drawn clone. Draws are numbered activity by activity.
     events, offsets = log.events, log.offsets
-    # Per selected activity: its event positions, and per draw the index of
-    # its first event among them and its trace.
-    draws = []
-    for aid in clone_ids:
-        where = np.flatnonzero(events == aid)
-        trace = np.searchsorted(offsets, where, side="right") - 1
-        new = np.empty(len(where), dtype=bool)
-        new[0] = True
-        np.not_equal(trace[1:], trace[:-1], out=new[1:])
-        heads = np.flatnonzero(new)
-        draws.append((where, heads, trace[heads]))
-    rank = np.concatenate([np.arange(len(heads)) for _, heads, _ in draws])
-    order = np.concatenate([where[heads] for where, heads, _ in draws]).argsort()
+    # Number the selected activities 0..r-1 in id order and every other
+    # id r, in a dtype narrow enough that the stable sort is a radix sort:
+    # the selected events, activity by activity and in log order within
+    # one, are then the first of that order.
+    r = len(clone_ids)
+    numbers = np.full(len(alphabet) + 1, r, dtype=np.min_scalar_type(r))
+    numbers[list(clone_ids)] = np.arange(r)
+    of_event = numbers[events]
+    where = of_event.argsort(kind="stable")[: int(np.count_nonzero(of_event < r))]
+    activity = of_event[where].astype(np.int64)
+    trace = np.repeat(np.arange(log.n_traces, dtype=np.int32), np.diff(offsets))[where]
+    # A draw happens at each event that starts a new (activity, trace) run.
+    new = np.empty(len(where), dtype=bool)
+    new[0] = True
+    np.not_equal(trace[1:], trace[:-1], out=new[1:])
+    new[1:] |= activity[1:] != activity[:-1]
+    heads = np.flatnonzero(new)
+    starts = np.searchsorted(activity[heads], np.arange(r + 1))
+    rank = np.arange(len(heads)) - np.repeat(starts[:-1], np.diff(starts))
+    order = where[heads].argsort(kind="stable")  # merges one sorted run per activity
     # The k-th draw of an activity finds w - k % w clones left in its pool,
     # so every pool size is known before the draws, which stay in log order.
     picks = np.empty(len(rank), dtype=np.int64)
     picks[order] = _draws_below(random.Random(seed), (w - rank[order] % w).tolist())
     slots = _pool_slots(picks, rank, w)
 
+    # Clone ids run on from the alphabet, w per selected activity.
+    derived_events = events.copy()
+    derived_events[where] = len(log.alphabet) + 1 + activity * w + np.repeat(
+        slots, np.diff(heads, append=len(where))
+    )
     # A derived trace is fixed by its base variant and the slot each of
     # its selected activities drew, so those number its variant.
-    derived_events = events.copy()
     keys = log.variant_numbers.copy()
     bound = int(keys.max()) + 1
-    ends = np.cumsum([len(heads) for _, heads, _ in draws])
-    for ids, (where, heads, trace), slot in zip(clone_ids.values(), draws, np.split(slots, ends)):
-        derived_events[where] = np.repeat(ids[0] + slot, np.diff(heads, append=len(where)))
+    for drawn, slot in zip(np.split(trace[heads], starts[1:-1]), np.split(slots, starts[1:-1])):
         bound = _widen(keys, w, bound)
-        keys[trace] += slot
+        keys[drawn] += slot
     derived = _with_variant_numbers(EventLog.from_arrays(derived_events, offsets, alphabet), keys)
     return GroundTruthLog(
         log=derived,

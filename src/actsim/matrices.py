@@ -4,7 +4,7 @@ each carrying the method config that made it."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Union
 
@@ -82,13 +82,16 @@ class EmbeddingMatrix:
     treat it as read-only. ``row_labels`` lists the occurring activity
     ids ascending, so every activity with at least one event has a row.
     ``column_labels`` are activity ids (AA) or a :class:`ContextKeys`
-    view (AC).
+    view (AC). ``table`` is the table the matrix was built from, kept
+    through weighting so cosine can use its pair plan; a hand-built
+    matrix may leave it None.
     """
 
     row_labels: tuple[int, ...]
     column_labels: Union[tuple[int, ...], ContextKeys]
     values: "np.ndarray | sparse.csr_matrix"
     config: MethodConfig
+    table: "OccurrenceTable | None" = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -122,6 +125,7 @@ def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
         column_labels=ContextKeys(table.kind, table.symbols),
         values=table.counts,
         config=MethodConfig("ac", table.kind, "none", table.window_size),
+        table=table,
     )
 
 
@@ -138,6 +142,7 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
         column_labels=table.row_labels,
         values=table.aa_counts,
         config=MethodConfig("aa", table.kind, "none", table.window_size),
+        table=table,
     )
 
 

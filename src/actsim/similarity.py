@@ -70,6 +70,52 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - max(-1.0, min(1.0, s))
 
 
+def _on_pattern(values: sparse.spmatrix, counts: sparse.csr_matrix) -> "np.ndarray | None":
+    """The float64 entries of ``values`` at the storage positions of
+    ``counts``, 0.0 where ``values`` stores none; None unless ``values`` is
+    a CSR matrix whose sorted, unique cells all lie on that pattern."""
+    if values.format != "csr" or values.shape != counts.shape:
+        return None
+    data = values.data.astype(np.float64)
+    if np.array_equal(values.indptr, counts.indptr) and np.array_equal(
+        values.indices, counts.indices
+    ):
+        return data
+    n_cols = counts.shape[1]
+    own, theirs = (
+        np.repeat(np.arange(m.shape[0]) * n_cols, np.diff(m.indptr)) + m.indices
+        for m in (counts, values)
+    )
+    at = np.searchsorted(own, theirs)
+    if len(at) and (
+        at[-1] >= len(own) or (np.diff(at) <= 0).any() or (own[at] != theirs).any()
+    ):
+        return None
+    stored = np.zeros(len(own))
+    stored[at] = data
+    return stored
+
+
+def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
+    """The float64 Gram matrix of the embedding rows.
+
+    A sparse matrix whose table has a pair plan places its values on the
+    table's pattern and sums each cell's products over the plan: in
+    ascending column order from +0.0, as scipy's sparse product, so the
+    bits are the same (a cell that weighting dropped adds a 0.0 product,
+    which leaves the sum unchanged). Any other matrix takes ``x @ x.T``.
+    """
+    values, table = matrix.values, matrix.table
+    plan = table.pair_plan if table is not None and sparse.issparse(values) else None
+    stored = None if plan is None else _on_pattern(values, table.counts)
+    if stored is None:
+        x = values.astype(np.float64)
+        gram = x @ x.T
+        return gram.toarray() if sparse.issparse(gram) else gram
+    squares = np.bincount(plan.rows, weights=stored * stored, minlength=values.shape[0])
+    return plan.symmetric(squares, stored[plan.left] * stored[plan.right])
+
+
 def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
     """All-pairs cosine similarities of the embedding rows.
 
@@ -78,10 +124,7 @@ def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
     are snapped to s = +/-1 so identical rows get distance 0.0 exactly;
     zero rows follow the cosine_distance convention.
     """
-    x = matrix.values.astype(np.float64)
-    gram = x @ x.T
-    if sparse.issparse(gram):
-        gram = gram.toarray()
+    gram = _gram(matrix)
     diag = np.diag(gram).copy()
     norms = np.sqrt(diag)
     outer = np.outer(norms, norms)

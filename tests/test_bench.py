@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from actsim import bench
+from actsim import bench, contexts
 from actsim import (
     AggregateReport,
     Alphabet,
@@ -71,6 +71,21 @@ class TestRuntimeBench:
         sub = report.records[3]
         assert sub.distance_seconds == 0.0
         assert report.records[0].distance_seconds > 0.0
+
+    def test_every_distance_repetition_builds_the_pair_plan(self, monkeypatch):
+        plans = []
+
+        def counting(counts):
+            plans.append(counts)
+            return pair_plan(counts)
+
+        pair_plan = contexts._pair_plan
+        monkeypatch.setattr(contexts, "_pair_plan", counting)
+        for weighting in ("none", "ppmi"):
+            plans.clear()
+            config = make_config("ac", "seq", weighting, 3)
+            run_runtime_bench(worked_log(), [config], repetitions=3)
+            assert len(plans) == 3
 
     def test_error_record_keeps_sweep_going(self):
         bad = MethodConfig("substitution", ContextKind.MULTISET, "none", 3)

@@ -172,6 +172,17 @@ def derivation_cases(draw):
 # Seven traces through pools of w = 2 and 3: both refill twice.
 @example((((1, 2, 2, 1),) * 7, 2, {1, 2}, 3, 5))
 @example((((2, 1), (1,), (2, 2, 2), (1, 2)) * 2, 2, {1, 2}, 2, 0))
+# 280 selected activities: more than a uint8 can number next to the
+# unselected ones, so the per-event numbers take a wider dtype.
+@example(
+    (
+        (tuple(range(1, 301)), tuple(range(300, 0, -2)), (7, 7, 290, 7), tuple(range(1, 301))),
+        300,
+        set(range(1, 281)),
+        3,
+        9,
+    )
+)
 def test_generate_matches_naive_oracle(case):
     traces, size, selected, w, seed = case
     log = EventLog(traces, Alphabet(f"x{i}" for i in range(1, size + 1)))

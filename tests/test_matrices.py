@@ -26,7 +26,7 @@ from actsim import (
     write_distance_csv,
     write_embedding_csv,
 )
-from actsim.contexts import ContextKeys
+from actsim.contexts import ContextKeys, OccurrenceTable
 from actsim.matrices import EmbeddingMatrix
 from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
 from synthetic_logs import random_small_log
@@ -159,19 +159,22 @@ class TestAa:
             assert np.array_equal(ac.dense(), np.array(n_rows))
 
     def test_product_computed_once_per_table(self, monkeypatch):
+        # The AA counts are computed once per table, and build_aa and
+        # substitution_scores both read that one array.
+        counts = OccurrenceTable.__dict__["aa_counts"]
+        compute = counts.func
+        computed = []
+
+        def counting(table):
+            computed.append(table)
+            return compute(table)
+
+        monkeypatch.setattr(counts, "func", counting)
         table = extract_occurrences(worked_log(), 3, "seq")
-        csr = type(table.counts)
-        matmul = csr.__matmul__
-        products = []
-
-        def counting(self, other):
-            products.append(other.shape)
-            return matmul(self, other)
-
-        monkeypatch.setattr(csr, "__matmul__", counting)
-        first, second = build_aa(table), build_aa(table)
         substitution_scores(table)
-        assert len(products) == 1
+        assert computed == [table]
+        first, second = build_aa(table), build_aa(table)
+        assert computed == [table]
         assert first.values is second.values is table.aa_counts
 
     def test_values_are_read_only(self):

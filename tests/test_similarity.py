@@ -1,10 +1,16 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from actsim import (
+    EmbeddingMatrix,
+    MethodConfig,
     ParameterError,
     apply_pmi,
     apply_ppmi,
@@ -17,6 +23,9 @@ from actsim import (
     substitution_scores,
     write_distance_csv,
 )
+from actsim import contexts
+from actsim.contexts import ContextKind, OccurrenceTable
+from actsim.similarity import _gram
 from reference import naive_similarity_matrix, two_copy_cosine
 from synthetic_logs import random_small_log, structured_log
 from test_matrices import FOUR_TRACE
@@ -96,8 +105,6 @@ class TestPairwise:
         assert dist == pytest.approx(1 - 5 / (5 * math.sqrt(27)), abs=1e-12)
 
     def test_row_scaling_invariance(self):
-        from actsim import EmbeddingMatrix
-
         table = extract_occurrences(worked_log(), 3, "mset")
         ac = build_ac(table)
         scaled = EmbeddingMatrix(
@@ -111,8 +118,6 @@ class TestPairwise:
         assert np.allclose(a, b, atol=1e-12)
 
     def test_identical_rows_snap_to_distance_zero(self):
-        from actsim import EmbeddingMatrix, MethodConfig, ContextKind
-
         values = np.array([[3, 7, 2], [3, 7, 2], [1, 0, 0]], dtype=np.int64)
         matrix = EmbeddingMatrix(
             row_labels=(1, 2, 3),
@@ -128,12 +133,114 @@ class TestPairwise:
     @pytest.mark.parametrize("kind", ["mset", "seq"])
     @pytest.mark.parametrize("window", [3, 5])
     def test_one_float_copy_keeps_the_bits(self, kind, window):
-        # The benchmark's W1 log: AC raw, PMI and PPMI (sparse) and AA (dense).
+        # The benchmark's W1 log: AC raw, PMI and PPMI (sparse, through the
+        # table's pair plan) and AA (dense).
         table = extract_occurrences(structured_log(7, 2000, 20), window, kind)
+        assert table.pair_plan is not None
         ac = build_ac(table)
         for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table), build_aa(table)):
             sims = pairwise_distance_matrix(matrix).values
             assert sims.tobytes() == two_copy_cosine(matrix.values).tobytes()
+            if sparse.issparse(matrix.values):
+                assert _gram(matrix).tobytes() == scipy_gram(matrix.values).tobytes()
+
+
+def scipy_gram(values):
+    """The Gram matrix of a sparse matrix's rows by scipy's sparse product."""
+    x = values.astype(np.float64)
+    return (x @ x.T).toarray()
+
+
+def count_table(cells):
+    """An occurrence table over the count matrix ``cells``, one window-2
+    context per column. A row or column without a count gets one, as every
+    activity and context of an extracted table occurs."""
+    dense = np.array(cells, dtype=np.int64)
+    n_rows, n_cols = dense.shape
+    for i in np.flatnonzero(~dense.any(axis=1)):
+        dense[i, i % n_cols] = 1
+    for j in np.flatnonzero(~dense.any(axis=0)):
+        dense[j % n_rows, j] = 1
+    counts = sparse.csr_matrix(dense)
+    return OccurrenceTable(
+        window_size=2,
+        kind=ContextKind.SEQUENCE,
+        symbols=np.arange(n_cols, dtype=np.int64).reshape(-1, 1),
+        counts=counts,
+        row_labels=tuple(range(1, n_rows + 1)),
+        row_totals=dense.sum(axis=1),
+        context_totals=dense.sum(axis=0),
+        total_events=int(dense.sum()),
+    )
+
+
+count_matrices = st.integers(1, 7).flatmap(
+    lambda n_cols: st.lists(
+        st.lists(st.integers(0, 4), min_size=n_cols, max_size=n_cols), min_size=1, max_size=7
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_matrices)
+@example([[1, 1], [1, 1]])  # every PMI cell is exactly 0
+@example([[0, 1, 1], [1, 1, 2]])  # positive, negative and exactly 0 PMI
+@example([[3, 1, 0, 2], [3, 1, 0, 2], [0, 1, 4, 1]])  # tied rows
+@example([[2, 1, 3]])  # one row
+@example([[1], [4], [2]])  # one column
+def test_pair_plan_keeps_the_bits(cells):
+    table = count_table(cells)
+    assert table.pair_plan is not None
+    ac = build_ac(table)
+    for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table)):
+        gram = _gram(matrix)
+        assert gram.tobytes() == scipy_gram(matrix.values).tobytes()
+        assert gram.tobytes() == _gram(replace(matrix, table=None)).tobytes()
+        sims = pairwise_distance_matrix(matrix).values
+        assert sims.tobytes() == two_copy_cosine(matrix.values).tobytes()
+    dense = table.counts.toarray()
+    half = dense @ (dense > 0).T
+    assert table.aa_counts.dtype == np.int64
+    assert np.array_equal(table.aa_counts, half + half.T)
+
+
+class TestPairPlan:
+    def test_one_pair_above_the_cap_gives_the_same_bytes(self, monkeypatch):
+        table = extract_occurrences(structured_log(7, 300, 12), 3, "seq")
+        pairs = len(table.pair_plan.cells)
+        results = []
+        for cap, planned in ((pairs, True), (pairs - 1, False)):
+            monkeypatch.setattr(contexts, "_PAIR_CAP", cap)
+            fresh = replace(table)  # no cached plan or counts
+            assert (fresh.pair_plan is not None) is planned
+            ac = build_ac(fresh)
+            matrices = (ac, apply_pmi(ac, fresh), apply_ppmi(ac, fresh))
+            results.append(
+                [fresh.aa_counts.tobytes()]
+                + [pairwise_distance_matrix(matrix).values.tobytes() for matrix in matrices]
+            )
+        assert results[0] == results[1]
+
+    def test_hand_built_matrix_without_a_table(self):
+        table = extract_occurrences(worked_log(), 3, "seq")
+        weighted = apply_pmi(build_ac(table), table)
+        hand_built = EmbeddingMatrix(
+            weighted.row_labels, weighted.column_labels, weighted.values, weighted.config
+        )
+        assert hand_built.table is None
+        assert weighted.table is table
+        expected = pairwise_distance_matrix(weighted).values
+        assert pairwise_distance_matrix(hand_built).values.tobytes() == expected.tobytes()
+
+    def test_values_off_the_pattern_take_the_sparse_product(self):
+        # A stored cell the table never counted, and a CSC matrix.
+        table = extract_occurrences(worked_log(), 3, "seq")
+        ac = build_ac(table)
+        dense = ac.dense().astype(np.float64)
+        dense[0, np.flatnonzero(dense[0] == 0)[0]] = 2.5
+        for values in (sparse.csr_matrix(dense), ac.values.tocsc()):
+            matrix = replace(ac, values=values)
+            assert _gram(matrix).tobytes() == scipy_gram(values).tobytes()
 
 class TestSubstitution:
     def test_worked_values(self):
