@@ -202,20 +202,24 @@ def _pair_plan(counts: sparse.csr_matrix) -> "PairPlan | None":
         return None
     # Storage positions by column; rows stay ascending within a column, as
     # the sort is stable (a radix sort for narrow indices).
-    order = counts.indices.astype(_narrow(n_cols)).argsort(kind="stable")
-    # Each position pairs with the later positions of its column.
-    nnz = len(order)
+    nnz = counts.nnz
+    positions = _narrow(nnz)
+    order = counts.indices.astype(_narrow(n_cols)).argsort(kind="stable").astype(positions)
+    # Each position pairs with the later positions of its column. The pair
+    # numbers stay intp, as a narrow index array is cast back on every
+    # gather; everything gathered through them is narrow.
     later = np.repeat(np.cumsum(sizes), sizes) - np.arange(1, nnz + 1)
     first = np.repeat(np.arange(nnz), later)
-    second = first + 1 + np.arange(n_pairs) - np.repeat(np.cumsum(later) - later, later)
+    second = np.arange(1, n_pairs + 1)
+    second -= np.repeat(np.cumsum(later) - later, later)
+    second += first
     rows = np.repeat(np.arange(n, dtype=_narrow(n)), np.diff(counts.indptr))
-    ranked = rows[order].astype(np.int64)
-    positions = _narrow(nnz)
+    ranked = rows[order]
     return PairPlan(
         rows=rows,
-        left=order[first].astype(positions),
-        right=order[second].astype(positions),
-        cells=(ranked[first] * n + ranked[second]).astype(_narrow(n * n)),
+        left=order[first],
+        right=order[second],
+        cells=ranked[first].astype(_narrow(n * n)) * n + ranked[second],
     )
 
 
@@ -258,10 +262,21 @@ def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.nda
     return columns
 
 
+# Up to this many slots an odd-even transposition network sorts a column
+# block faster than np.sort; above it np.sort wins, and the network's
+# ~w²/2 numpy calls grow without bound. On 600k contexts (2-core x86-64
+# VM, numpy 2.4): 6 slots 24 vs 29 ms, 8 slots 47 vs 28 ms.
+_NETWORK_WIDTH = 6
+
+
 def _sort_columns(columns: np.ndarray) -> None:
-    """Sort every column of a short ``(width, m)`` array in place, by an
-    odd-even transposition network of elementwise minima and maxima."""
+    """Sort every column of a ``(width, m)`` array in place: by an odd-even
+    transposition network of elementwise minima and maxima when it has at
+    most ``_NETWORK_WIDTH`` rows, by ``np.sort`` otherwise."""
     width = len(columns)
+    if width > _NETWORK_WIDTH:
+        columns.sort(axis=0)
+        return
     for step in range(width):
         for i in range(step % 2, width - 1, 2):
             low = np.minimum(columns[i], columns[i + 1])
@@ -269,13 +284,11 @@ def _sort_columns(columns: np.ndarray) -> None:
             columns[i] = low
 
 
-def _intern_contexts(
-    centers: np.ndarray, lengths: np.ndarray, n: int, kind: ContextKind, base: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(n_ctx, n-1)`` symbols of the distinct contexts in order of
-    first appearance, and the context number of every event. The window
-    arrays live only here, so they are freed before the counts are built."""
-    columns = _context_columns(centers, lengths, n)
+def _tabulate(columns: np.ndarray, kind: ContextKind, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_ctx, n-1)`` symbols of the distinct contexts of the
+    ``(n-1, m)`` slot array ``columns``, in order of first appearance, and
+    the context number of each of its m columns. Multiset columns are
+    sorted in place first."""
     if kind is ContextKind.MULTISET:
         _sort_columns(columns)
     first, numbers = _intern(_packed_keys(columns, base))
@@ -296,13 +309,20 @@ def extract_occurrences(
     totals and the context interning order unchanged (a repeated trace can
     never introduce a context that its first occurrence did not). Each
     context slot is one gather from a padded copy of the variants, and the
-    counts come straight from one sort of the (row, context) keys.
+    counts come straight from one sort of the (row, context) keys. The
+    window arrays are handed straight to the tabulation, so they are freed
+    before the counts are built.
 
     ``fine``, a sequence table of this same log at a window of at least
-    ``window_size``, replaces the scan: the table is coarsened from its
-    contexts and nonzero cells (see :func:`_coarsen`) and equals the
-    scanned one in every array. A fine table of another kind, a smaller
-    window or another event count is a :class:`ParameterError`.
+    ``window_size``, replaces the scan and gives a table equal to the
+    scanned one in every array. Windows nest, so the coarse slots are a
+    subset of the fine ones, and a multiset context is its sorted sequence
+    context: each fine context maps to one coarse context. Fine contexts
+    are numbered by first appearance, so numbering the coarse ones by first
+    appearance in fine order gives each its smallest fine number, exactly
+    the order a scan would give. The counts are the fine cells re-keyed. A
+    fine table of another kind, a smaller window or another event count is
+    a :class:`ParameterError`.
     """
     kind = _coerce_kind(kind)
     if log.is_empty:
@@ -323,19 +343,20 @@ def extract_occurrences(
                 f"n={fine.window_size}) table of {fine.total_events} events: it must be "
                 f"a seq table of this log's {log.n_events} events at a window of at least {n}"
             )
-        symbols, counts = _coarsen(fine, n, kind, base)
-        row_labels, row_totals, total_events = fine.row_labels, fine.row_totals, fine.total_events
+        slots = np.searchsorted(_shifts(fine.window_size), _shifts(n))
+        symbols, numbers = _tabulate(fine.symbols.T[slots], kind, base)
+        cells, row_labels = fine.counts, fine.row_labels
+        rows = np.repeat(np.arange(cells.shape[0]), np.diff(cells.indptr))
+        context_ids, weights = numbers[cells.indices], cells.data
     else:
         centers, lengths, multiplicities = log.variants
-        symbols, context_ids = _intern_contexts(centers, lengths, n, kind, base)
+        symbols, context_ids = _tabulate(_context_columns(centers, lengths, n), kind, base)
         occurs = np.bincount(centers) > 0
-        activities = np.flatnonzero(occurs)
+        row_labels = tuple(np.flatnonzero(occurs).tolist())
         rows = (np.cumsum(occurs) - 1)[centers]
         weights = np.repeat(multiplicities, lengths)
-        counts = _csr_counts(rows, context_ids, weights, (len(activities), len(symbols)))
-        row_labels = tuple(activities.tolist())
-        row_totals = np.asarray(counts.sum(axis=1)).ravel()
-        total_events = int(weights.sum())
+    counts = _csr_counts(rows, context_ids, weights, (len(row_labels), len(symbols)))
+    row_totals = np.asarray(counts.sum(axis=1)).ravel()
     return OccurrenceTable(
         window_size=n,
         kind=kind,
@@ -344,32 +365,8 @@ def extract_occurrences(
         row_labels=row_labels,
         row_totals=row_totals,
         context_totals=np.asarray(counts.sum(axis=0)).ravel(),
-        total_events=total_events,
+        total_events=int(row_totals.sum()),
     )
-
-
-def _coarsen(
-    fine: OccurrenceTable, n: int, kind: ContextKind, base: int
-) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The symbols and counts of the (kind, n) table of the log that the
-    sequence table ``fine`` counts, at a window of at most its own.
-
-    Windows nest, so the coarse slots are a subset of the fine ones, and a
-    multiset context is its sorted sequence context. Each fine context thus
-    maps to one coarse context. Fine contexts are numbered by first
-    appearance, so numbering the coarse keys by first appearance in fine
-    order numbers each coarse context by its smallest fine number: exactly
-    the order a scan would give. The counts are the fine cells re-keyed.
-    """
-    fine_shifts = _shifts(fine.window_size)
-    columns = fine.symbols.T[[fine_shifts.index(shift) for shift in _shifts(n)]]
-    if kind is ContextKind.MULTISET:
-        _sort_columns(columns)
-    first, numbers = _intern(_packed_keys(columns, base))
-    cells = fine.counts
-    rows = np.repeat(np.arange(cells.shape[0]), np.diff(cells.indptr))
-    counts = _csr_counts(rows, numbers[cells.indices], cells.data, (cells.shape[0], len(first)))
-    return np.ascontiguousarray(columns[:, first].T), counts
 
 
 def _csr_counts(
@@ -378,18 +375,23 @@ def _csr_counts(
     """The canonical int64 CSR of the summed ``weights`` per (row, col):
     indices sorted within each row, no duplicates, no explicit zeros (every
     weight is positive), index arrays as narrow as scipy would pick."""
-    cells = rows * shape[1] + cols
+    # Each event-sized array goes as soon as it is used: on the largest
+    # tables this step sets the extraction's memory peak.
+    cells = rows * shape[1]
+    cells += cols
     perm = cells.argsort()
-    ordered = cells[perm]
-    starts = np.empty(len(ordered), dtype=bool)
-    starts[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    heads = np.flatnonzero(starts)
-    cells = ordered[heads]
+    cells = cells[perm]
+    running = weights[perm]
+    del perm
     # Per-cell sums as differences of the running total at each cell's
     # last sorted position (cheaper than add.reduceat over short runs).
-    ends = np.append(heads[1:], len(ordered)) - 1
-    data = np.diff(np.cumsum(weights[perm])[ends], prepend=0)
+    np.cumsum(running, out=running)
+    last = np.empty(len(cells), dtype=bool)
+    last[-1] = True
+    np.not_equal(cells[:-1], cells[1:], out=last[:-1])
+    ends = np.flatnonzero(last)
+    cells = cells[ends]
+    data = np.diff(running[ends], prepend=0)
     index_dtype = np.int32 if max(len(cells), *shape) < 2**31 else np.int64
     indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
     np.cumsum(np.bincount(cells // shape[1], minlength=shape[0]), out=indptr[1:])

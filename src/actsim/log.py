@@ -106,7 +106,8 @@ def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (index of each distinct key's first appearance, number of
     every key). An unstable sort plus a per-run minimum of the original
-    positions costs less than ``np.unique``'s stable sort.
+    positions costs less than ``np.unique``'s stable sort. The keys' dtype
+    must hold their number of distinct values.
     """
     perm = keys.argsort()
     ordered = keys[perm]
@@ -119,8 +120,9 @@ def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank[order] = np.arange(len(order))
     groups = np.cumsum(starts, out=ordered)  # reuses the sorted keys' memory
     groups -= 1
+    np.take(rank, groups, out=groups)  # take's buffer is freed before numbers is made
     numbers = np.empty_like(perm)
-    numbers[perm] = rank[groups]
+    numbers[perm] = groups
     return first[order], numbers
 
 
@@ -574,18 +576,17 @@ def parse_csv(
         order = np.lexsort((np.frombuffer(stamps, dtype=np.int64), case_codes))
     else:
         order = np.argsort(case_codes, kind="stable")
-    events = np.frombuffer(label_of, dtype=np.int64)[order]
+    # The label codes 1..len(labels), narrowed: they set this step's peak.
+    events = np.frombuffer(label_of, dtype=np.int64).astype(np.min_scalar_type(len(labels)))[order]
     del case_codes, case_of, label_of, order
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     # Renumber the labels by their first appearance in trace order.
-    first = np.unique(events, return_index=True)[1]
-    by_first = np.argsort(first)
-    renumber = np.empty(len(first) + 1, dtype=np.int64)
-    renumber[by_first + 1] = np.arange(1, len(first) + 1)
+    first, numbers = _intern(events)
+    numbers += 1
     keys = list(labels)
-    alphabet = Alphabet(keys[code] for code in by_first.tolist())
-    return EventLog.from_arrays(renumber[events], offsets, alphabet)
+    alphabet = Alphabet(keys[code - 1] for code in events[first].tolist())
+    return EventLog.from_arrays(numbers, offsets, alphabet)
 
 
 _TRACE, _EVENT, _STRING = 1, 2, 3

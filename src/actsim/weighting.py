@@ -2,8 +2,8 @@
 
 For a cell holding joint count j with row total r, column total c and
 grand total N, PMI is ln((j/N) / ((r/N)(c/N))); cells with a zero count
-stay zero, so sparsity is preserved. PPMI clamps negatives to zero. The
-logarithm is natural.
+stay zero, so sparsity is preserved. PPMI clamps negatives to zero in the
+same pass. The logarithm is natural.
 """
 
 from __future__ import annotations
@@ -45,46 +45,43 @@ def _log_ratios(counts: np.ndarray, n: float, expected: np.ndarray) -> np.ndarra
 
 def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
     """PMI-weight a raw count matrix; ``table`` must be the one it was built from."""
+    return apply_weighting(matrix, table, "pmi")
+
+
+def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
+    """PMI with negatives clamped to zero; ``table`` as for :func:`apply_pmi`."""
+    return apply_weighting(matrix, table, "ppmi")
+
+
+def apply_weighting(
+    matrix: EmbeddingMatrix, table: OccurrenceTable, weighting: str
+) -> EmbeddingMatrix:
+    """Weight a raw count matrix by name; ``none`` returns it unchanged.
+
+    One log-ratio pass over the counts' cells gives PMI, clamped in place
+    for PPMI. A sparse result keeps the counts' own pattern in its storage
+    order (no re-sort) and drops the cells that came out exactly zero.
+    """
+    if weighting == "none":
+        return matrix
+    if weighting not in ("pmi", "ppmi"):
+        raise ParameterError(f"unknown weighting {weighting!r} (expected one of {WEIGHTINGS})")
     _check_pair(matrix, table)
     n = float(table.total_events)
     row_tot = table.row_totals.astype(np.float64)
     col_tot = row_tot if matrix.config.method == "aa" else table.context_totals
     counts = matrix.values
     if sparse.issparse(counts):
-        # The counts' own pattern, in its storage order: no re-sort. The
-        # index arrays are copied, as eliminate_zeros compacts in place.
         rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-        expected = row_tot[rows] * col_tot[counts.indices]
-        values = sparse.csr_matrix(
-            (_log_ratios(counts.data, n, expected), counts.indices.copy(), counts.indptr.copy()),
-            shape=counts.shape,
-        )
-        values.eliminate_zeros()
+        values = _log_ratios(counts.data, n, row_tot[rows] * col_tot[counts.indices])
     else:
         values = _log_ratios(counts, n, np.outer(row_tot, col_tot))
-    return replace(matrix, values=values, config=replace(matrix.config, weighting="pmi"))
-
-
-def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
-    """PMI followed by clamping negatives to zero; a sparse result drops
-    the zeros the clamp makes."""
-    weighted = apply_pmi(matrix, table)
-    values = weighted.values
-    return replace(
-        weighted,
-        values=values.maximum(0) if sparse.issparse(values) else np.maximum(values, 0.0),
-        config=replace(weighted.config, weighting="ppmi"),
-    )
-
-
-def apply_weighting(
-    matrix: EmbeddingMatrix, table: OccurrenceTable, weighting: str
-) -> EmbeddingMatrix:
-    """Dispatch on the weighting name; ``none`` returns the matrix unchanged."""
-    if weighting == "none":
-        return matrix
-    if weighting == "pmi":
-        return apply_pmi(matrix, table)
     if weighting == "ppmi":
-        return apply_ppmi(matrix, table)
-    raise ParameterError(f"unknown weighting {weighting!r} (expected one of {WEIGHTINGS})")
+        np.maximum(values, 0.0, out=values)
+    if sparse.issparse(counts):
+        # The index arrays are copied, as eliminate_zeros compacts in place.
+        values = sparse.csr_matrix(
+            (values, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
+        )
+        values.eliminate_zeros()
+    return replace(matrix, values=values, config=replace(matrix.config, weighting=weighting))

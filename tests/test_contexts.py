@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from actsim import (
     log_from_label_traces,
     render_context,
 )
-from actsim import pipeline
+from actsim import contexts, pipeline
 from reference import naive_counts, pair_counts
 from synthetic_logs import random_small_log
 
@@ -230,6 +231,40 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
         _assert_same_table(coarse, extract_occurrences(log, window, kind))
         _assert_matches_naive(coarse, traces, window, kind)
     assert unique_axes == []
+
+
+@pytest.mark.parametrize("width", [contexts._NETWORK_WIDTH, contexts._NETWORK_WIDTH + 1])
+@pytest.mark.parametrize("kind", ["mset", "seq"])
+def test_both_column_sorts_match_naive_reference(width, kind):
+    # Window width + 1 sorts `width` slots: by the network at the switch's
+    # width, by np.sort one slot above it. Scanned and coarsened alike.
+    rng = random.Random(width)
+    traces = tuple(
+        tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 12))) for _ in range(10)
+    )
+    log = EventLog(traces, Alphabet(list("abcd")))
+    window = width + 1
+    scanned = extract_occurrences(log, window, kind)
+    _assert_matches_naive(scanned, traces, window, kind)
+    for fine_window in (window, window + 3):
+        fine = extract_occurrences(log, fine_window, "seq")
+        coarse = extract_occurrences(log, window, kind, fine=fine)
+        _assert_same_table(coarse, scanned)
+        _assert_matches_naive(coarse, traces, window, kind)
+
+
+@pytest.mark.parametrize("kind", ["mset", "seq"])
+def test_wide_window_on_a_tiny_log_is_quick(kind):
+    # 99998 slots: a sort or slot lookup quadratic in the width takes hours.
+    traces = ((1, 2), (3, 1))
+    log = EventLog(traces, Alphabet(list("abc")))
+    start = time.perf_counter()
+    fine = extract_occurrences(log, 99999, "seq")
+    scanned = extract_occurrences(log, 99999, kind)
+    coarse = extract_occurrences(log, 99998, kind, fine=fine)
+    assert time.perf_counter() - start < 20
+    _assert_matches_naive(scanned, traces, 99999, kind)
+    _assert_matches_naive(coarse, traces, 99998, kind)
 
 
 def _assert_same_table(table, direct):

@@ -591,6 +591,20 @@ class TestParserOracle:
             assert parse_outcome(parse_xes, source()) == parse_outcome(naive_parse_xes, source()), kind
 
 
+@pytest.mark.parametrize("n_labels", [255, 256])
+def test_csv_label_numbers_across_the_narrow_code_boundary(n_labels):
+    # The label codes are interned in the narrowest dtype that holds them
+    # (uint8 up to 255 labels). Interleaved cases make first appearance in
+    # trace order differ from file order.
+    rows = "".join(f"{i % 3},l{i * 7 % n_labels}\n" for i in range(3 * n_labels))
+    text = "case,activity\n" + rows
+    got, want = parse_csv(text), naive_parse_csv(text)
+    assert len(got.alphabet) == n_labels
+    assert got.alphabet == want.alphabet
+    assert np.array_equal(got.events, want.events)
+    assert np.array_equal(got.offsets, want.offsets)
+
+
 class TestRoundTrip:
     def test_worked_example(self):
         log = parse_csv(WORKED_CSV)

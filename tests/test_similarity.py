@@ -204,6 +204,30 @@ def test_pair_plan_keeps_the_bits(cells):
     assert np.array_equal(table.aa_counts, half + half.T)
 
 
+@settings(max_examples=100, deadline=None)
+@given(count_matrices)
+@example([[1, 1], [1, 1]])  # every PMI cell is exactly 0
+@example([[0, 1, 1], [1, 1, 2]])  # negative cells
+@example([[2, 1, 3]])  # one row
+@example([[1], [4], [2]])  # one column
+def test_ppmi_stores_the_clamped_pmi(cells):
+    # PPMI's CSR is PMI's clamped at zero with the zeros removed: its
+    # pattern, index dtypes and canonical flag, as scipy's maximum(0) gives.
+    table = count_table(cells)
+    ac = build_ac(table)
+    pmi = apply_pmi(ac, table).values
+    clamped = pmi.copy()
+    np.maximum(clamped.data, 0.0, out=clamped.data)
+    clamped.eliminate_zeros()
+    ppmi = apply_ppmi(ac, table).values
+    for expected in (clamped, pmi.maximum(0)):
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(ppmi, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+        assert ppmi.has_canonical_format == expected.has_canonical_format
+
+
 class TestPairPlan:
     def test_one_pair_above_the_cap_gives_the_same_bytes(self, monkeypatch):
         table = extract_occurrences(structured_log(7, 300, 12), 3, "seq")
