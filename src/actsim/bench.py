@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass, fields, replace
@@ -15,7 +14,7 @@ from scipy import sparse
 from .contexts import extract_occurrences
 from .errors import EmptyLogError, ParameterError
 from .intrinsic import AggregateReport, AggregateRow, FailedJob, IntrinsicScores, _error_text
-from .log import EventLog, open_output, write_json, write_json_array
+from .log import EventLog, write_csv, write_json, write_json_array
 from .matrices import ConfigEcho, EmbeddingMatrix, MethodConfig
 from .pipeline import build_embedding
 from .similarity import pairwise_distance_matrix
@@ -207,8 +206,4 @@ def export_report(report: Report, target: str | Path, fmt: str = "json") -> None
         else:  # a record list grows with the sweep: stream it
             write_json_array(_json_entries(report), target)
         return
-    header, rows = _csv_table(report)
-    with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(target, *_csv_table(report))

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, PAD_LABEL, Alphabet, EventLog, _intern
+from .log import PAD, Alphabet, EventLog, _intern
 
 
 class ContextKind(str, Enum):
@@ -54,8 +54,7 @@ def render_context(symbols: tuple[int, ...], kind: "ContextKind | str", alphabet
     """Human-readable context label: ``{x,y}`` for multisets (labels sorted),
     ``<x,y>`` for sequences, with PAD shown as ``__PAD__``."""
     kind = _coerce_kind(kind)
-    labels = [PAD_LABEL if s == PAD else alphabet.label_of(s) for s in symbols]
-    return _render_labels(labels, kind)
+    return _render_labels(alphabet.labels_of(symbols).tolist(), kind)
 
 
 def _render_labels(labels: list[str], kind: ContextKind) -> str:
@@ -245,6 +244,13 @@ def _shifts(n: int) -> list[int]:
     return [shift for shift in range(-left, n - left) if shift != 0]
 
 
+# The most bytes a scan's (n-1) x events int64 slot array may take. A
+# wider window is refused before anything is allocated, so it cannot fail
+# mid-scan for lack of memory or fill the machine. The benchmark's largest
+# slot array is 19 MB (window 5 over 590k events).
+_SLOT_BYTES_CAP = 1 << 31
+
+
 def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:
     """The ``(n-1, len(centers))`` context symbols of every event of the
     traces laid end to end in ``centers``: slot j holds the event
@@ -311,7 +317,10 @@ def extract_occurrences(
     context slot is one gather from a padded copy of the variants, and the
     counts come straight from one sort of the (row, context) keys. The
     window arrays are handed straight to the tabulation, so they are freed
-    before the counts are built.
+    before the counts are built. A scan whose ``(n-1) x events`` int64 slot
+    array would take more than ``_SLOT_BYTES_CAP`` bytes (2 GiB) is a
+    :class:`ParameterError`, raised before anything is allocated;
+    coarsening needs no check, as it never holds more than its fine table.
 
     ``fine``, a sequence table of this same log at a window of at least
     ``window_size``, replaces the scan and gives a table equal to the
@@ -350,6 +359,12 @@ def extract_occurrences(
         context_ids, weights = numbers[cells.indices], cells.data
     else:
         centers, lengths, multiplicities = log.variants
+        slot_bytes = (n - 1) * len(centers) * 8
+        if slot_bytes > _SLOT_BYTES_CAP:
+            raise ParameterError(
+                f"window size {n} needs a {slot_bytes}-byte context slot array, "
+                f"more than the {_SLOT_BYTES_CAP} bytes allowed"
+            )
         symbols, context_ids = _tabulate(_context_columns(centers, lengths, n), kind, base)
         occurs = np.bincount(centers) > 0
         row_labels = tuple(np.flatnonzero(occurs).tolist())

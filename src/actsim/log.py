@@ -77,6 +77,17 @@ class Alphabet:
             raise ParameterError(f"unknown activity id {activity_id}")
         return self._id_to_label[activity_id]
 
+    def labels_of(self, ids: "np.ndarray | Sequence[int]") -> np.ndarray:
+        """The labels of an int array of ids as an object array of its shape,
+        id 0 as ``__PAD__``. An id outside 0..n is a :class:`ParameterError`
+        naming the lowest id if it is negative, else the highest."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size:
+            low, high = int(ids.min()), int(ids.max())
+            if low < 0 or high > len(self):
+                raise ParameterError(f"unknown activity id {low if low < 0 else high}")
+        return np.array(self._id_to_label, dtype=object)[ids]
+
     def activity_ids(self) -> range:
         """Ids of all real activities, ascending (PAD excluded)."""
         return range(1, len(self._id_to_label))
@@ -290,12 +301,9 @@ class EventLog:
         present = np.flatnonzero(counts)
         return Counter(dict(zip(present.tolist(), counts[present].tolist())))
 
-    def _flat_labels(self) -> list[str]:
-        labels = (PAD_LABEL,) + self.alphabet.labels()
-        return [labels[aid] for aid in self.events.tolist()]
-
     def label_traces(self) -> list[tuple[str, ...]]:
-        return list(map(tuple, _split(self._flat_labels(), self.offsets)))
+        labels = self.alphabet.labels_of(self.events).tolist()
+        return list(map(tuple, _split(labels, self.offsets)))
 
 
 class _ReservedKey(LookupError):
@@ -430,6 +438,15 @@ def write_json(payload: object, target: IO[str] | str | Path) -> None:
     with open_output(target) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_csv(target: IO[str] | str | Path, header: list, rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then ``rows`` as CSV with ``\\n`` line endings,
+    each row as it is read."""
+    with open_output(target) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) -> None:
@@ -703,11 +720,9 @@ def write_log_csv(log: EventLog, target: IO[str] | str | Path) -> None:
     Case ids are 1-based trace positions; re-parsing the output yields an
     identical log (same traces, same alphabet order).
     """
-    with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["case", "activity"])
-        for case, labels in enumerate(_split(log._flat_labels(), log.offsets), start=1):
-            writer.writerows(zip(repeat(case), labels))
+    traces = _split(log.alphabet.labels_of(log.events).tolist(), log.offsets)
+    rows = (zip(repeat(case), labels) for case, labels in enumerate(traces, start=1))
+    write_csv(target, ["case", "activity"], chain.from_iterable(rows))
 
 
 @dataclass(frozen=True)
@@ -758,10 +773,8 @@ def compute_stats(log: EventLog) -> LogStats:
 
 def write_stats_csv(stats: LogStats, target: IO[str] | str | Path) -> None:
     """Write the rank-frequency table (``rank,activity,frequency,relative_frequency``)."""
-    with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["rank", "activity", "frequency", "relative_frequency"])
-        for entry in stats.rank_entries:
-            writer.writerow(
-                [entry.rank, entry.label, entry.count, format(entry.relative_frequency, ".17g")]
-            )
+    rows = (
+        [entry.rank, entry.label, entry.count, format(entry.relative_frequency, ".17g")]
+        for entry in stats.rank_entries
+    )
+    write_csv(target, ["rank", "activity", "frequency", "relative_frequency"], rows)

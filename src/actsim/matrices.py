@@ -3,17 +3,16 @@ each carrying the method config that made it."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Iterator, Union
 
 import numpy as np
 from scipy import sparse
 
 from .contexts import ContextKeys, ContextKind, OccurrenceTable, _render_labels
 from .errors import ParameterError
-from .log import PAD_LABEL, Alphabet, open_output
+from .log import Alphabet, write_csv
 
 
 METHODS = ("aa", "ac", "substitution")
@@ -56,12 +55,7 @@ class MethodConfig:
 
     def echo(self) -> dict:
         """The config echo every sidecar and report record starts with."""
-        return {
-            "method": self.method,
-            "context": self.kind.value,
-            "weighting": self.weighting,
-            "window": self.window,
-        }
+        return vars(ConfigEcho(self.method, self.kind.value, self.weighting, self.window))
 
 
 @dataclass(frozen=True)
@@ -148,37 +142,14 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
 
 def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
     """The rendered column labels: activity labels (AA) or context labels (AC)."""
-    if isinstance(matrix.column_labels, ContextKeys):
-        symbols = matrix.column_labels.symbols
-        if symbols.size and symbols.max() > len(alphabet):
-            raise ParameterError(f"unknown activity id {symbols.max()}")
-        labels = (PAD_LABEL,) + alphabet.labels()
-        kind = matrix.column_labels.kind
-        return [_render_labels([labels[s] for s in row], kind) for row in symbols.tolist()]
-    return [alphabet.label_of(label) for label in matrix.column_labels]
+    columns = matrix.column_labels
+    if isinstance(columns, ContextKeys):
+        labels = alphabet.labels_of(columns.symbols).tolist()
+        return [_render_labels(row, columns.kind) for row in labels]
+    return alphabet.labels_of(columns).tolist()
 
 
 _ZERO = format(0, ".17g")
-
-
-def _stored_cells(values: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(indptr, indices, data)`` of ``values`` as a CSR matrix whose rows
-    have sorted, unique column indices.
-
-    Each stored cell holds what ``toarray`` puts there: the cell's entries
-    added onto zero in storage order, so a stored ``-0.0`` reads ``0.0``.
-    """
-    csr = values.tocsr()
-    if csr.has_canonical_format:
-        return csr.indptr, csr.indices, csr.data + 0  # 0 + -0.0 is 0.0
-    n_rows, n_cols = csr.shape
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(csr.indptr))
-    keys, inverse = np.unique(rows * n_cols + csr.indices, return_inverse=True)
-    data = np.zeros(len(keys), dtype=csr.dtype)
-    with np.errstate(all="ignore"):  # as toarray, add inf and -inf silently
-        np.add.at(data, inverse, csr.data)
-    indptr = np.searchsorted(keys, np.arange(n_rows + 1) * n_cols)
-    return indptr, keys % n_cols, data
 
 
 def _write_matrix_csv(
@@ -191,24 +162,32 @@ def _write_matrix_csv(
     label followed by its row of ``values``.
 
     Cells are formatted with 17 significant digits so floats round-trip.
-    A sparse matrix is never densified: each row starts as zero strings
-    and only its stored cells are formatted.
+    A canonical CSR matrix, as every matrix actsim builds, is never
+    densified: each row starts as zero strings and only its stored cells
+    are formatted. Any other sparse matrix (a CSC, or a CSR with duplicate
+    or unsorted indices) is written from its ``toarray()``.
     """
-    with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["activity"] + column_labels)
-        if not sparse.issparse(values):
-            for label, row in zip(row_labels, values):
-                writer.writerow([label] + [format(v, ".17g") for v in row.tolist()])
-            return
-        indptr, indices, data = _stored_cells(values)
-        bounds = indptr.tolist()
-        for i, label in enumerate(row_labels):
-            lo, hi = bounds[i], bounds[i + 1]
-            cells = [label] + [_ZERO] * values.shape[1]
-            for j, v in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
-                cells[j + 1] = format(v, ".17g")
-            writer.writerow(cells)
+    if sparse.issparse(values) and not (values.format == "csr" and values.has_canonical_format):
+        values = values.toarray()
+    write_csv(target, ["activity"] + column_labels, _matrix_rows(row_labels, values))
+
+
+def _matrix_rows(
+    row_labels: list[str], values: "np.ndarray | sparse.csr_matrix"
+) -> Iterator[list[str]]:
+    """Each row label followed by its formatted row of a dense or
+    canonical CSR ``values``."""
+    if not sparse.issparse(values):
+        for label, row in zip(row_labels, values):
+            yield [label] + [format(v, ".17g") for v in row.tolist()]
+        return
+    bounds, data = values.indptr.tolist(), values.data + 0  # 0 + -0.0 is 0.0
+    for i, label in enumerate(row_labels):
+        lo, hi = bounds[i], bounds[i + 1]
+        cells = [label] + [_ZERO] * values.shape[1]
+        for j, v in zip(values.indices[lo:hi].tolist(), data[lo:hi].tolist()):
+            cells[j + 1] = format(v, ".17g")
+        yield cells
 
 
 def write_embedding_csv(
@@ -221,7 +200,7 @@ def write_embedding_csv(
     _write_matrix_csv(
         target,
         column_headers(matrix, alphabet),
-        [alphabet.label_of(aid) for aid in matrix.row_labels],
+        alphabet.labels_of(matrix.row_labels).tolist(),
         matrix.values,
     )
 

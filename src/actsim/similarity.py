@@ -176,7 +176,7 @@ def write_distance_csv(
     """
     path = Path(target)
     cells = sim.distance_matrix() if sim.flavor == "cosine" else sim.values
-    labels = [alphabet.label_of(aid) for aid in sim.labels]
+    labels = alphabet.labels_of(sim.labels).tolist()
     _write_matrix_csv(path, labels, labels, cells)
     meta = dict(
         sim.config.echo(),

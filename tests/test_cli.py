@@ -98,6 +98,16 @@ class TestEmbed:
         assert meta["method"] == "ac" and meta["context"] == "mset"
         assert meta["rows"] == 5 and meta["columns"] == 7
 
+    def test_a_window_too_wide_for_memory_exits_2(self, worked_csv, tmp_path, capsys):
+        code = run([
+            "embed", "--input", worked_csv, "--out-dir", tmp_path / "out",
+            "--method", "ac", "--context", "seq", "--window", 2**40,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: window size 1099511627776 needs a ")
+        assert err.count("\n") == 1
+
     def test_substitution_defaults_to_sequences(self, worked_csv, tmp_path):
         out = tmp_path / "out"
         code = run([

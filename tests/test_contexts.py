@@ -267,6 +267,18 @@ def test_wide_window_on_a_tiny_log_is_quick(kind):
     _assert_matches_naive(coarse, traces, 99998, kind)
 
 
+@pytest.mark.parametrize("kind", ["mset", "seq"])
+def test_a_window_too_wide_for_memory_is_refused_before_the_scan(kind, monkeypatch):
+    log = EventLog(((1, 2), (3, 1)), Alphabet(list("abc")))
+    with pytest.raises(ParameterError, match="slot array"):
+        extract_occurrences(log, 2**40, kind)
+    # Window 3 over 4 events needs a 2 x 4 int64 slot array: 64 bytes.
+    monkeypatch.setattr(contexts, "_SLOT_BYTES_CAP", 64)
+    assert extract_occurrences(log, 3, kind).total_events == 4
+    with pytest.raises(ParameterError, match="window size 4 needs a 96-byte"):
+        extract_occurrences(log, 4, kind)
+
+
 def _assert_same_table(table, direct):
     """Every array of ``table`` equals ``direct``'s, dtypes and shapes included."""
     for name in ("window_size", "kind", "row_labels", "total_events"):

@@ -74,6 +74,16 @@ class TestAlphabet:
         with pytest.raises(ParameterError):
             alphabet.label_of(5)
 
+    def test_labels_of_keeps_the_shape_and_checks_both_ends(self):
+        alphabet = Alphabet(["x", "y"])
+        labels = alphabet.labels_of(np.array([[2, 0], [1, 2]]))
+        assert labels.shape == (2, 2)
+        assert labels.tolist() == [["y", "__PAD__"], ["x", "y"]]
+        assert alphabet.labels_of(()).tolist() == []
+        for ids, bad in (([1, -1, 3], -1), ([1, 3, 4], 4)):
+            with pytest.raises(ParameterError, match=f"unknown activity id {bad}$"):
+                alphabet.labels_of(ids)
+
     def test_extended_keeps_ids(self):
         alphabet = Alphabet(["a", "b"])
         bigger = alphabet.extended(["c"])

@@ -17,6 +17,8 @@ from actsim import (
     MethodConfig,
     PairwiseSimilarity,
     ParameterError,
+    apply_pmi,
+    apply_ppmi,
     build_aa,
     build_ac,
     dimension_bound,
@@ -29,7 +31,7 @@ from actsim import (
 from actsim.contexts import ContextKeys, OccurrenceTable
 from actsim.matrices import EmbeddingMatrix
 from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
-from synthetic_logs import random_small_log
+from synthetic_logs import random_small_log, structured_log
 
 WORKED_AC = np.array(
     [
@@ -199,6 +201,13 @@ class TestExport:
         with pytest.raises(ParameterError, match="unknown activity id 3"):
             write_embedding_csv(ac, Alphabet(["a"]), io.StringIO())
 
+    def test_a_negative_context_id_is_unknown(self):
+        config = MethodConfig("ac", ContextKind.SEQUENCE, "none", 3)
+        columns = ContextKeys(ContextKind.SEQUENCE, np.array([[-1, 1]]))
+        matrix = EmbeddingMatrix((1,), columns, np.array([[1]]), config)
+        with pytest.raises(ParameterError, match="unknown activity id -1$"):
+            write_embedding_csv(matrix, Alphabet(["a", "b"]), io.StringIO())
+
     def test_row_lookup(self):
         log = worked_log()
         ac = build_ac(extract_occurrences(log, 3, "mset"))
@@ -327,3 +336,26 @@ def test_duplicate_entries_add_in_storage_order():
             ["activity", "a", "b", "a", "b"], ["a", "b"], values.toarray().tolist()
         )
         assert buffer.getvalue() == expected
+
+
+@pytest.mark.parametrize("kind", ["mset", "seq"])
+def test_every_matrix_actsim_builds_is_written_without_densifying(kind, monkeypatch):
+    log = structured_log(7, 2000, 20)
+    table = extract_occurrences(log, 3, kind)
+    raw = build_ac(table)
+    names = (PAD_LABEL,) + log.alphabet.labels()
+    header = ["activity"]
+    header += [naive_context_label([names[s] for s in ctx], kind) for ctx in table.contexts]
+    row_names = [names[aid] for aid in table.row_labels]
+    matrices = [raw, apply_pmi(raw, table), apply_ppmi(raw, table)]
+    expected = [naive_matrix_csv(header, row_names, m.values.toarray().tolist()) for m in matrices]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a CSR matrix was densified")
+
+    monkeypatch.setattr(sparse.csr_matrix, "toarray", refuse)
+    for matrix, text in zip(matrices, expected):
+        assert type(matrix.values) is sparse.csr_matrix
+        buffer = io.StringIO()
+        write_embedding_csv(matrix, log.alphabet, buffer)
+        assert buffer.getvalue() == text
