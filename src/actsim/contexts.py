@@ -54,11 +54,7 @@ def render_context(symbols: tuple[int, ...], kind: "ContextKind | str", alphabet
     """Human-readable context label: ``{x,y}`` for multisets (labels sorted),
     ``<x,y>`` for sequences, with PAD shown as ``__PAD__``."""
     kind = _coerce_kind(kind)
-    return _render_labels(alphabet.labels_of(symbols).tolist(), kind)
-
-
-def _render_labels(labels: list[str], kind: ContextKind) -> str:
-    """The context label over the symbols' labels, in symbol order."""
+    labels = alphabet.labels_of(symbols).tolist()
     if kind is ContextKind.MULTISET:
         return "{" + ",".join(sorted(labels)) + "}"
     return "<" + ",".join(labels) + ">"

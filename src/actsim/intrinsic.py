@@ -259,7 +259,7 @@ def _run_job(
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
     """Score one plan job under every config. An exception while deriving
     the ground truth or its tables fails every config; one while scoring a
-    config fails only that config."""
+    config, or a refusal of its own table, fails only that config."""
     try:
         gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
         tables = shared_tables(gt.log, configs)
@@ -271,7 +271,10 @@ def _run_job(
     for config in configs:
         labels = _labels(job, config, log_id)
         try:
-            sim = similarity_for_config(tables[(config.kind, config.window)], config)
+            table = tables[(config.kind, config.window)]
+            if isinstance(table, ParameterError):
+                raise table
+            sim = similarity_for_config(table, config)
             i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
         except Exception as exc:
             failures.append(FailedJob(**labels, error=_error_text(exc)))

@@ -449,6 +449,13 @@ def write_csv(target: IO[str] | str | Path, header: list, rows: Iterable[Iterabl
         writer.writerows(rows)
 
 
+def csv_line(fields: list) -> str:
+    """The line, ``\\n`` included, that :func:`write_csv` writes for ``fields``."""
+    buffer = io.StringIO()
+    write_csv(buffer, fields, ())
+    return buffer.getvalue()
+
+
 def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) -> None:
     """Write the list of ``entries`` exactly as :func:`write_json` would,
     one entry at a time, so the list is never held in memory."""

@@ -10,9 +10,9 @@ from typing import IO, Iterator, Union
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKeys, ContextKind, OccurrenceTable, _render_labels
+from .contexts import ContextKeys, ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet, write_csv
+from .log import Alphabet, csv_line, open_output
 
 
 METHODS = ("aa", "ac", "substitution")
@@ -141,15 +141,36 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
 
 
 def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
-    """The rendered column labels: activity labels (AA) or context labels (AC)."""
+    """The rendered column labels: activity labels (AA) or context labels
+    (AC), each as :func:`~actsim.contexts.render_context` renders it.
+
+    A context header is joined one slot at a time over all contexts at
+    once. A multiset lists its labels sorted as strings, so its slots are
+    ordered by the rank of their label, not by id.
+    """
     columns = matrix.column_labels
-    if isinstance(columns, ContextKeys):
-        labels = alphabet.labels_of(columns.symbols).tolist()
-        return [_render_labels(row, columns.kind) for row in labels]
-    return alphabet.labels_of(columns).tolist()
-
-
-_ZERO = format(0, ".17g")
+    if not isinstance(columns, ContextKeys):
+        return alphabet.labels_of(columns).tolist()
+    ids = columns.symbols
+    alphabet.labels_of(ids)  # an id outside the alphabet fails here as well
+    names = alphabet.labels_of(np.arange(len(alphabet) + 1))
+    if columns.kind is ContextKind.MULTISET:
+        by_rank = np.argsort(names)
+        ids = by_rank[np.sort(np.argsort(by_rank)[ids], axis=1)]
+        opening, closing = "{", "}"
+    else:
+        opening, closing = "<", ">"
+    # Each slot's labels with their punctuation, so a context costs one
+    # string concatenation per slot after the first.
+    last = ids.shape[1] - 1
+    slots = [
+        (opening if j == 0 else ",") + names + (closing if j == last else "")
+        for j in range(last + 1)
+    ]
+    text = slots[0][ids[:, 0]]
+    for j in range(1, last + 1):
+        text = text + slots[j][ids[:, j]]
+    return text.tolist()
 
 
 def _write_matrix_csv(
@@ -162,32 +183,53 @@ def _write_matrix_csv(
     label followed by its row of ``values``.
 
     Cells are formatted with 17 significant digits so floats round-trip.
-    A canonical CSR matrix, as every matrix actsim builds, is never
-    densified: each row starts as zero strings and only its stored cells
-    are formatted. Any other sparse matrix (a CSC, or a CSR with duplicate
-    or unsorted indices) is written from its ``toarray()``.
+    The csv module quotes the header and each row label; a cell is a
+    number, which never needs quoting, so each row's cells are written as
+    one joined string. A canonical CSR matrix, as every matrix actsim
+    builds, is never densified: each run of zeros between its stored cells
+    is one ``",0" * gap`` and each stored value is formatted once, so the
+    Python work follows the stored cells and the bytes written, not rows x
+    columns. Any other sparse matrix (a CSC, or a CSR with duplicate or
+    unsorted indices) is written from its ``toarray()``.
     """
     if sparse.issparse(values) and not (values.format == "csr" and values.has_canonical_format):
         values = values.toarray()
-    write_csv(target, ["activity"] + column_labels, _matrix_rows(row_labels, values))
+    rows = _stored_cells(values) if sparse.issparse(values) else _dense_cells(values)
+    with open_output(target) as handle:
+        handle.write(csv_line(["activity"] + column_labels))
+        for label, cells in zip(row_labels, rows):
+            # A label alone on its line is quoted as a one-field row.
+            head = csv_line([label, ""])[:-2] if cells else csv_line([label])[:-1]
+            handle.write(head + cells + "\n")
 
 
-def _matrix_rows(
-    row_labels: list[str], values: "np.ndarray | sparse.csr_matrix"
-) -> Iterator[list[str]]:
-    """Each row label followed by its formatted row of a dense or
-    canonical CSR ``values``."""
-    if not sparse.issparse(values):
-        for label, row in zip(row_labels, values):
-            yield [label] + [format(v, ".17g") for v in row.tolist()]
-        return
-    bounds, data = values.indptr.tolist(), values.data + 0  # 0 + -0.0 is 0.0
-    for i, label in enumerate(row_labels):
-        lo, hi = bounds[i], bounds[i + 1]
-        cells = [label] + [_ZERO] * values.shape[1]
-        for j, v in zip(values.indices[lo:hi].tolist(), data[lo:hi].tolist()):
-            cells[j + 1] = format(v, ".17g")
-        yield cells
+def _dense_cells(values: np.ndarray) -> Iterator[str]:
+    """Each row's cells, each after a comma."""
+    for row in values:
+        yield "".join(map(",{:.17g}".format, row.tolist()))
+
+
+def _stored_cells(values: sparse.csr_matrix) -> Iterator[str]:
+    """Each row's cells of a canonical CSR, each after a comma, as what
+    ``toarray`` would hold: a stored -0.0 is written ``0``.
+
+    Ints below 2**53 in magnitude are exact as floats, so ``str`` writes
+    them as the 17 significant digits would; any other value is formatted.
+    """
+    data = values.data + 0  # 0 + -0.0 is 0.0
+    exact = data.dtype.kind in "iu" and (
+        not data.size or (-(2**53) < data.min() and data.max() < 2**53)
+    )
+    cell = str if exact else "{:.17g}".format
+    bounds, n_cols = values.indptr.tolist(), values.shape[1]
+    for lo, hi in zip(bounds, bounds[1:]):
+        # The zeros before each stored cell and after the last one.
+        gaps = (np.diff(values.indices[lo:hi], prepend=-1, append=n_cols) - 1).tolist()
+        zeros = {gap: ",0" * gap for gap in set(gaps)}  # gaps repeat within a row
+        parts = [","] * (3 * (hi - lo) + 1)
+        parts[0::3] = map(zeros.__getitem__, gaps)
+        parts[2::3] = map(cell, data[lo:hi].tolist())
+        yield "".join(parts)
 
 
 def write_embedding_csv(

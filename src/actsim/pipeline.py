@@ -74,21 +74,35 @@ def similarity_for_config(table: OccurrenceTable, config: MethodConfig) -> Pairw
 
 def shared_tables(
     log: EventLog, configs: Sequence[MethodConfig]
-) -> dict[tuple[ContextKind, int], OccurrenceTable]:
+) -> dict[tuple[ContextKind, int], "OccurrenceTable | ParameterError"]:
     """One table per distinct (kind, window) pair used by ``configs``, each
     from one ``extract_occurrences`` call, keyed in config order.
 
     A single pair is scanned directly. With more, the log is scanned once,
     as the sequence table at the largest window (made even when no config
     uses it), and every other table is coarsened from that fine table
-    through ``extract_occurrences(..., fine=...)``.
+    through ``extract_occurrences(..., fine=...)``. If that scan is refused
+    (a :class:`ParameterError`, such as a slot array over its bound), every
+    other table is scanned directly. A pair whose own table is refused maps
+    to that error, so only the configs that need it fail.
     """
     pairs = dict.fromkeys((config.kind, config.window) for config in configs)
-    if len(pairs) < 2:
-        return {(kind, n): extract_occurrences(log, n, kind) for kind, n in pairs}
     widest = (ContextKind.SEQUENCE, max(n for _, n in pairs))
-    fine = extract_occurrences(log, widest[1], widest[0])
-    return {
-        (kind, n): fine if (kind, n) == widest else extract_occurrences(log, n, kind, fine=fine)
-        for kind, n in pairs
-    }
+    fine = _scan(log, *widest) if len(pairs) > 1 else None
+    tables = {}
+    for kind, n in pairs:
+        if (kind, n) == widest and fine is not None:
+            tables[kind, n] = fine
+        elif isinstance(fine, OccurrenceTable):
+            tables[kind, n] = extract_occurrences(log, n, kind, fine=fine)
+        else:
+            tables[kind, n] = _scan(log, kind, n)
+    return tables
+
+
+def _scan(log: EventLog, kind: ContextKind, n: int) -> "OccurrenceTable | ParameterError":
+    """The scanned table, or the :class:`ParameterError` that refused it."""
+    try:
+        return extract_occurrences(log, n, kind)
+    except ParameterError as exc:
+        return exc

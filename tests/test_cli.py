@@ -242,6 +242,31 @@ class TestIntrinsic:
             assert (out / "intrinsic_failures.json").exists() is failing
             assert (out / "intrinsic_aggregate.csv").exists() is not failing
 
+    @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
+    def test_a_window_too_wide_fails_only_its_own_configs(self, worked_csv, tmp_path, parallel):
+        # The tables of a grid are coarsened from one scan at its widest
+        # window; when that scan is refused, the narrower windows keep theirs.
+        def reports(windows, *options):
+            out = tmp_path / windows
+            run([
+                "intrinsic", "--input", worked_csv, "--out-dir", out, "--method", "ac",
+                "--context", "seq", "--weight", "none", "--window", windows, "--samples", "1",
+                *options,
+            ])
+            return [
+                json.loads(path.read_text()) if path.exists() else []
+                for path in (out / "intrinsic_scores.json", out / "intrinsic_failures.json")
+            ]
+
+        narrow = reports("3")
+        scores, failures = reports(f"3,{2**40}", *parallel)
+        assert narrow[0] and [s for s in scores if s["window"] == 3] == narrow[0]
+        assert [f for f in failures if f["window"] == 3] == narrow[1]
+        assert all(s["window"] == 3 for s in scores)
+        wide = [f for f in failures if f["window"] == 2**40]
+        assert len(wide) == len(narrow[0]) + len(narrow[1])
+        assert all(f["error"].startswith("window size 1099511627776 needs a ") for f in wide)
+
     def test_stale_report_that_cannot_be_removed_is_export_error(self, worked_csv, tmp_path,
                                                                  capsys):
         out = tmp_path / "out"

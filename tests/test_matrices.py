@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -24,12 +24,13 @@ from actsim import (
     dimension_bound,
     extract_occurrences,
     log_from_label_traces,
+    render_context,
     substitution_scores,
     write_distance_csv,
     write_embedding_csv,
 )
 from actsim.contexts import ContextKeys, OccurrenceTable
-from actsim.matrices import EmbeddingMatrix
+from actsim.matrices import EmbeddingMatrix, column_headers
 from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
 from synthetic_logs import random_small_log, structured_log
 
@@ -359,3 +360,85 @@ def test_every_matrix_actsim_builds_is_written_without_densifying(kind, monkeypa
         buffer = io.StringIO()
         write_embedding_csv(matrix, log.alphabet, buffer)
         assert buffer.getvalue() == text
+
+
+# Row labels that csv must quote, or must not: a comma, a quote, a newline,
+# a leading space, the empty string and non-ASCII text.
+QUOTED_LABELS = [",", '"', "a\nb", " x", "", "é中", "plain"]
+EDGE_INTS = st.one_of(
+    st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, -(2**53) + 1, -(2**53), -(2**53) - 1, -1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+EDGE_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, -2.5, 1e16, 2.0**53 + 2]), st.floats())
+
+
+@st.composite
+def canonical_csr_cases(draw):
+    """(alphabet, matrix, header): an int64 or float64 canonical CSR over
+    rows labelled from QUOTED_LABELS, with at least one column."""
+    labels = draw(st.lists(st.sampled_from(QUOTED_LABELS), min_size=1, max_size=5, unique=True))
+    n_rows, n_cols = len(labels), draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+        EDGE_INTS if dtype is np.int64 else EDGE_FLOATS,
+        max_size=n_rows * n_cols,
+    ))
+    return _canonical_case(labels, n_cols, dtype, cells)
+
+
+def _canonical_case(labels, n_cols, dtype, cells):
+    alphabet = Alphabet(labels)
+    keys = sorted(cells)
+    values = sparse.csr_matrix(
+        (
+            np.array([cells[key] for key in keys], dtype=dtype),
+            (np.array([row for row, _ in keys], dtype=np.int64),
+             np.array([col for _, col in keys], dtype=np.int64)),
+        ),
+        shape=(len(labels), n_cols),
+    )
+    columns = tuple(1 + col % len(labels) for col in range(n_cols))
+    config = MethodConfig("aa", ContextKind.SEQUENCE, "none", 3)
+    matrix = EmbeddingMatrix(tuple(range(1, len(labels) + 1)), columns, values, config)
+    return alphabet, matrix, ["activity"] + [labels[aid - 1] for aid in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_csr_cases())
+@example(_canonical_case(QUOTED_LABELS, 3, np.int64, {}))
+@example(_canonical_case(["a", ""], 1, np.float64, {(0, 0): -0.0}))
+@example(_canonical_case(
+    QUOTED_LABELS, 5, np.int64,
+    {(0, 0): 2**53 - 1, (0, 4): 2**53, (2, 0): -(2**53) - 1, (2, 4): 2**53 + 1, (5, 2): -7},
+))
+@example(_canonical_case([" x", "é中"], 4, np.float64, {(0, 0): -0.0, (0, 3): -1.5, (1, 1): 0.1}))
+def test_stored_cells_are_written_as_the_naive_dense_writer_writes_them(case):
+    # Each row of a canonical CSR is one joined string: zero runs, and each
+    # stored value formatted once, ints by str only while exact as floats.
+    alphabet, matrix, header = case
+    assert matrix.values.has_canonical_format
+    buffer = io.StringIO()
+    write_embedding_csv(matrix, alphabet, buffer)
+    row_names = [alphabet.label_of(aid) for aid in matrix.row_labels]
+    assert buffer.getvalue() == naive_matrix_csv(header, row_names, matrix.values.toarray().tolist())
+
+
+# String order "10" < "9" < "B" < "__PAD__" < "a" differs from id order.
+HEADER_LABELS = ["B", "a", "10", "9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(HEADER_LABELS), min_size=1, max_size=9),
+             min_size=1, max_size=5),
+    st.sampled_from([2, 3, 5, 8]),
+    st.sampled_from(["mset", "seq"]),
+)
+@example([HEADER_LABELS, ["9", "10", "a"]], 3, "mset")
+@example([HEADER_LABELS * 2], 8, "mset")
+def test_context_headers_render_every_context(traces, window, kind):
+    log = log_from_label_traces(traces)
+    table = extract_occurrences(log, window, kind)
+    expected = [render_context(s, kind, log.alphabet) for s in table.symbols.tolist()]
+    assert column_headers(build_ac(table), log.alphabet) == expected
