@@ -6,7 +6,7 @@ import statistics
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -63,12 +63,14 @@ def _values_stats(values: "np.ndarray | sparse.csr_matrix") -> dict:
     }
 
 
-def _median_of(fn, repetitions: int) -> tuple[float, object]:
+def _median_of(fn, inputs: Iterable) -> tuple[float, object]:
+    """The median wall time of ``fn`` over ``inputs``, each made before its
+    clock starts, and the last result."""
     times = []
     result = None
-    for _ in range(repetitions):
+    for item in inputs:
         start = time.perf_counter()
-        result = fn()
+        result = fn(item)
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
 
@@ -92,21 +94,21 @@ def run_runtime_bench(
         try:
             config.validate()
 
-            def embed_stage():
+            def embed_stage(_):
                 table = extract_occurrences(log, config.window, config.kind)
                 return build_embedding(table, config)
 
-            embed_seconds, built = _median_of(embed_stage, repetitions)
+            embed_seconds, built = _median_of(embed_stage, range(repetitions))
             distance_seconds = 0.0
             if isinstance(built, EmbeddingMatrix):
-                # Each repetition compares over a copy of the table with an
-                # empty cache, so each one pays for the table's pair plan.
-                copies = iter(
-                    [replace(built, table=replace(built.table)) for _ in range(repetitions)]
+                # Each repetition compares a matrix built, before its clock
+                # starts, on a copy of the table with an empty cache: each
+                # one pays for the pair plan and takes the Gram path an
+                # intrinsic job takes.
+                copies = (
+                    build_embedding(replace(built.table), config) for _ in range(repetitions)
                 )
-                distance_seconds, _ = _median_of(
-                    lambda: pairwise_distance_matrix(next(copies)), repetitions
-                )
+                distance_seconds, _ = _median_of(pairwise_distance_matrix, copies)
             stats = _values_stats(built.values)
         except Exception as exc:
             records.append(TimingRecord(**labels, error=_error_text(exc)))

@@ -146,6 +146,56 @@ class OccurrenceTable:
         values.flags.writeable = False
         return values
 
+    @cached_property
+    def ac_ratios(self) -> np.ndarray:
+        """The PMI log-ratio of each stored count of ``counts``, in storage
+        order (:func:`_pmi_ratios`), computed on first use and kept
+        read-only: PMI, PPMI and the PPMI Gram over this table share it."""
+        ratios = _pmi_ratios(self, self.counts, "ac")
+        ratios.flags.writeable = False
+        return ratios
+
+    @cached_property
+    def aa_ratios(self) -> np.ndarray:
+        """The dense PMI log-ratios of :attr:`aa_counts`, kept as
+        :attr:`ac_ratios` is."""
+        ratios = _pmi_ratios(self, self.aa_counts, "aa")
+        ratios.flags.writeable = False
+        return ratios
+
+    @cached_property
+    def weighted(self) -> dict:
+        """The PMI and PPMI values weighting has made of this table's own AC
+        and AA counts, keyed by (method, weighting). Each is made once, from
+        the cached log-ratios, and handed out again, so a Gram can tell by
+        identity that a CSR's cells lie on :attr:`ac_ratios`."""
+        return {}
+
+
+def _log_ratios(counts: np.ndarray, n: float, expected: np.ndarray) -> np.ndarray:
+    """ln(count * n / expected) where the count is positive, 0.0 elsewhere:
+    the one log-ratio behind PMI, PPMI and substitution scores."""
+    out = np.zeros(counts.shape)
+    mask = counts > 0
+    out[mask] = np.log(counts[mask] * n / expected[mask])
+    return out
+
+
+def _pmi_ratios(
+    table: OccurrenceTable, counts: "np.ndarray | sparse.csr_matrix", method: str
+) -> np.ndarray:
+    """ln(j N / (r c)) for each count j of an AC (``method`` "ac") or AA
+    count matrix over ``table``'s activities, with r and c its row and
+    column totals in ``table``: one per stored cell, in storage order, of a
+    sparse ``counts``, one per cell of a dense one."""
+    n = float(table.total_events)
+    row_tot = table.row_totals.astype(np.float64)
+    col_tot = row_tot if method == "aa" else table.context_totals
+    if sparse.issparse(counts):
+        rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+        return _log_ratios(counts.data, n, row_tot[rows] * col_tot[counts.indices])
+    return _log_ratios(counts, n, np.outer(row_tot, col_tot))
+
 
 # A table whose columns hold more row pairs than this keeps scipy's sparse
 # products: the plan's memory grows with the pairs (6 bytes each when

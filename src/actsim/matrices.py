@@ -204,32 +204,32 @@ def _write_matrix_csv(
 
 
 def _dense_cells(values: np.ndarray) -> Iterator[str]:
-    """Each row's cells, each after a comma."""
+    """Each row's cells, each after a comma, by one ``%`` per row."""
+    template = ",%.17g" * values.shape[1]
     for row in values:
-        yield "".join(map(",{:.17g}".format, row.tolist()))
+        yield template % tuple(row.tolist())
 
 
 def _stored_cells(values: sparse.csr_matrix) -> Iterator[str]:
     """Each row's cells of a canonical CSR, each after a comma, as what
     ``toarray`` would hold: a stored -0.0 is written ``0``.
 
-    Ints below 2**53 in magnitude are exact as floats, so ``str`` writes
-    them as the 17 significant digits would; any other value is formatted.
+    A row is one ``%`` over a template of its zero runs with a slot per
+    stored value. Ints below 2**53 in magnitude are exact as floats, so
+    ``%d`` writes them as the 17 significant digits would; any other value
+    takes ``%.17g``.
     """
     data = values.data + 0  # 0 + -0.0 is 0.0
     exact = data.dtype.kind in "iu" and (
         not data.size or (-(2**53) < data.min() and data.max() < 2**53)
     )
-    cell = str if exact else "{:.17g}".format
-    bounds, n_cols = values.indptr.tolist(), values.shape[1]
+    slot = ",%d" if exact else ",%.17g"
+    cells, bounds, n_cols = data.tolist(), values.indptr.tolist(), values.shape[1]
     for lo, hi in zip(bounds, bounds[1:]):
         # The zeros before each stored cell and after the last one.
         gaps = (np.diff(values.indices[lo:hi], prepend=-1, append=n_cols) - 1).tolist()
         zeros = {gap: ",0" * gap for gap in set(gaps)}  # gaps repeat within a row
-        parts = [","] * (3 * (hi - lo) + 1)
-        parts[0::3] = map(zeros.__getitem__, gaps)
-        parts[2::3] = map(cell, data[lo:hi].tolist())
-        yield "".join(parts)
+        yield slot.join(map(zeros.__getitem__, gaps)) % tuple(cells[lo:hi])
 
 
 def write_embedding_csv(

@@ -10,11 +10,10 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKind, OccurrenceTable
+from .contexts import ContextKind, OccurrenceTable, _log_ratios
 from .errors import ParameterError
 from .log import Alphabet, write_json
 from .matrices import EmbeddingMatrix, MethodConfig, _write_matrix_csv, build_aa
-from .weighting import _log_ratios
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,44 +69,42 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - max(-1.0, min(1.0, s))
 
 
-def _on_pattern(values: sparse.spmatrix, counts: sparse.csr_matrix) -> "np.ndarray | None":
-    """The float64 entries of ``values`` at the storage positions of
-    ``counts``, 0.0 where ``values`` stores none; None unless ``values`` is
-    a CSR matrix whose sorted, unique cells all lie on that pattern."""
-    if values.format != "csr" or values.shape != counts.shape:
-        return None
-    data = values.data.astype(np.float64)
-    if np.array_equal(values.indptr, counts.indptr) and np.array_equal(
-        values.indices, counts.indices
+def _on_pattern(matrix: EmbeddingMatrix) -> "np.ndarray | None":
+    """The float64 values of a sparse matrix at every storage position of
+    its table's counts, or None unless they are known to lie there.
+
+    A PMI or PPMI CSR that the table's cache handed out (by identity) is
+    the cached log-ratios, clamped at zero for PPMI: a cell that weighting
+    dropped reads 0.0. Any other CSR must store exactly the counts' cells.
+    """
+    values, table = matrix.values, matrix.table
+    if values is table.weighted.get(("ac", matrix.config.weighting)):
+        ratios = table.ac_ratios
+        return np.maximum(ratios, 0.0) if matrix.config.weighting == "ppmi" else ratios
+    counts = table.counts
+    if (
+        values.format == "csr"
+        and values.shape == counts.shape
+        and np.array_equal(values.indptr, counts.indptr)
+        and np.array_equal(values.indices, counts.indices)
     ):
-        return data
-    n_cols = counts.shape[1]
-    own, theirs = (
-        np.repeat(np.arange(m.shape[0]) * n_cols, np.diff(m.indptr)) + m.indices
-        for m in (counts, values)
-    )
-    at = np.searchsorted(own, theirs)
-    if len(at) and (
-        at[-1] >= len(own) or (np.diff(at) <= 0).any() or (own[at] != theirs).any()
-    ):
-        return None
-    stored = np.zeros(len(own))
-    stored[at] = data
-    return stored
+        return values.data.astype(np.float64)
+    return None
 
 
 def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
     """The float64 Gram matrix of the embedding rows.
 
-    A sparse matrix whose table has a pair plan places its values on the
-    table's pattern and sums each cell's products over the plan: in
-    ascending column order from +0.0, as scipy's sparse product, so the
-    bits are the same (a cell that weighting dropped adds a 0.0 product,
-    which leaves the sum unchanged). Any other matrix takes ``x @ x.T``.
+    A sparse matrix whose table has a pair plan, and whose values lie on
+    the table's pattern (:func:`_on_pattern`), sums each cell's products
+    over the plan: in ascending column order from +0.0, as scipy's sparse
+    product, so the bits are the same (a cell that weighting dropped adds a
+    ±0.0 product, which leaves the sum unchanged). Any other matrix takes
+    ``x @ x.T``.
     """
     values, table = matrix.values, matrix.table
     plan = table.pair_plan if table is not None and sparse.issparse(values) else None
-    stored = None if plan is None else _on_pattern(values, table.counts)
+    stored = None if plan is None else _on_pattern(matrix)
     if stored is None:
         x = values.astype(np.float64)
         gram = x @ x.T

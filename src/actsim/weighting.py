@@ -2,8 +2,8 @@
 
 For a cell holding joint count j with row total r, column total c and
 grand total N, PMI is ln((j/N) / ((r/N)(c/N))); cells with a zero count
-stay zero, so sparsity is preserved. PPMI clamps negatives to zero in the
-same pass. The logarithm is natural.
+stay zero, so sparsity is preserved. PPMI clamps negatives to zero. The
+logarithm is natural.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import sparse
 
-from .contexts import OccurrenceTable
+from .contexts import OccurrenceTable, _pmi_ratios
 from .errors import ParameterError
 from .matrices import WEIGHTINGS, EmbeddingMatrix
 
@@ -34,15 +34,6 @@ def _check_pair(matrix: EmbeddingMatrix, table: OccurrenceTable) -> None:
         raise ParameterError("matrix rows do not match the table's activities")
 
 
-def _log_ratios(counts: np.ndarray, n: float, expected: np.ndarray) -> np.ndarray:
-    """ln(count * n / expected) where the count is positive, 0.0 elsewhere:
-    the one log-ratio behind PMI, PPMI and substitution scores."""
-    out = np.zeros(counts.shape)
-    mask = counts > 0
-    out[mask] = np.log(counts[mask] * n / expected[mask])
-    return out
-
-
 def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
     """PMI-weight a raw count matrix; ``table`` must be the one it was built from."""
     return apply_weighting(matrix, table, "pmi")
@@ -58,30 +49,42 @@ def apply_weighting(
 ) -> EmbeddingMatrix:
     """Weight a raw count matrix by name; ``none`` returns it unchanged.
 
-    One log-ratio pass over the counts' cells gives PMI, clamped in place
-    for PPMI. A sparse result keeps the counts' own pattern in its storage
-    order (no re-sort) and drops the cells that came out exactly zero.
+    The table's own counts (``table.counts`` for AC, ``table.aa_counts``
+    for AA) are weighted once per weighting, from the log-ratios the table
+    caches, and the same values are handed out again (``table.weighted``).
+    Any other count matrix is weighted from its own values by the same
+    kernel, without caching.
     """
     if weighting == "none":
         return matrix
     if weighting not in ("pmi", "ppmi"):
         raise ParameterError(f"unknown weighting {weighting!r} (expected one of {WEIGHTINGS})")
     _check_pair(matrix, table)
-    n = float(table.total_events)
-    row_tot = table.row_totals.astype(np.float64)
-    col_tot = row_tot if matrix.config.method == "aa" else table.context_totals
-    counts = matrix.values
-    if sparse.issparse(counts):
-        rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-        values = _log_ratios(counts.data, n, row_tot[rows] * col_tot[counts.indices])
+    method, counts = matrix.config.method, matrix.values
+    if counts is (table.counts if method == "ac" else table.aa_counts):
+        key = method, weighting
+        if key not in table.weighted:
+            ratios = table.ac_ratios if method == "ac" else table.aa_ratios
+            table.weighted[key] = _weigh(counts, ratios, weighting)
+        values = table.weighted[key]
     else:
-        values = _log_ratios(counts, n, np.outer(row_tot, col_tot))
-    if weighting == "ppmi":
-        np.maximum(values, 0.0, out=values)
+        values = _weigh(counts, _pmi_ratios(table, counts, method), weighting)
+    return replace(matrix, values=values, config=replace(matrix.config, weighting=weighting))
+
+
+def _weigh(
+    counts: "np.ndarray | sparse.csr_matrix", ratios: np.ndarray, weighting: str
+) -> "np.ndarray | sparse.csr_matrix":
+    """PMI (the log-ratios of ``counts``) or PPMI (clamped at zero): dense
+    and read-only, or on a sparse ``counts``' own pattern in its storage
+    order (no re-sort), less the cells that came out exactly zero."""
+    values = np.maximum(ratios, 0.0) if weighting == "ppmi" else ratios.copy()
     if sparse.issparse(counts):
         # The index arrays are copied, as eliminate_zeros compacts in place.
         values = sparse.csr_matrix(
             (values, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
         )
         values.eliminate_zeros()
-    return replace(matrix, values=values, config=replace(matrix.config, weighting=weighting))
+    else:
+        values.flags.writeable = False
+    return values

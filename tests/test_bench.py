@@ -32,6 +32,7 @@ from actsim import (
     TimingReport,
 )
 from actsim.intrinsic import AggregateRow
+from synthetic_logs import structured_log
 
 
 def worked_log():
@@ -86,6 +87,23 @@ class TestRuntimeBench:
             config = make_config("ac", "seq", weighting, 3)
             run_runtime_bench(worked_log(), [config], repetitions=3)
             assert len(plans) == 3
+
+    def test_every_distance_repetition_takes_the_pair_plan(self, monkeypatch):
+        # PPMI drops cells of this table, so a PPMI matrix off its table's
+        # cache would fall back to scipy's sparse product.
+        log = structured_log(7, 300, 12)
+        table = extract_occurrences(log, 3, "seq")
+        config = make_config("ac", "seq", "ppmi", 3)
+        assert build_embedding(table, config).values.nnz < table.counts.nnz
+
+        def refused(*_):
+            raise AssertionError("scipy's sparse product")
+
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", refused)
+        with pytest.raises(AssertionError):
+            table.counts @ table.counts.T
+        (record,) = run_runtime_bench(log, [config], repetitions=3).records
+        assert record.error is None and record.distance_seconds > 0.0
 
     def test_error_record_keeps_sweep_going(self):
         bad = MethodConfig("substitution", ContextKind.MULTISET, "none", 3)

@@ -14,6 +14,7 @@ from actsim import (
     ParameterError,
     apply_pmi,
     apply_ppmi,
+    apply_weighting,
     build_ac,
     build_aa,
     cosine_distance,
@@ -226,6 +227,62 @@ def test_ppmi_stores_the_clamped_pmi(cells):
             assert got.dtype == want.dtype, name
             assert got.tobytes() == want.tobytes(), name
         assert ppmi.has_canonical_format == expected.has_canonical_format
+
+
+def dense_weighting(counts, table, method, weighting):
+    """PMI or PPMI of any AC (``method`` "ac") or AA count matrix over
+    ``table``'s activities, cell by cell from the table's totals."""
+    dense = counts.toarray() if sparse.issparse(counts) else counts
+    row_tot = table.row_totals.astype(np.float64)
+    expected = np.outer(row_tot, row_tot if method == "aa" else table.context_totals)
+    out = np.zeros(dense.shape)
+    mask = dense > 0
+    out[mask] = np.log(dense[mask] * float(table.total_events) / expected[mask])
+    return np.maximum(out, 0.0) if weighting == "ppmi" else out
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_matrices, st.booleans())
+@example([[0, 1, 1], [1, 1, 2]], True)  # negative cells, PPMI weighted first
+@example([[0, 1, 1], [1, 1, 2]], False)
+@example([[1, 1], [1, 1]], True)  # every PMI cell is exactly 0
+def test_cached_weightings_keep_the_bits(cells, ppmi_first):
+    # The PMI and PPMI CSRs a table hands out compare over its cached
+    # log-ratios, in either order; other values under the same config,
+    # table and labels take the general path.
+    table = count_table(cells)
+    ac = build_ac(table)
+    for weighting in ("ppmi", "pmi") if ppmi_first else ("pmi", "ppmi"):
+        matrix = apply_weighting(ac, table, weighting)
+        assert apply_weighting(ac, table, weighting).values is matrix.values
+        assert _gram(matrix).tobytes() == scipy_gram(matrix.values).tobytes()
+        values = matrix.values.copy()
+        values.data += 1.0
+        moved = replace(matrix, values=values)
+        assert _gram(moved).tobytes() == scipy_gram(values).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_matrices, st.integers(0, 3))
+@example([[0, 1, 1], [1, 1, 2]], 2)
+def test_other_counts_are_weighted_from_their_own_values(cells, shift):
+    # A raw matrix with the table's labels but not the table's own counts
+    # array is weighted from its values, and leaves the table's cache alone.
+    table = count_table(cells)
+    for raw in (build_ac(table), build_aa(table)):
+        method = raw.config.method
+        if sparse.issparse(raw.values):
+            other = raw.values.copy()
+            other.data = other.data + shift
+        else:
+            other = raw.values + shift * (raw.values > 0)
+        for weighting in ("pmi", "ppmi"):
+            own = apply_weighting(raw, table, weighting)
+            got = apply_weighting(replace(raw, values=other), table, weighting)
+            for matrix, counts in ((got, other), (own, raw.values)):
+                want = dense_weighting(counts, table, method, weighting)
+                assert matrix.dense().tobytes() == want.tobytes()
+            assert apply_weighting(raw, table, weighting).values is own.values
 
 
 class TestPairPlan:
