@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, Alphabet, EventLog, _intern
+from .log import PAD, Alphabet, EventLog, _intern, _widen
 
 
 class ContextKind(str, Enum):
@@ -147,54 +147,11 @@ class OccurrenceTable:
         return values
 
     @cached_property
-    def ac_ratios(self) -> np.ndarray:
-        """The PMI log-ratio of each stored count of ``counts``, in storage
-        order (:func:`_pmi_ratios`), computed on first use and kept
-        read-only: PMI, PPMI and the PPMI Gram over this table share it."""
-        ratios = _pmi_ratios(self, self.counts, "ac")
-        ratios.flags.writeable = False
-        return ratios
-
-    @cached_property
-    def aa_ratios(self) -> np.ndarray:
-        """The dense PMI log-ratios of :attr:`aa_counts`, kept as
-        :attr:`ac_ratios` is."""
-        ratios = _pmi_ratios(self, self.aa_counts, "aa")
-        ratios.flags.writeable = False
-        return ratios
-
-    @cached_property
     def weighted(self) -> dict:
-        """The PMI and PPMI values weighting has made of this table's own AC
-        and AA counts, keyed by (method, weighting). Each is made once, from
-        the cached log-ratios, and handed out again, so a Gram can tell by
-        identity that a CSR's cells lie on :attr:`ac_ratios`."""
+        """The cache of :mod:`actsim.weighting`, which alone reads and
+        writes its keys: the PMI log-ratios of this table's own AC and AA
+        counts and the PMI and PPMI values made of them."""
         return {}
-
-
-def _log_ratios(counts: np.ndarray, n: float, expected: np.ndarray) -> np.ndarray:
-    """ln(count * n / expected) where the count is positive, 0.0 elsewhere:
-    the one log-ratio behind PMI, PPMI and substitution scores."""
-    out = np.zeros(counts.shape)
-    mask = counts > 0
-    out[mask] = np.log(counts[mask] * n / expected[mask])
-    return out
-
-
-def _pmi_ratios(
-    table: OccurrenceTable, counts: "np.ndarray | sparse.csr_matrix", method: str
-) -> np.ndarray:
-    """ln(j N / (r c)) for each count j of an AC (``method`` "ac") or AA
-    count matrix over ``table``'s activities, with r and c its row and
-    column totals in ``table``: one per stored cell, in storage order, of a
-    sparse ``counts``, one per cell of a dense one."""
-    n = float(table.total_events)
-    row_tot = table.row_totals.astype(np.float64)
-    col_tot = row_tot if method == "aa" else table.context_totals
-    if sparse.issparse(counts):
-        rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-        return _log_ratios(counts.data, n, row_tot[rows] * col_tot[counts.indices])
-    return _log_ratios(counts, n, np.outer(row_tot, col_tot))
 
 
 # A table whose columns hold more row pairs than this keeps scipy's sparse
@@ -270,16 +227,16 @@ def _pair_plan(counts: sparse.csr_matrix) -> "PairPlan | None":
 
 def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
     """One int64 key per context of the ``(n-1, n_events)`` symbol array
-    ``columns`` (one row per window slot); equal contexts get equal keys.
+    ``columns`` (one row per window slot); equal contexts get equal keys
+    and distinct contexts distinct keys.
 
-    Contexts are packed in base ``base`` when every key fits in an int64;
-    otherwise each context's key is its rank among the distinct ones.
+    Contexts are packed in base ``base`` one slot at a time; keys the next
+    slot would overflow are renumbered first (:func:`~actsim.log._widen`).
     """
-    if base ** len(columns) >= 2**63:
-        return np.unique(columns.T, axis=0, return_inverse=True)[1].reshape(-1)
     keys = np.zeros(columns.shape[1], dtype=np.int64)
+    bound = 1
     for column in columns:
-        keys *= base
+        bound = _widen(keys, base, bound)
         keys += column
     return keys
 

@@ -152,7 +152,8 @@ def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
     if not isinstance(columns, ContextKeys):
         return alphabet.labels_of(columns).tolist()
     ids = columns.symbols
-    alphabet.labels_of(ids)  # an id outside the alphabet fails here as well
+    if ids.size:  # an id outside the alphabet fails here as well
+        alphabet.labels_of([ids.min(), ids.max()])
     names = alphabet.labels_of(np.arange(len(alphabet) + 1))
     if columns.kind is ContextKind.MULTISET:
         by_rank = np.argsort(names)

@@ -10,10 +10,11 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKind, OccurrenceTable, _log_ratios
+from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
 from .log import Alphabet, write_json
 from .matrices import EmbeddingMatrix, MethodConfig, _write_matrix_csv, build_aa
+from .weighting import _log_ratios, stored_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,42 +70,19 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
     return 1.0 - max(-1.0, min(1.0, s))
 
 
-def _on_pattern(matrix: EmbeddingMatrix) -> "np.ndarray | None":
-    """The float64 values of a sparse matrix at every storage position of
-    its table's counts, or None unless they are known to lie there.
-
-    A PMI or PPMI CSR that the table's cache handed out (by identity) is
-    the cached log-ratios, clamped at zero for PPMI: a cell that weighting
-    dropped reads 0.0. Any other CSR must store exactly the counts' cells.
-    """
-    values, table = matrix.values, matrix.table
-    if values is table.weighted.get(("ac", matrix.config.weighting)):
-        ratios = table.ac_ratios
-        return np.maximum(ratios, 0.0) if matrix.config.weighting == "ppmi" else ratios
-    counts = table.counts
-    if (
-        values.format == "csr"
-        and values.shape == counts.shape
-        and np.array_equal(values.indptr, counts.indptr)
-        and np.array_equal(values.indices, counts.indices)
-    ):
-        return values.data.astype(np.float64)
-    return None
-
-
 def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
     """The float64 Gram matrix of the embedding rows.
 
-    A sparse matrix whose table has a pair plan, and whose values lie on
-    the table's pattern (:func:`_on_pattern`), sums each cell's products
-    over the plan: in ascending column order from +0.0, as scipy's sparse
-    product, so the bits are the same (a cell that weighting dropped adds a
-    ±0.0 product, which leaves the sum unchanged). Any other matrix takes
-    ``x @ x.T``.
+    A sparse matrix whose table has a pair plan, and whose values are known
+    to lie on the table's pattern (:func:`~actsim.weighting.stored_values`),
+    sums each cell's products over the plan: in ascending column order from
+    +0.0, as scipy's sparse product, so the bits are the same (a cell that
+    weighting dropped adds a ±0.0 product, which leaves the sum unchanged).
+    Any other matrix takes ``x @ x.T``.
     """
     values, table = matrix.values, matrix.table
     plan = table.pair_plan if table is not None and sparse.issparse(values) else None
-    stored = None if plan is None else _on_pattern(matrix)
+    stored = None if plan is None else stored_values(matrix)
     if stored is None:
         x = values.astype(np.float64)
         gram = x @ x.T

@@ -89,12 +89,14 @@ class TestRuntimeBench:
             assert len(plans) == 3
 
     def test_every_distance_repetition_takes_the_pair_plan(self, monkeypatch):
-        # PPMI drops cells of this table, so a PPMI matrix off its table's
-        # cache would fall back to scipy's sparse product.
+        # The plan reads the raw counts and the table's cached PMI and PPMI
+        # CSRs, each known by identity (PPMI drops cells of this table); a
+        # matrix it does not know falls back to scipy's sparse product.
         log = structured_log(7, 300, 12)
         table = extract_occurrences(log, 3, "seq")
-        config = make_config("ac", "seq", "ppmi", 3)
-        assert build_embedding(table, config).values.nnz < table.counts.nnz
+        weightings = ["none", "pmi", "ppmi"]
+        configs = [make_config("ac", "seq", weighting, 3) for weighting in weightings]
+        assert build_embedding(table, configs[-1]).values.nnz < table.counts.nnz
 
         def refused(*_):
             raise AssertionError("scipy's sparse product")
@@ -102,8 +104,10 @@ class TestRuntimeBench:
         monkeypatch.setattr(sparse.csr_matrix, "__matmul__", refused)
         with pytest.raises(AssertionError):
             table.counts @ table.counts.T
-        (record,) = run_runtime_bench(log, [config], repetitions=3).records
-        assert record.error is None and record.distance_seconds > 0.0
+        records = run_runtime_bench(log, configs, repetitions=3).records
+        assert [record.weighting for record in records] == weightings
+        for record in records:
+            assert record.error is None and record.distance_seconds > 0.0
 
     def test_error_record_keeps_sweep_going(self):
         bad = MethodConfig("substitution", ContextKind.MULTISET, "none", 3)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import actsim.log
 from actsim import (
     ContextKind,
     EmptyLogError,
@@ -194,20 +195,21 @@ def test_multiset_is_sequence_rekeyed_through_sorting():
         assert {(a, mset.contexts[c]): v for (a, c), v in pair_counts(mset).items()} == merged
 
 
-@pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, False), (512, False)])
+@pytest.mark.parametrize("alphabet_size, packed", [(510, True), (511, True), (512, False)])
 @pytest.mark.parametrize("kind", ["mset", "seq"])
 def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
-    # Window 8 packs 7 symbols in base |A|+1: 511**7 < 2**63 still packs,
-    # 512**7 == 2**63 must compare whole rows instead. Coarsened to windows
-    # 3 and 5, the window-8 sequence table packs again.
-    unique_axes = []
-    real_unique = np.unique
+    # Window 8 packs 7 symbols in base |A|+1: 512**7 == 2**63 still packs,
+    # as every key stays below it; 513**7 renumbers the keys before the
+    # last slot. Coarsened to windows 3 and 5, the window-8 sequence table
+    # packs again.
+    renumbered = []
+    real_intern = actsim.log._intern
 
-    def spy(*args, **kwargs):
-        unique_axes.append(kwargs.get("axis"))
-        return real_unique(*args, **kwargs)
+    def spy(keys):
+        renumbered.append(len(keys))
+        return real_intern(keys)
 
-    monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(actsim.log, "_intern", spy)
     top = alphabet_size
     traces = (
         (top, top - 1, 1, top, top, 2, top - 1, top, top),
@@ -217,7 +219,7 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     )
     log = EventLog(traces, Alphabet([f"a{i}" for i in range(alphabet_size)]))
     table = extract_occurrences(log, 8, kind)
-    assert unique_axes == ([] if packed else [0])
+    assert len(renumbered) == (0 if packed else 1)
     pair, ctx, act, order = naive_counts(traces, 8, kind)
     assert list(table.contexts) == order
     assert dict(table.activity_totals) == act
@@ -225,12 +227,12 @@ def test_packed_key_overflow_boundary(monkeypatch, alphabet_size, packed, kind):
     assert {(a, table.contexts[c]): v for (a, c), v in pair_counts(table).items()} == pair
 
     fine = extract_occurrences(log, 8, "seq")
-    unique_axes.clear()
+    renumbered.clear()
     for window in (3, 5):
         coarse = extract_occurrences(log, window, kind, fine=fine)
         _assert_same_table(coarse, extract_occurrences(log, window, kind))
         _assert_matches_naive(coarse, traces, window, kind)
-    assert unique_axes == []
+    assert renumbered == []
 
 
 @pytest.mark.parametrize("width", [contexts._NETWORK_WIDTH, contexts._NETWORK_WIDTH + 1])
