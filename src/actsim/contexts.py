@@ -10,7 +10,6 @@ subwindows, kept in order (sequence kind) or sorted by activity id
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -20,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, Alphabet, EventLog, _intern, _widen
+from .log import PAD, EventLog, _intern, _widen
 
 
 class ContextKind(str, Enum):
@@ -35,54 +34,6 @@ def _coerce_kind(kind: "ContextKind | str") -> ContextKind:
         raise ParameterError(f"unknown context kind {kind!r} (expected mset or seq)") from None
 
 
-@dataclass(frozen=True)
-class ContextKey:
-    """Canonical context: kind plus its symbol ids.
-
-    Multiset symbols are sorted ascending by activity id; sequence symbols
-    keep trace order (left subwindow first).
-    """
-
-    kind: ContextKind
-    symbols: tuple[int, ...]
-
-    def render(self, alphabet: Alphabet) -> str:
-        return render_context(self.symbols, self.kind, alphabet)
-
-
-def render_context(symbols: tuple[int, ...], kind: "ContextKind | str", alphabet: Alphabet) -> str:
-    """Human-readable context label: ``{x,y}`` for multisets (labels sorted),
-    ``<x,y>`` for sequences, with PAD shown as ``__PAD__``."""
-    kind = _coerce_kind(kind)
-    labels = alphabet.labels_of(symbols).tolist()
-    if kind is ContextKind.MULTISET:
-        return "{" + ",".join(sorted(labels)) + "}"
-    return "<" + ",".join(labels) + ">"
-
-
-class ContextKeys(Sequence):
-    """Read-only sequence of :class:`ContextKey` over an ``(n_ctx, n-1)``
-    symbol array; a key object is made only when an item is read."""
-
-    __slots__ = ("kind", "symbols")
-
-    def __init__(self, kind: ContextKind, symbols: np.ndarray) -> None:
-        self.kind = kind
-        self.symbols = symbols
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return ContextKeys(self.kind, self.symbols[index])
-        return ContextKey(self.kind, tuple(self.symbols[index].tolist()))
-
-    def __iter__(self):
-        for symbols in self.symbols.tolist():
-            yield ContextKey(self.kind, tuple(symbols))
-
-
 @dataclass(frozen=True, eq=False)
 class OccurrenceTable:
     """Counts from one extraction pass, stored as arrays.
@@ -90,11 +41,13 @@ class OccurrenceTable:
     ``symbols`` is an ``(n_ctx, n-1)`` int64 array of the canonical
     context symbols in interning order (first appearance during the
     trace-order scan), so matrix columns built from this table have a
-    reproducible layout. ``counts`` is the raw activity-context matrix
-    as int64 CSR: row i is activity ``row_labels[i]`` (the occurring ids
-    ascending, never PAD), column j is context j, and cell (i, j) is
-    #(a, c). ``row_totals`` and ``context_totals`` are the int64 row and
-    column sums of ``counts``. Treat the arrays as read-only.
+    reproducible layout. A multiset row is sorted ascending by activity
+    id; a sequence row keeps trace order, left subwindow first.
+    ``counts`` is the raw activity-context matrix as int64 CSR: row i is
+    activity ``row_labels[i]`` (the occurring ids ascending, never PAD),
+    column j is context j, and cell (i, j) is #(a, c). ``row_totals`` and
+    ``context_totals`` are the int64 row and column sums of ``counts``.
+    Treat the arrays as read-only.
     """
 
     window_size: int

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Union
+from typing import IO, Iterator
 
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKeys, ContextKind, OccurrenceTable
+from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
 from .log import Alphabet, csv_line, open_output
 
@@ -75,14 +75,15 @@ class EmbeddingMatrix:
     ``values`` is a dense ndarray for AA and a scipy CSR matrix for AC;
     treat it as read-only. ``row_labels`` lists the occurring activity
     ids ascending, so every activity with at least one event has a row.
-    ``column_labels`` are activity ids (AA) or a :class:`ContextKeys`
-    view (AC). ``table`` is the table the matrix was built from, kept
-    through weighting so cosine can use its pair plan; a hand-built
-    matrix may leave it None.
+    ``column_labels`` are activity ids (AA) or the table's ``(n_ctx, n-1)``
+    :attr:`~OccurrenceTable.symbols` array, one row per context (AC).
+    ``table`` is the table the matrix was built from, kept through
+    weighting so cosine can use its pair plan; a hand-built matrix may
+    leave it None.
     """
 
     row_labels: tuple[int, ...]
-    column_labels: Union[tuple[int, ...], ContextKeys]
+    column_labels: "tuple[int, ...] | np.ndarray"
     values: "np.ndarray | sparse.csr_matrix"
     config: MethodConfig
     table: "OccurrenceTable | None" = field(default=None, repr=False)
@@ -108,15 +109,14 @@ class EmbeddingMatrix:
 def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
     """Activity-context matrix: AC(a, c) = #(a, c), stored sparse.
 
-    The values are the table's own CSR counts, not a copy. Column order is
-    the table's context interning order, and the column labels are a lazy
-    view over its symbol array; the dimension is bounded by
-    (|A|+1)^(n-1) since each context has n-1 symbol slots over the
-    alphabet plus PAD.
+    The values are the table's own CSR counts, not a copy, and the column
+    labels its symbol array, one row per context in interning order. The
+    dimension is bounded by (|A|+1)^(n-1) since each context has n-1
+    symbol slots over the alphabet plus PAD.
     """
     return EmbeddingMatrix(
         row_labels=table.row_labels,
-        column_labels=ContextKeys(table.kind, table.symbols),
+        column_labels=table.symbols,
         values=table.counts,
         config=MethodConfig("ac", table.kind, "none", table.window_size),
         table=table,
@@ -141,21 +141,21 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
 
 
 def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
-    """The rendered column labels: activity labels (AA) or context labels
-    (AC), each as :func:`~actsim.contexts.render_context` renders it.
+    """The rendered column labels, read as ``matrix.config`` says: activity
+    labels (AA), or one label per context row (AC), ``{x,y}`` for a
+    multiset and ``<x,y>`` for a sequence, with PAD shown as ``__PAD__``.
 
     A context header is joined one slot at a time over all contexts at
     once. A multiset lists its labels sorted as strings, so its slots are
     ordered by the rank of their label, not by id.
     """
-    columns = matrix.column_labels
-    if not isinstance(columns, ContextKeys):
-        return alphabet.labels_of(columns).tolist()
-    ids = columns.symbols
+    ids = matrix.column_labels
+    if matrix.config.method != "ac":
+        return alphabet.labels_of(ids).tolist()
     if ids.size:  # an id outside the alphabet fails here as well
         alphabet.labels_of([ids.min(), ids.max()])
     names = alphabet.labels_of(np.arange(len(alphabet) + 1))
-    if columns.kind is ContextKind.MULTISET:
+    if matrix.config.kind is ContextKind.MULTISET:
         by_rank = np.argsort(names)
         ids = by_rank[np.sort(np.argsort(by_rank)[ids], axis=1)]
         opening, closing = "{", "}"

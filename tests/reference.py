@@ -196,6 +196,14 @@ def previous_substitution(aa, table):
     return scores
 
 
+def naive_mean(values):
+    """The mean of ``values``, added one at a time from 0.0."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def _class_members(labels, classes):
     """Each class's members sorted by id, in the order of ``classes``."""
     label_set = set(labels)
@@ -222,8 +230,8 @@ def naive_compactness(labels, values, classes):
                 pair_scores.append(0.0)
             else:
                 pair_scores.append((values[index[a]][index[b]] - lo) / span)
-        per_class.append(sum(pair_scores) / len(pair_scores))
-    return sum(per_class) / len(per_class)
+        per_class.append(naive_mean(pair_scores))
+    return naive_mean(per_class)
 
 
 def naive_nearest_neighbor(labels, values, classes):
@@ -249,7 +257,7 @@ def naive_nearest_neighbor(labels, values, classes):
             if winners and all(c in clone_set for c in winners):
                 hits += 1
         per_class.append(hits / len(clones))
-    return sum(per_class) / len(per_class)
+    return naive_mean(per_class)
 
 
 def naive_precision_at_k(labels, values, classes):
@@ -266,8 +274,8 @@ def naive_precision_at_k(labels, values, classes):
             candidates.sort(key=lambda c: (-row[index[c]], c))
             top = candidates[:k]
             precisions.append(sum(1 for c in top if c in clone_set) / k)
-        per_class.append(sum(precisions) / len(precisions))
-    return sum(per_class) / len(per_class)
+        per_class.append(naive_mean(precisions))
+    return naive_mean(per_class)
 
 
 def naive_triplet(labels, values, classes):
@@ -286,8 +294,8 @@ def naive_triplet(labels, values, classes):
                 pair_scores.append(wins / len(outsiders))
             else:
                 pair_scores.append(1.0)
-        per_class.append(sum(pair_scores) / len(pair_scores))
-    return sum(per_class) / len(per_class)
+        per_class.append(naive_mean(pair_scores))
+    return naive_mean(per_class)
 
 
 def naive_context_label(symbol_labels, kind):

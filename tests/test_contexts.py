@@ -6,20 +6,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import actsim
 import actsim.log
 from actsim import (
     ContextKind,
+    EmbeddingMatrix,
     EmptyLogError,
     EventLog,
     Alphabet,
+    MethodConfig,
     ParameterError,
+    build_ac,
     expand_grid,
     extract_occurrences,
     generate_ground_truth_log,
     log_from_label_traces,
-    render_context,
 )
 from actsim import contexts, pipeline
+from actsim.matrices import column_headers
 from reference import naive_counts, pair_counts
 from synthetic_logs import random_small_log
 
@@ -59,8 +63,7 @@ class TestWorkedExample:
     def test_multiset_intern_order_matches_first_appearance(self):
         log = worked_log()
         table = extract_occurrences(log, 3, ContextKind.MULTISET)
-        rendered = [render_context(c, "mset", log.alphabet) for c in table.contexts]
-        assert rendered == [
+        assert column_headers(build_ac(table), log.alphabet) == [
             "{__PAD__,b}",
             "{a,c}",
             "{b,d}",
@@ -134,21 +137,38 @@ class TestErrors:
             extract_occurrences(worked_log(), 3, "bag")
 
 
+def render(symbols, kind, alphabet):
+    """The column header of a one-context AC matrix of ``kind`` over ``symbols``."""
+    config = MethodConfig("ac", ContextKind(kind), "none", len(symbols) + 1)
+    matrix = EmbeddingMatrix((1,), np.array([symbols]), np.array([[1]]), config)
+    [header] = column_headers(matrix, alphabet)
+    return header
+
+
 class TestRendering:
     def test_multiset_labels_sorted(self):
         log = log_from_label_traces([["zz", "aa"]])
         z, a = log.alphabet.id_of("zz"), log.alphabet.id_of("aa")
-        assert render_context((z, a), "mset", log.alphabet) == "{aa,zz}"
+        assert render((z, a), "mset", log.alphabet) == "{aa,zz}"
 
     def test_sequence_keeps_order(self):
         log = log_from_label_traces([["zz", "aa"]])
         z, a = log.alphabet.id_of("zz"), log.alphabet.id_of("aa")
-        assert render_context((z, a), "seq", log.alphabet) == "<zz,aa>"
+        assert render((z, a), "seq", log.alphabet) == "<zz,aa>"
 
     def test_pad_rendering(self):
         log = log_from_label_traces([["x"]])
         x = log.alphabet.id_of("x")
-        assert render_context((0, x), "seq", log.alphabet) == "<__PAD__,x>"
+        assert render((0, x), "seq", log.alphabet) == "<__PAD__,x>"
+
+
+def test_every_public_name_resolves():
+    for name in actsim.__all__:
+        assert getattr(actsim, name) is not None
+    # A context is a row of the table's symbol array; no key type renders it.
+    for retired in ("ContextKey", "ContextKeys", "render_context"):
+        assert not hasattr(actsim, retired)
+        assert not hasattr(contexts, retired)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -37,12 +39,14 @@ from actsim import (
     score_nearest_neighbor,
     score_precision_at_k,
     score_triplet,
+    write_log_csv,
 )
 from actsim import intrinsic
 from actsim.cli import main
 from actsim.pipeline import shared_tables, similarity_for_config
 from reference import (
     naive_compactness,
+    naive_mean,
     naive_nearest_neighbor,
     naive_precision_at_k,
     naive_triplet,
@@ -439,6 +443,46 @@ class TestAggregate:
     def test_empty_scores_rejected(self):
         with pytest.raises(ParameterError):
             aggregate_scores([])
+
+
+class TestMean:
+    def test_cancelling_terms_add_left_to_right(self):
+        # A compensated sum, as sum() is since Python 3.12, keeps the 1.0.
+        assert intrinsic._mean([1e16, 1.0, -1e16]) == 0.0
+
+    def test_negative_zeros_mean_positive_zero(self):
+        assert math.copysign(1.0, intrinsic._mean([-0.0, -0.0, -0.0])) == 1.0
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
+    def test_matches_a_left_fold(self, values):
+        assert intrinsic._mean(values).hex() == naive_mean(values).hex()
+
+    def test_aggregate_means_are_left_folds(self):
+        scores = [score_row(i_nn=v, sample=s) for s, v in enumerate([1e16, 1.0, -1e16])]
+        assert aggregate_scores(scores).rows[0].i_nn == 0.0
+
+
+# The SHA-256 of the reports of the W1 grid with one sample per plan cell on
+# structured_log(7, 300, 12), as written on Python 3.11. Every mean is a left
+# fold, so every supported Python writes these bytes.
+PINNED_REPORTS = {
+    "intrinsic_scores.json": "39a57df771d6fc9abb1488277c827f5c7d26c6a8c5c61604a4b77614b4b2d1c1",
+    "intrinsic_aggregate.csv": "bf6e90350930ada6f437c5a37eb63cb5281aab91896a49604d3b146bd0d35dab",
+}
+
+
+def test_w1_reports_have_the_pinned_bytes(tmp_path):
+    write_log_csv(structured_log(7, 300, 12), tmp_path / "log.csv")
+    assert main([
+        "intrinsic", "--input", str(tmp_path / "log.csv"), "--out-dir", str(tmp_path / "out"),
+        "--method", "all", "--context", "all", "--weight", "all", "--window", "3,5",
+        "--samples", "1",
+    ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in PINNED_REPORTS
+    }
+    assert digests == PINNED_REPORTS
 
 
 class TestRunner:

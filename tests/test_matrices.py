@@ -24,12 +24,11 @@ from actsim import (
     dimension_bound,
     extract_occurrences,
     log_from_label_traces,
-    render_context,
     substitution_scores,
     write_distance_csv,
     write_embedding_csv,
 )
-from actsim.contexts import ContextKeys, OccurrenceTable
+from actsim.contexts import OccurrenceTable
 from actsim.matrices import EmbeddingMatrix, column_headers
 from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
 from synthetic_logs import random_small_log, structured_log
@@ -68,7 +67,7 @@ class TestAc:
         ac = build_ac(table)
         assert np.array_equal(ac.dense(), WORKED_AC)
         assert ac.row_labels == tuple(range(1, 6))
-        rendered = [key.render(log.alphabet) for key in ac.column_labels]
+        rendered = column_headers(ac, log.alphabet)
         assert rendered[0] == "{__PAD__,b}"
         assert rendered[2] == "{b,d}"
 
@@ -158,7 +157,8 @@ class TestAa:
             ac = build_ac(table)
             n_acts, order, n_rows = naive_ac(log.traces, window, kind)
             assert list(ac.row_labels) == n_acts
-            assert [k.symbols for k in ac.column_labels] == order
+            assert ac.column_labels is table.symbols
+            assert list(map(tuple, ac.column_labels.tolist())) == order
             assert np.array_equal(ac.dense(), np.array(n_rows))
 
     def test_product_computed_once_per_table(self, monkeypatch):
@@ -204,8 +204,7 @@ class TestExport:
 
     def test_a_negative_context_id_is_unknown(self):
         config = MethodConfig("ac", ContextKind.SEQUENCE, "none", 3)
-        columns = ContextKeys(ContextKind.SEQUENCE, np.array([[-1, 1]]))
-        matrix = EmbeddingMatrix((1,), columns, np.array([[1]]), config)
+        matrix = EmbeddingMatrix((1,), np.array([[-1, 1]]), np.array([[1]]), config)
         with pytest.raises(ParameterError, match="unknown activity id -1$"):
             write_embedding_csv(matrix, Alphabet(["a", "b"]), io.StringIO())
 
@@ -248,15 +247,16 @@ def matrix_cases(draw):
     if kind == "aa":
         columns = rows
         header = [names[aid] for aid in columns]
+        config = MethodConfig("aa", ContextKind.SEQUENCE, "none", 3)
     else:
         width = draw(st.integers(1, 3))
         contexts = draw(
             st.lists(st.lists(st.integers(0, len(labels)), min_size=width, max_size=width),
                      max_size=5)
         )
-        symbols = np.array(contexts, dtype=np.int64).reshape(-1, width)
-        columns = ContextKeys(ContextKind(kind), symbols)
+        columns = np.array(contexts, dtype=np.int64).reshape(-1, width)
         header = [naive_context_label([names[s] for s in ctx], kind) for ctx in contexts]
+        config = MethodConfig("ac", ContextKind(kind), "none", width + 1)
     shape = (len(rows), len(columns))
     dtype = draw(st.sampled_from([np.int64, np.float64]))
     cells = INT_CELLS if dtype is np.int64 else FLOAT_CELLS
@@ -287,7 +287,6 @@ def matrix_cases(draw):
             values[row, col] = value
     else:
         values = csr.tocsc() if layout == "csc" else csr
-    config = MethodConfig("ac", ContextKind.MULTISET, "none", 3)
     matrix = EmbeddingMatrix(rows, columns, values, config)
     square = np.array(
         draw(st.lists(st.lists(cells, min_size=len(rows), max_size=len(rows)),
@@ -440,5 +439,7 @@ HEADER_LABELS = ["B", "a", "10", "9"]
 def test_context_headers_render_every_context(traces, window, kind):
     log = log_from_label_traces(traces)
     table = extract_occurrences(log, window, kind)
-    expected = [render_context(s, kind, log.alphabet) for s in table.symbols.tolist()]
+    names = (PAD_LABEL,) + log.alphabet.labels()
+    contexts = table.symbols.tolist()
+    expected = [naive_context_label([names[s] for s in ctx], kind) for ctx in contexts]
     assert column_headers(build_ac(table), log.alphabet) == expected

@@ -34,7 +34,7 @@ def worked_ac():
 def cell(matrix, log, label, context_labels):
     row = row_index(matrix)[log.alphabet.id_of(label)]
     symbols = tuple(sorted(log.alphabet.id_of(l) if l != "__PAD__" else 0 for l in context_labels))
-    col = next(i for i, key in enumerate(matrix.column_labels) if key.symbols == symbols)
+    col = next(i for i, ctx in enumerate(matrix.column_labels.tolist()) if tuple(ctx) == symbols)
     return matrix.dense()[row, col]
 
 
