@@ -126,28 +126,28 @@ Report = Union[
 ]
 
 
-def _records(report: Report) -> tuple[type, Sequence]:
-    """The record type and the records of an exportable report."""
+def _records(report: Report) -> tuple[list[str], Sequence, tuple[dict, str] | None]:
+    """The one test of a report's kind: its exported columns (the record
+    type's fields in declaration order, without ``log_id``), its records,
+    and the JSON object and key they are listed under, or ``None`` for a
+    bare list of records, which is streamed."""
     if isinstance(report, TimingReport):
-        return TimingRecord, report.records
-    if isinstance(report, AggregateReport):
-        return AggregateRow, report.rows
-    if isinstance(report, Sequence):
-        for record_type in (IntrinsicScores, FailedJob):
-            if all(isinstance(item, record_type) for item in report):
-                return record_type, report
-    raise ParameterError(f"cannot export object of type {type(report).__name__}")
+        record_type, records = TimingRecord, report.records
+        listing = ({"schema": 1, "parallel": False, "repetitions": report.repetitions}, "records")
+    elif isinstance(report, AggregateReport):
+        record_type, records, listing = AggregateRow, report.rows, ({"schema": 1}, "rows")
+    else:
+        kinds = (IntrinsicScores, FailedJob) if isinstance(report, Sequence) else ()
+        matches = [kind for kind in kinds if all(isinstance(item, kind) for item in report)]
+        if not matches:
+            raise ParameterError(f"cannot export object of type {type(report).__name__}")
+        record_type, records, listing = matches[0], report, None
+    columns = [field.name for field in fields(record_type) if field.name != "log_id"]
+    return columns, records, listing
 
 
-def _columns(record_type: type) -> list[str]:
-    """Exported fields in declaration order; ``log_id`` stays internal."""
-    return [field.name for field in fields(record_type) if field.name != "log_id"]
-
-
-def _json_entries(report: Report) -> Iterator[dict]:
+def _json_entries(columns: list[str], records: Sequence) -> Iterator[dict]:
     """One JSON object per record, made as it is read."""
-    record_type, records = _records(report)
-    columns = _columns(record_type)
     return (
         {
             name: round(value, 6) if name.endswith("_seconds") else value
@@ -159,17 +159,12 @@ def _json_entries(report: Report) -> Iterator[dict]:
 
 
 def _json_payload(report: Report) -> object:
-    entries = list(_json_entries(report))
-    if isinstance(report, TimingReport):
-        return {
-            "schema": 1,
-            "parallel": False,
-            "repetitions": report.repetitions,
-            "records": entries,
-        }
-    if isinstance(report, AggregateReport):
-        return {"schema": 1, "rows": entries}
-    return entries
+    columns, records, listing = _records(report)
+    entries = list(_json_entries(columns, records))
+    if listing is None:
+        return entries
+    head, key = listing
+    return {**head, key: entries}
 
 
 def _csv_cell(name: str, value: object) -> object:
@@ -183,8 +178,7 @@ def _csv_cell(name: str, value: object) -> object:
 
 
 def _csv_table(report: Report) -> tuple[list[str], Iterator[list]]:
-    record_type, records = _records(report)
-    columns = _columns(record_type)
+    columns, records, _ = _records(report)
     rows = ([_csv_cell(name, getattr(record, name)) for name in columns] for record in records)
     return columns, rows
 
@@ -202,10 +196,11 @@ def export_report(report: Report, target: str | Path, fmt: str = "json") -> None
     """
     if fmt not in ("json", "csv"):
         raise ParameterError(f"unknown report format {fmt!r} (expected json or csv)")
-    if fmt == "json":
-        if isinstance(report, (TimingReport, AggregateReport)):
-            write_json(_json_payload(report), target)
-        else:  # a record list grows with the sweep: stream it
-            write_json_array(_json_entries(report), target)
+    if fmt == "csv":
+        write_csv(target, *_csv_table(report))
         return
-    write_csv(target, *_csv_table(report))
+    columns, records, listing = _records(report)
+    if listing is None:  # a record list grows with the sweep: stream it
+        write_json_array(_json_entries(columns, records), target)
+    else:
+        write_json(_json_payload(report), target)

@@ -47,7 +47,8 @@ class OccurrenceTable:
     activity ``row_labels[i]`` (the occurring ids ascending, never PAD),
     column j is context j, and cell (i, j) is #(a, c). ``row_totals`` and
     ``context_totals`` are the int64 row and column sums of ``counts``.
-    Treat the arrays as read-only.
+    All of these arrays are read-only, as the cached pair plan, AA counts
+    and weightings of the table rely on.
     """
 
     window_size: int
@@ -328,6 +329,9 @@ def extract_occurrences(
         weights = np.repeat(multiplicities, lengths)
     counts = _csr_counts(rows, context_ids, weights, (len(row_labels), len(symbols)))
     row_totals = np.asarray(counts.sum(axis=1)).ravel()
+    context_totals = np.asarray(counts.sum(axis=0)).ravel()
+    for array in (symbols, counts.data, counts.indices, counts.indptr, row_totals, context_totals):
+        array.flags.writeable = False
     return OccurrenceTable(
         window_size=n,
         kind=kind,
@@ -335,7 +339,7 @@ def extract_occurrences(
         counts=counts,
         row_labels=row_labels,
         row_totals=row_totals,
-        context_totals=np.asarray(counts.sum(axis=0)).ravel(),
+        context_totals=context_totals,
         total_events=int(row_totals.sum()),
     )
 

@@ -103,15 +103,15 @@ def score_all(
     groups of equal size (see :func:`_class_layout`); each group is then
     scored as one stacked block of its classes' member rows.
     """
-    layout = _class_layout(
+    off, groups = _class_layout(
         sim.labels, tuple((original, tuple(clones)) for original, clones in classes.items())
     )
     values = sim.values
-    cells = values[layout.off]
+    cells = values[off]
     lo = float(cells.min())
     span = float(cells.max()) - lo
     per_class: list = [None] * len(classes)
-    for group in layout.groups:
+    for group in groups:
         for slot, metrics in zip(group.slots, _group_scores(values, group, lo, span)):
             per_class[slot] = metrics
     return tuple(map(_mean, zip(*per_class)))
@@ -133,18 +133,12 @@ class _SizeGroup:
     off: np.ndarray  # (k, k) ordered pairs, in permutations order
 
 
-@dataclass(frozen=True, eq=False)
-class _ClassLayout:
-    off: np.ndarray  # (n, n) the off-diagonal cells
-    groups: tuple[_SizeGroup, ...]
-
-
 @lru_cache(maxsize=1)
 def _class_layout(
     labels: tuple[int, ...], classes: tuple[tuple[int, tuple[int, ...]], ...]
-) -> _ClassLayout:
+) -> tuple[np.ndarray, tuple[_SizeGroup, ...]]:
     """Validate the (original, members) classes against ``labels`` and group
-    them by size.
+    them by size: the (n, n) mask of off-diagonal cells, and the groups.
 
     It depends on no similarity value, so it is cached on its arguments:
     the configs of one job score the same classes over the same labels.
@@ -178,7 +172,7 @@ def _class_layout(
             ids=np.broadcast_to(np.asarray(labels), own.shape).copy(),
             positions=np.arange(len(members))[:, None, None], upper=np.triu(off), off=off,
         ))
-    return _ClassLayout(off=~np.eye(len(labels), dtype=bool), groups=tuple(groups))
+    return ~np.eye(len(labels), dtype=bool), tuple(groups)
 
 
 def _group_scores(

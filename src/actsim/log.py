@@ -761,12 +761,12 @@ def compute_stats(log: EventLog) -> LogStats:
     counts = log.activity_counts()
     total = sum(counts.values())
     variant_count = len(log.variants.counts)
-    entries = []
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    for rank, (aid, count) in enumerate(ordered, start=1):
-        entries.append(
-            RankFrequencyEntry(rank, aid, log.alphabet.label_of(aid), count, count / total)
-        )
+    labels = log.alphabet.labels_of([aid for aid, _ in ordered]).tolist()
+    entries = [
+        RankFrequencyEntry(rank, aid, label, count, count / total)
+        for rank, ((aid, count), label) in enumerate(zip(ordered, labels), start=1)
+    ]
     return LogStats(
         activity_count=len(counts),
         trace_count=log.n_traces,

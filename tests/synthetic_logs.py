@@ -8,6 +8,11 @@ import string
 from actsim import EventLog, log_from_label_traces
 
 
+def worked_log() -> EventLog:
+    """The worked example: five traces ``abcde`` and one ``addbe``."""
+    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
+
+
 def random_small_log(rng: random.Random, max_activities: int = 6, max_traces: int = 10) -> EventLog:
     """A tiny random log for exhaustive oracle comparisons."""
     n_activities = rng.randint(1, max_activities)

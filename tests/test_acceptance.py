@@ -33,7 +33,7 @@ from actsim import (
 )
 from actsim.cli import main as cli_main
 from reference import naive_aa, naive_ac, naive_similarity_matrix
-from synthetic_logs import big_uniform_log, random_small_log, structured_log
+from synthetic_logs import big_uniform_log, random_small_log, structured_log, worked_log
 from test_matrices import WORKED_AC
 from test_weighting import cell
 
@@ -41,10 +41,6 @@ from test_weighting import cell
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
 
 
 def test_a1_worked_example_matrix_and_speed():

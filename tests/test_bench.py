@@ -24,7 +24,6 @@ from actsim import (
     expand_grid,
     export_report,
     extract_occurrences,
-    log_from_label_traces,
     make_config,
     run_intrinsic_benchmark,
     run_runtime_bench,
@@ -32,11 +31,7 @@ from actsim import (
     TimingReport,
 )
 from actsim.intrinsic import AggregateRow
-from synthetic_logs import structured_log
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
+from synthetic_logs import structured_log, worked_log
 
 
 def full_grid(windows=(3, 5, 9)):

@@ -25,11 +25,7 @@ from actsim import (
 from actsim import contexts, pipeline
 from actsim.matrices import column_headers
 from reference import naive_counts, pair_counts
-from synthetic_logs import random_small_log
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
+from synthetic_logs import random_small_log, worked_log
 
 
 def by_labels(table, log):
@@ -135,6 +131,20 @@ class TestErrors:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             extract_occurrences(worked_log(), 3, "bag")
+
+
+@pytest.mark.parametrize("coarsened", [False, True])
+def test_table_arrays_are_read_only(coarsened):
+    log = worked_log()
+    fine = extract_occurrences(log, 5, "seq") if coarsened else None
+    table = extract_occurrences(log, 3, "mset", fine=fine)
+    arrays = (
+        table.symbols, table.counts.data, table.counts.indices, table.counts.indptr,
+        table.row_totals, table.context_totals,
+    )
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
 
 
 def render(symbols, kind, alphabet):

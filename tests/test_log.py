@@ -24,17 +24,13 @@ from actsim import (
     write_stats_csv,
 )
 from reference import naive_parse_csv, naive_parse_xes
-from synthetic_logs import big_uniform_log
+from synthetic_logs import big_uniform_log, worked_log
 
 WORKED_CSV = "case,activity\n" + "".join(
     f"{case},{act}\n"
     for case, trace in enumerate(["abcde"] * 5 + ["addbe"], start=1)
     for act in trace
 )
-
-
-def worked_log() -> EventLog:
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
 
 
 @st.composite

@@ -31,7 +31,7 @@ from actsim import (
 from actsim.contexts import OccurrenceTable
 from actsim.matrices import EmbeddingMatrix, column_headers
 from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
-from synthetic_logs import random_small_log, structured_log
+from synthetic_logs import random_small_log, structured_log, worked_log
 
 WORKED_AC = np.array(
     [
@@ -54,10 +54,6 @@ FOUR_TRACE_AA_MSET = np.array(
         [5, 0, 0, 0, 8],
     ]
 )
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
 
 
 class TestAc:

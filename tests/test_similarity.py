@@ -28,12 +28,8 @@ from actsim import contexts
 from actsim.contexts import ContextKind, OccurrenceTable
 from actsim.similarity import _gram
 from reference import naive_similarity_matrix, two_copy_cosine
-from synthetic_logs import random_small_log, structured_log
+from synthetic_logs import random_small_log, structured_log, worked_log
 from test_matrices import FOUR_TRACE
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
 
 
 class TestCosineDistance:

@@ -18,11 +18,7 @@ from actsim import (
     substitution_scores,
 )
 from reference import previous_dense_weighting, previous_substitution, row_index
-from synthetic_logs import random_small_log, structured_log
-
-
-def worked_log():
-    return log_from_label_traces([list("abcde")] * 5 + [list("addbe")])
+from synthetic_logs import random_small_log, structured_log, worked_log
 
 
 def worked_ac():
