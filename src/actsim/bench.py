@@ -126,11 +126,14 @@ Report = Union[
 ]
 
 
-def _records(report: Report) -> tuple[list[str], Sequence, tuple[dict, str] | None]:
+def _records(report: Report) -> tuple[list[str] | None, Sequence, tuple[dict, str] | None]:
     """The one test of a report's kind: its exported columns (the record
-    type's fields in declaration order, without ``log_id``), its records,
-    and the JSON object and key they are listed under, or ``None`` for a
-    bare list of records, which is streamed."""
+    type's fields in declaration order, without ``log_id``; ``None`` for an
+    empty list, which has no record type), its records, and the JSON object
+    and key they are listed under, or ``None`` for a bare list of records,
+    which is streamed."""
+    if isinstance(report, Sequence) and not report:
+        return None, report, None
     if isinstance(report, TimingReport):
         record_type, records = TimingRecord, report.records
         listing = ({"schema": 1, "parallel": False, "repetitions": report.repetitions}, "records")
@@ -179,6 +182,8 @@ def _csv_cell(name: str, value: object) -> object:
 
 def _csv_table(report: Report) -> tuple[list[str], Iterator[list]]:
     columns, records, _ = _records(report)
+    if columns is None:
+        raise ParameterError("an empty record list has no record type, so no CSV columns")
     rows = ([_csv_cell(name, getattr(record, name)) for name in columns] for record in records)
     return columns, rows
 
@@ -189,10 +194,12 @@ def export_report(report: Report, target: str | Path, fmt: str = "json") -> None
     Accepts a :class:`TimingReport`, an :class:`AggregateReport`, or a
     sequence of :class:`IntrinsicScores` or of :class:`FailedJob`. Keys
     and columns are the record's fields in declaration order, without
-    ``log_id``. JSON uses sorted keys and two-space indentation and omits
-    ``None`` values; CSV uses ``\\n`` line endings and writes ``None`` as
-    an empty cell. Seconds carry 6 decimal places, other floats 17
-    significant digits in CSV and their shortest repr in JSON.
+    ``log_id``; an empty sequence has no record type, so it is ``[]`` in
+    JSON and a :class:`ParameterError` in CSV. JSON uses sorted keys and
+    two-space indentation and omits ``None`` values; CSV uses ``\\n`` line
+    endings and writes ``None`` as an empty cell. Seconds carry 6 decimal
+    places, other floats 17 significant digits in CSV and their shortest
+    repr in JSON.
     """
     if fmt not in ("json", "csv"):
         raise ParameterError(f"unknown report format {fmt!r} (expected json or csv)")

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, EventLog, _intern, _widen
+from .log import PAD, EventLog, _intern, _read_only, _widen
 
 
 class ContextKind(str, Enum):
@@ -62,8 +63,8 @@ class OccurrenceTable:
 
     @cached_property
     def activity_totals(self) -> Mapping[int, int]:
-        """Each occurring activity id's event count, keyed by id."""
-        return dict(zip(self.row_labels, self.row_totals.tolist()))
+        """Each occurring activity id's event count, keyed by id (read-only)."""
+        return MappingProxyType(dict(zip(self.row_labels, self.row_totals.tolist())))
 
     @cached_property
     def contexts(self) -> tuple[tuple[int, ...], ...]:
@@ -73,7 +74,7 @@ class OccurrenceTable:
     @cached_property
     def pair_plan(self) -> "PairPlan | None":
         """The row pairs that share a column of ``counts``, built on first
-        use; None when there are more than ``_PAIR_CAP`` of them."""
+        use, in read-only arrays; None when there are more than ``_PAIR_CAP``."""
         return _pair_plan(self.counts)
 
     @cached_property
@@ -97,8 +98,7 @@ class OccurrenceTable:
             data = self.counts.data
             sums = plan.symmetric(2 * self.row_totals, data[plan.left] + data[plan.right])
             values = sums.astype(np.int64)
-        values.flags.writeable = False
-        return values
+        return _read_only(values)
 
     @cached_property
     def weighted(self) -> dict:
@@ -172,10 +172,10 @@ def _pair_plan(counts: sparse.csr_matrix) -> "PairPlan | None":
     rows = np.repeat(np.arange(n, dtype=_narrow(n)), np.diff(counts.indptr))
     ranked = rows[order]
     return PairPlan(
-        rows=rows,
-        left=order[first],
-        right=order[second],
-        cells=ranked[first].astype(_narrow(n * n)) * n + ranked[second],
+        rows=_read_only(rows),
+        left=_read_only(order[first]),
+        right=_read_only(order[second]),
+        cells=_read_only(ranked[first].astype(_narrow(n * n)) * n + ranked[second]),
     )
 
 
@@ -255,7 +255,7 @@ def _tabulate(columns: np.ndarray, kind: ContextKind, base: int) -> tuple[np.nda
     if kind is ContextKind.MULTISET:
         _sort_columns(columns)
     first, numbers = _intern(_packed_keys(columns, base))
-    return np.ascontiguousarray(columns[:, first].T), numbers
+    return _read_only(np.ascontiguousarray(columns[:, first].T)), numbers
 
 
 def extract_occurrences(
@@ -328,10 +328,8 @@ def extract_occurrences(
         rows = (np.cumsum(occurs) - 1)[centers]
         weights = np.repeat(multiplicities, lengths)
     counts = _csr_counts(rows, context_ids, weights, (len(row_labels), len(symbols)))
-    row_totals = np.asarray(counts.sum(axis=1)).ravel()
-    context_totals = np.asarray(counts.sum(axis=0)).ravel()
-    for array in (symbols, counts.data, counts.indices, counts.indptr, row_totals, context_totals):
-        array.flags.writeable = False
+    row_totals = _read_only(np.asarray(counts.sum(axis=1)).ravel())
+    context_totals = _read_only(np.asarray(counts.sum(axis=0)).ravel())
     return OccurrenceTable(
         window_size=n,
         kind=kind,
@@ -374,4 +372,4 @@ def _csr_counts(
         (data, (cells % shape[1]).astype(index_dtype), indptr), shape=shape, copy=False
     )
     matrix.has_canonical_format = True
-    return matrix
+    return _read_only(matrix)

@@ -107,8 +107,12 @@ def _split(flat: list, offsets: np.ndarray) -> Iterator[list]:
     return (flat[start:end] for start, end in zip(bounds, bounds[1:]))
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
+def _read_only(values):
+    """``values`` frozen in place and returned: an array, or the three arrays of
+    a CSR matrix. Every array the package caches is frozen here, where made."""
+    csr = not isinstance(values, np.ndarray)
+    for array in (values.data, values.indices, values.indptr) if csr else (values,):
+        array.flags.writeable = False
     return values
 
 
@@ -226,9 +230,7 @@ class EventLog:
             raise ParameterError(
                 f"trace {bad_trace} contains an id outside the alphabet (PAD is not allowed)"
             )
-        events.flags.writeable = False
-        offsets.flags.writeable = False
-        vars(self).update(events=events, offsets=offsets, alphabet=alphabet)
+        vars(self).update(events=_read_only(events), offsets=_read_only(offsets), alphabet=alphabet)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"EventLog is immutable; cannot set {name!r}")

@@ -6,8 +6,8 @@ stay zero, so sparsity is preserved. PPMI clamps negatives to zero. The
 logarithm is natural.
 
 This module owns ``OccurrenceTable.weighted``, the cache of a table's own
-counts: under a method (``"ac"`` or ``"aa"``) the read-only log-ratios,
-under (method, weighting) the values handed out.
+counts: under a method (``"ac"`` or ``"aa"``) the log-ratios, under
+(method, weighting) the values handed out, all of them read-only.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from scipy import sparse
 
 from .contexts import OccurrenceTable
 from .errors import ParameterError
+from .log import _read_only
 from .matrices import WEIGHTINGS, EmbeddingMatrix
 
 
@@ -46,8 +47,7 @@ def _pmi_ratios(
         ratios = _log_ratios(counts.data, n, row_tot[rows] * col_tot[counts.indices])
     else:
         ratios = _log_ratios(counts, n, np.outer(row_tot, col_tot))
-    ratios.flags.writeable = False
-    return ratios
+    return _read_only(ratios)
 
 
 def _check_pair(matrix: EmbeddingMatrix, table: OccurrenceTable) -> None:
@@ -111,20 +111,19 @@ def _clamped(ratios: np.ndarray, weighting: str) -> np.ndarray:
 def _weigh(
     counts: "np.ndarray | sparse.csr_matrix", ratios: np.ndarray, weighting: str
 ) -> "np.ndarray | sparse.csr_matrix":
-    """PMI or PPMI from the log-ratios of ``counts``: dense and read-only,
-    or on a sparse ``counts``' own pattern in its storage order (no
-    re-sort), less the cells that came out exactly zero."""
+    """PMI or PPMI from the log-ratios of ``counts``, read-only: dense, or
+    on a sparse ``counts``' own pattern in its storage order (no re-sort),
+    less the cells that came out exactly zero."""
     values = _clamped(ratios, weighting)
     if not sparse.issparse(counts):
-        values.flags.writeable = False
-        return values
+        return _read_only(values)
     # The CSR owns its arrays, as eliminate_zeros compacts them in place.
     data = values.copy() if values is ratios else values
     matrix = sparse.csr_matrix(
         (data, counts.indices.copy(), counts.indptr.copy()), shape=counts.shape
     )
     matrix.eliminate_zeros()
-    return matrix
+    return _read_only(matrix)
 
 
 def stored_values(matrix: EmbeddingMatrix) -> "np.ndarray | None":

@@ -384,7 +384,6 @@ GOLDEN_TEXTS = {
 """,
     ("empty_timing", "csv"): TIMING_HEADER,
     ("empty_scores", "json"): "[]\n",
-    ("empty_scores", "csv"): SCORES_HEADER,
 }
 
 GOLDEN_REPORTS = {
@@ -402,6 +401,12 @@ class TestGoldenExport:
         target = tmp_path / f"{name}.{fmt}"
         export_report(GOLDEN_REPORTS[name], target, fmt)
         assert target.read_bytes() == GOLDEN_TEXTS[(name, fmt)].encode("utf-8")
+
+    def test_empty_record_list_has_no_csv_columns(self, tmp_path):
+        # An empty list of scores and one of failures are the same object.
+        with pytest.raises(ParameterError, match="empty record list has no record type"):
+            export_report([], tmp_path / "empty.csv", fmt="csv")
+        assert not (tmp_path / "empty.csv").exists()
 
     def test_failures_text(self, tmp_path):
         target = tmp_path / "failures.json"

@@ -288,6 +288,30 @@ class TestIntrinsic:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--window", "3,x", "error: --window: expected integers, got '3,x'"),
+        ("--window", ",", "error: --window: empty value"),
+        ("--method", ",", "error: --method: empty value"),
+    ])
+    def test_malformed_grid_value(self, flag, value, message, worked_csv, tmp_path, capsys):
+        code = run(["intrinsic", "--input", worked_csv, "--out-dir", tmp_path / "out", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_a_clone_label_collision_fails_its_jobs_and_exits_1(self, tmp_path):
+        source = tmp_path / "log.csv"
+        source.write_text("case,activity\n1,a\n1,a__1\n1,b\n2,b\n2,a\n2,c\n3,c\n3,a__1\n3,a\n")
+        out = tmp_path / "out"
+        code = run([
+            "intrinsic", "--input", source, "--out-dir", out, "--method", "all",
+            "--context", "all", "--weight", "all", "--window", "3,5", "--samples", "1",
+        ])
+        assert code == 1
+        failures = json.loads((out / "intrinsic_failures.json").read_text())
+        errors = [failure["error"] for failure in failures]
+        assert len(errors) == 416
+        assert errors.count("clone label 'a__1' collides with an existing activity") == 234
+
     def test_unknown_grid_value(self, worked_csv, tmp_path, capsys):
         code = run([
             "intrinsic", "--input", worked_csv, "--out-dir", tmp_path / "out",
@@ -384,6 +408,8 @@ class TestUsage:
             ("long.csv", "case,activity\n1,a\n1," + "x" * 200_000 + "\n",
              "error: row 3: field larger than field limit"),
             ("cut.xes", XES_DOC[:200], "error: malformed XES/XML: unclosed token"),
+            ("header.csv", "case,activity," + "x" * 200_000 + "\n1,a\n",
+             "error: row 1: field larger than field limit (131072)"),
         ],
     )
     def test_unparseable_input(self, name, text, message, tmp_path, capsys):

@@ -16,6 +16,8 @@ from actsim import (
     Alphabet,
     MethodConfig,
     ParameterError,
+    apply_weighting,
+    build_aa,
     build_ac,
     expand_grid,
     extract_occurrences,
@@ -135,16 +137,26 @@ class TestErrors:
 
 @pytest.mark.parametrize("coarsened", [False, True])
 def test_table_arrays_are_read_only(coarsened):
+    """The table's arrays, its pair plan and AA counts, and the PMI and
+    PPMI values its cache hands out cannot be written, nor can
+    ``activity_totals``."""
     log = worked_log()
     fine = extract_occurrences(log, 5, "seq") if coarsened else None
     table = extract_occurrences(log, 3, "mset", fine=fine)
-    arrays = (
+    arrays = [
         table.symbols, table.counts.data, table.counts.indices, table.counts.indptr,
-        table.row_totals, table.context_totals,
-    )
+        table.row_totals, table.context_totals, table.aa_counts, *table.pair_plan,
+    ]
+    for weighting in ("pmi", "ppmi"):
+        weighted = apply_weighting(build_ac(table), table, weighting).values
+        arrays += [weighted.data, weighted.indices, weighted.indptr]
+        arrays.append(apply_weighting(build_aa(table), table, weighting).values)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            array[0] += 1
+            array[...] = 0
+    with pytest.raises(TypeError):
+        table.activity_totals[table.row_labels[0]] = 999
+    assert table.activity_totals == dict(zip(table.row_labels, table.row_totals.tolist()))
 
 
 def render(symbols, kind, alphabet):

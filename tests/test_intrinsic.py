@@ -520,6 +520,30 @@ class TestRunner:
         assert scores and not failures
         assert all(s.method == "substitution" and s.log_id == "mine" for s in scores)
 
+    def test_a_failed_derivation_fails_every_config_of_its_job(self):
+        # Cloning "a" names its first clone "a__1", a label this log has.
+        log = log_from_label_traces([["a", "a__1", "b"], ["b", "a", "c"], ["c", "a__1", "a"]])
+        configs = expand_grid(METHODS, ["mset", "seq"], WEIGHTINGS, [3, 5])
+        assert len(configs) == 26
+        scores, failures = run_intrinsic_benchmark(log, configs, samples=3, master_seed=42)
+        collision = "clone label 'a__1' collides with an existing activity"
+        grid = [(c.method, c.kind.value, c.weighting, c.window) for c in configs]
+        jobs = enumerate_benchmark_plan(log, 3, 42).jobs
+        failed = [job for job in jobs if log.alphabet.id_of("a") in job.selected]
+        assert 0 < len(failed) < len(jobs)
+        for job in jobs:
+            key = (job.r, job.w, job.sample_index)
+            job_scores = [s for s in scores if (s.r, s.w, s.sample) == key]
+            job_failures = [f for f in failures if (f.r, f.w, f.sample) == key]
+            if job in failed:
+                assert not job_scores
+                assert [f.error for f in job_failures] == [collision] * 26
+                assert [(f.method, f.context, f.weighting, f.window) for f in job_failures] == grid
+            else:
+                assert len(job_scores) + len(job_failures) == 26
+                assert collision not in {f.error for f in job_failures}
+        assert scores  # only jobs that do not select "a" are left to score
+
     def test_unexpected_exception_fails_only_its_config(self, monkeypatch):
         log = log_from_label_traces([["a", "b", "c", "b"]] * 12)
         configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]

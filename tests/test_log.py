@@ -199,6 +199,10 @@ class TestEventLog:
         assert counts[2] == 0 and 2 not in counts
         assert counts == {1: 1, 3: 2}
 
+    def test_label_traces_reject_the_pad_label(self):
+        with pytest.raises(FormatError, match="^activity label '__PAD__' is reserved$"):
+            log_from_label_traces([["a"], ["b", "__PAD__"]])
+
     def test_arrays_are_read_only(self):
         for log in (worked_log(), EventLog(((1, 2),), Alphabet(["a", "b"]))):
             for array in (log.events, log.offsets, *log.variants):

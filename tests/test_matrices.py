@@ -21,6 +21,7 @@ from actsim import (
     apply_ppmi,
     build_aa,
     build_ac,
+    build_embedding,
     dimension_bound,
     extract_occurrences,
     log_from_label_traces,
@@ -332,6 +333,25 @@ def test_duplicate_entries_add_in_storage_order():
             ["activity", "a", "b", "a", "b"], ["a", "b"], values.toarray().tolist()
         )
         assert buffer.getvalue() == expected
+
+
+@pytest.mark.parametrize("method, weighting, window, message", [
+    ("word2vec", "none", 3, "^unknown method 'word2vec'"),
+    ("aa", "tfidf", 3, "^unknown weighting 'tfidf'"),
+    ("aa", "none", 1, "^window size must be at least 2, got 1$"),
+    ("substitution", "pmi", 3, "^substitution requires weighting none$"),
+])
+def test_invalid_config_rejected(method, weighting, window, message):
+    with pytest.raises(ParameterError, match=message):
+        MethodConfig(method, ContextKind.SEQUENCE, weighting, window).validate()
+
+
+@pytest.mark.parametrize("kind, window", [("seq", 3), ("mset", 5)])
+def test_build_embedding_rejects_a_table_of_another_config(kind, window):
+    table = extract_occurrences(worked_log(), 3, "mset")
+    config = MethodConfig("aa", ContextKind(kind), "none", window)
+    with pytest.raises(ParameterError, match=rf"^table \(mset, n=3\) does not match config aa/{kind}/"):
+        build_embedding(table, config)
 
 
 @pytest.mark.parametrize("kind", ["mset", "seq"])

@@ -204,6 +204,22 @@ def test_pair_plan_keeps_the_bits(cells):
     assert np.array_equal(table.aa_counts, half + half.T)
 
 
+def test_wide_pair_plan_keeps_the_bits():
+    # More stored counts than uint16 numbers, and more cells (300 x 300):
+    # the plan's positions and cells are int32.
+    rng = random.Random(5)
+    traces = [[str(rng.randrange(300)) for _ in range(rng.randint(2, 6))] for _ in range(20_000)]
+    table = extract_occurrences(log_from_label_traces(traces), 5, "seq")
+    plan = table.pair_plan
+    assert table.counts.nnz == 79_778 and plan is not None
+    assert plan.left.dtype == plan.right.dtype == plan.cells.dtype == np.int32
+    ac = build_ac(table)
+    for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table)):
+        assert _gram(matrix).tobytes() == scipy_gram(matrix.values).tobytes()
+    half = (table.counts @ (table.counts > 0).T.astype(np.int64)).toarray()
+    assert np.array_equal(table.aa_counts, half + half.T)
+
+
 @settings(max_examples=100, deadline=None)
 @given(count_matrices)
 @example([[1, 1], [1, 1]])  # every PMI cell is exactly 0
@@ -352,6 +368,14 @@ class TestSubstitution:
     def test_multiset_table_rejected(self):
         with pytest.raises(ParameterError):
             substitution_scores(extract_occurrences(worked_log(), 3, "mset"))
+
+    def test_an_id_without_a_row_has_no_index(self):
+        ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))
+        assert ss.index_of(ss.labels[-1]) == len(ss.labels) - 1
+        with pytest.raises(ParameterError, match="^activity id 99 has no row$"):
+            ss.index_of(99)
+        with pytest.raises(ParameterError, match="^activity id 99 has no row$"):
+            ss.similarity(ss.labels[0], 99)
 
     def test_no_distances_for_scores(self):
         ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))

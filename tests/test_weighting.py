@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +188,17 @@ class TestContracts:
         t_seq = extract_occurrences(log, 3, "seq")
         with pytest.raises(ParameterError):
             apply_pmi(build_ac(t3), t_seq)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ac: replace(ac, config=replace(ac.config, method="substitution")),
+         "^weighting does not apply to method 'substitution'$"),
+        (lambda ac: replace(ac, row_labels=ac.row_labels[::-1]),
+         "^matrix rows do not match the table's activities$"),
+    ])
+    def test_matrix_the_table_did_not_make_rejected(self, change, message):
+        _, table, ac = worked_ac()
+        with pytest.raises(ParameterError, match=message):
+            apply_weighting(change(ac), table, "pmi")
 
     def test_unknown_weighting_name(self):
         _, table, ac = worked_ac()
