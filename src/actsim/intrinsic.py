@@ -6,14 +6,17 @@ the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
 
-``score_all`` computes all four in one pass: the classes of each size are
-one stacked numpy block, read through a class layout that is cached on
-the value of (labels, classes); each single-metric function selects from
-it. Every mean, per pair, member, class, log or config, is one
-:func:`_mean` over ``.tolist()`` in the order of the loop oracles in
-``tests/reference.py``: a left fold from 0.0, which gives the same bytes on
-Python 3.10 to 3.12. numpy's pairwise summation and 3.12's compensated
-``sum()`` would each change the last bit.
+A plan job is scored as one stack: the similarity matrices of all its
+configs, over the same labels, as one (C, n, n) array. :func:`_score_stack`
+computes all four metrics of every config in one pass, the classes of
+each size as one (C, m, k, n) block read through a class layout that is
+cached on the value of (labels, classes). ``score_all`` is a stack of one,
+and each single-metric function selects from it. Every mean, per pair,
+member, class, log or config, is one :func:`_mean`: a ``cumsum`` over the
+last axis in the order of the loop oracles in ``tests/reference.py``,
+which is their left fold from 0.0 and gives the same bytes on Python 3.10
+to 3.12. numpy's pairwise summation and 3.12's compensated ``sum()`` would
+each change the last bit.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import repeat
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,14 +36,20 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .matrices import ConfigEcho, MethodConfig
-from .pipeline import shared_tables, similarity_for_config
-from .similarity import PairwiseSimilarity
+from .matrices import ConfigEcho, EmbeddingMatrix, MethodConfig
+from .pipeline import build_embedding, shared_tables
+from .similarity import PairwiseSimilarity, _similarities
+
+_METRICS = ("i_comp", "i_nn", "i_prec", "i_tri")
 
 
-def _mean(values: Sequence[float]) -> float:
-    """The sum of ``values`` added left to right from 0.0, over their count."""
-    return reduce(add, values, 0.0) / len(values)
+def _mean(values) -> np.ndarray:
+    """The mean over the last axis of ``values``: each sum is added left to
+    right (``cumsum``), then to 0.0, which is the left fold from 0.0 (the
+    fold turns an all ``-0.0`` sum into ``0.0``), over the count."""
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's float adds
+        return (np.cumsum(values, axis=-1)[..., -1] + 0.0) / values.shape[-1]
 
 
 def score_compactness(
@@ -97,24 +106,31 @@ def score_triplet(
 def score_all(
     sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
 ) -> tuple[float, float, float, float]:
-    """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes.
+    """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes: a stack
+    of one for :func:`_score_stack`."""
+    return _score_stack([sim], classes)[0]
 
-    The classes are validated against the matrix's labels and laid out as
-    groups of equal size (see :func:`_class_layout`); each group is then
-    scored as one stacked block of its classes' member rows.
+
+def _score_stack(
+    sims: Sequence[PairwiseSimilarity], classes: Mapping[int, frozenset[int]]
+) -> list[tuple[float, float, float, float]]:
+    """(I_comp, I_nn, I_prec, I_tri) of each of ``sims``, which share their
+    labels, in one pass.
+
+    The classes are validated against the labels and laid out as groups of
+    equal size (see :func:`_class_layout`); each group is then scored as
+    one block of its classes' member rows in every matrix of the stack.
     """
     off, groups = _class_layout(
-        sim.labels, tuple((original, tuple(clones)) for original, clones in classes.items())
+        sims[0].labels, tuple((original, tuple(clones)) for original, clones in classes.items())
     )
-    values = sim.values
-    cells = values[off]
-    lo = float(cells.min())
-    span = float(cells.max()) - lo
-    per_class: list = [None] * len(classes)
+    values = np.stack([sim.values for sim in sims])
+    lo = values.min(axis=(1, 2), where=off, initial=np.inf)
+    span = values.max(axis=(1, 2), where=off, initial=-np.inf) - lo
+    per_class = np.empty((4, len(sims), len(classes)))
     for group in groups:
-        for slot, metrics in zip(group.slots, _group_scores(values, group, lo, span)):
-            per_class[slot] = metrics
-    return tuple(map(_mean, zip(*per_class)))
+        per_class[:, :, group.slots] = _group_scores(values, group, lo, span)
+    return list(map(tuple, _mean(per_class).T.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +143,7 @@ class _SizeGroup:
     own: np.ndarray  # (m, k, n) a member's own column
     in_class: np.ndarray  # (m, n) the class's columns
     outside: np.ndarray  # (m, 1, n) every other column
-    ids: np.ndarray  # (m, k, n) each column's activity id
+    ids: np.ndarray  # (n,) each column's activity id
     positions: np.ndarray  # (m, 1, 1) each class's position in the group
     upper: np.ndarray  # (k, k) unordered pairs, in combinations order
     off: np.ndarray  # (k, k) ordered pairs, in permutations order
@@ -169,42 +185,41 @@ def _class_layout(
         groups.append(_SizeGroup(
             slots=tuple(slot for slot, _ in members), rows=rows, own=own,
             in_class=in_class, outside=~in_class[:, None, :],
-            ids=np.broadcast_to(np.asarray(labels), own.shape).copy(),
+            ids=np.asarray(labels),
             positions=np.arange(len(members))[:, None, None], upper=np.triu(off), off=off,
         ))
     return ~np.eye(len(labels), dtype=bool), tuple(groups)
 
 
 def _group_scores(
-    values: np.ndarray, group: _SizeGroup, lo: float, span: float
-) -> list[tuple[float, float, float, float]]:
-    """The four per-class values of each class of ``group``, in its order."""
+    values: np.ndarray, group: _SizeGroup, lo: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """(4, C, m): the four per-class values of each of the m classes of
+    ``group``, in its order, in each of the C matrices of ``values``."""
     rows = group.rows
     m, k = rows.shape
-    block = values[rows]
-    inner = values[rows[:, :, None], rows[:, None, :]]
-    comps = [0.0] * m
-    if span != 0.0:
-        comps = list(map(_mean, ((inner[:, group.upper] - lo) / span).tolist()))
-    row_max = np.where(group.own, -np.inf, block).max(axis=2, keepdims=True)
-    missed = ((block == row_max) & group.outside).any(axis=2).sum(axis=1).tolist()
+    block = values[:, rows]
+    inner = values[:, rows[:, :, None], rows[:, None, :]]
+    scores = np.empty((4, len(values), m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = (inner[:, :, group.upper] - lo[:, None, None]) / span[:, None, None]
+    scores[0] = np.where(span[:, None] != 0.0, _mean(scaled), 0.0)
+    row_max = np.where(group.own, -np.inf, block).max(axis=3, keepdims=True)
+    missed = ((block == row_max) & group.outside).any(axis=3).sum(axis=2)
+    scores[1] = (k - missed) / k
     # The last key sorts first: the member itself goes after every candidate.
-    order = np.lexsort((group.ids, -block, group.own))
-    hits = group.in_class[group.positions, order[:, :, : k - 1]].sum(axis=2).tolist()
-    precs = [_mean([count / (k - 1) for count in member_hits]) for member_hits in hits]
-    tris = [1.0] * m
-    outsiders = values.shape[0] - k
+    hits = group.in_class[group.positions, np.lexsort((
+        np.broadcast_to(group.ids, block.shape), -block, np.broadcast_to(group.own, block.shape)
+    ))[..., : k - 1]]
+    scores[2] = _mean(hits.sum(axis=3) / (k - 1))
+    outsiders = values.shape[1] - k
+    scores[3] = 1.0
     if outsiders:
-        # beaten[c, a, b, o]: outsider o of class c has s(a, o) < s(a, b).
-        beaten = (block[:, :, None, :] < inner[..., None]) & group.outside[:, :, None, :]
-        tris = [
-            _mean([count / outsiders for count in counts])
-            for counts in beaten.sum(axis=3)[:, group.off].tolist()
-        ]
-    return [
-        (comp, (k - miss) / k, prec, tri)
-        for comp, miss, prec, tri in zip(comps, missed, precs, tris)
-    ]
+        # beaten[s, c, a, b, o]: outsider o of class c has s(a, o) < s(a, b).
+        beaten = block[:, :, :, None, :] < inner[..., None]
+        beaten &= group.outside[:, :, None, :]
+        scores[3] = _mean(beaten.sum(axis=4)[:, :, group.off] / outsiders)
+    return scores
 
 
 @dataclass(frozen=True)
@@ -255,32 +270,57 @@ def _fail_every_config(
 def _run_job(
     log: EventLog, job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
-    """Score one plan job under every config. An exception while deriving
-    the ground truth or its tables fails every config; one while scoring a
-    config, or a refusal of its own table, fails only that config."""
+    """Score one plan job under every config, as one stack.
+
+    An exception while deriving the ground truth or its tables fails every
+    config. A config whose own table is refused, or whose build raises,
+    fails alone and stays out of the stack. If the stack raises while it is
+    compared or scored, each of its configs is scored alone, so only the
+    configs that raise fail. Records keep config order.
+    """
     try:
         gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
         tables = shared_tables(gt.log, configs)
     except Exception as exc:
         return [], _fail_every_config(job, configs, log_id, exc)
 
-    scores: list[IntrinsicScores] = []
-    failures: list[FailedJob] = []
-    for config in configs:
-        labels = _labels(job, config, log_id)
+    outcomes: list = [None] * len(configs)  # four scores, or the exception
+    built: dict[int, "EmbeddingMatrix | PairwiseSimilarity"] = {}
+    for index, config in enumerate(configs):
         try:
             table = tables[(config.kind, config.window)]
             if isinstance(table, ParameterError):
                 raise table
-            sim = similarity_for_config(table, config)
-            i_comp, i_nn, i_prec, i_tri = score_all(sim, gt.classes.psi)
+            built[index] = build_embedding(table, config)
         except Exception as exc:
-            failures.append(FailedJob(**labels, error=_error_text(exc)))
-            continue
-        scores.append(
-            IntrinsicScores(**labels, i_comp=i_comp, i_nn=i_nn, i_prec=i_prec, i_tri=i_tri)
-        )
+            outcomes[index] = exc
+    stack = list(built.values())
+    try:
+        scored = _score_stack(_similarities(stack), gt.classes.psi) if stack else []
+    except Exception:
+        scored = [_score_alone(item, gt.classes.psi) for item in stack]
+    for index, outcome in zip(built, scored):
+        outcomes[index] = outcome
+
+    scores: list[IntrinsicScores] = []
+    failures: list[FailedJob] = []
+    for config, outcome in zip(configs, outcomes):
+        labels = _labels(job, config, log_id)
+        if isinstance(outcome, Exception):
+            failures.append(FailedJob(**labels, error=_error_text(outcome)))
+        else:
+            scores.append(IntrinsicScores(**labels, **dict(zip(_METRICS, outcome))))
     return scores, failures
+
+
+def _score_alone(
+    built: "EmbeddingMatrix | PairwiseSimilarity", classes: Mapping[int, frozenset[int]]
+) -> "tuple[float, float, float, float] | Exception":
+    """The four scores of one config in a stack of its own, or what it raised."""
+    try:
+        return _score_stack(_similarities([built]), classes)[0]
+    except Exception as exc:
+        return exc
 
 
 def _run_chunk(
@@ -382,16 +422,13 @@ def aggregate_scores(
         by_log: dict[str, list[IntrinsicScores]] = {}
         for score in group:
             by_log.setdefault(score.log_id, []).append(score)
-        log_means = []
-        for log_id in sorted(by_log):
-            entries = by_log[log_id]
-            log_means.append(tuple(
-                _mean([getattr(e, field) for e in entries])
-                for field in ("i_comp", "i_nn", "i_prec", "i_tri")
-            ))
+        log_means = [
+            _mean([[getattr(e, field) for e in by_log[log_id]] for field in _METRICS])
+            for log_id in sorted(by_log)
+        ]
         overall = (None,) * 4
         if log_means:
-            overall = tuple(map(_mean, zip(*log_means)))
+            overall = _mean(np.transpose(log_means)).tolist()
         rows.append(
             AggregateRow(*key, *overall, jobs_ok=len(group), jobs_failed=failed_counts[key])
         )

@@ -92,31 +92,55 @@ def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
 
 
 def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
-    """All-pairs cosine similarities of the embedding rows.
+    """All-pairs cosine similarities of the embedding rows: a stack of one
+    for :func:`_similarities`.
 
     The Gram matrix is computed once in float64. Rows with an exact
     Cauchy-Schwarz equality (G(a,b)^2 = G(a,a) G(b,b), proportional rows)
     are snapped to s = +/-1 so identical rows get distance 0.0 exactly;
     zero rows follow the cosine_distance convention.
     """
-    gram = _gram(matrix)
-    diag = np.diag(gram).copy()
+    return _similarities([matrix])[0]
+
+
+def _similarities(
+    built: Sequence["EmbeddingMatrix | PairwiseSimilarity"],
+) -> list[PairwiseSimilarity]:
+    """The similarities of ``built``, in order: a score matrix (substitution)
+    is its own, and the embeddings, whose rows must number the same, are
+    compared by cosine as one (C, n, n) stack of their Gram matrices.
+
+    Every step after the Grams is elementwise, so a matrix gets the same
+    bits in a stack of any size. Each Gram is dropped once it is stacked,
+    and the stack is normalized in place.
+    """
+    embeddings = [item for item in built if isinstance(item, EmbeddingMatrix)]
+    n = embeddings[0].shape[0] if embeddings else 0
+    sims = np.empty((len(embeddings), n, n))
+    for slot, matrix in zip(sims, embeddings):
+        slot[...] = _gram(matrix)
+    diag = np.diagonal(sims, axis1=1, axis2=2).copy()
+    exact = sims * sims == diag[:, :, None] * diag[:, None, :]
     norms = np.sqrt(diag)
-    outer = np.outer(norms, norms)
+    outer = norms[:, :, None] * norms[:, None, :]
+    positive = outer > 0.0
+    exact &= positive
+    signs = np.sign(sims[exact])
     with np.errstate(divide="ignore", invalid="ignore"):
-        sims = np.where(outer > 0.0, gram / np.where(outer > 0.0, outer, 1.0), 0.0)
-    exact = (gram * gram == np.outer(diag, diag)) & (outer > 0.0)
-    sims[exact] = np.sign(gram[exact])
+        np.divide(sims, outer, out=sims, where=positive)
+    sims[~positive] = 0.0
+    sims[exact] = signs
     zero = norms == 0.0
-    sims[np.ix_(zero, zero)] = 1.0
+    sims[zero[:, :, None] & zero[:, None, :]] = 1.0
     np.clip(sims, -1.0, 1.0, out=sims)
-    np.fill_diagonal(sims, 1.0)
-    return PairwiseSimilarity(
-        labels=matrix.row_labels,
-        values=sims,
-        flavor="cosine",
-        config=matrix.config,
-    )
+    sims[:, np.arange(n), np.arange(n)] = 1.0
+    cosines = iter(sims)
+    return [
+        item if isinstance(item, PairwiseSimilarity) else PairwiseSimilarity(
+            labels=item.row_labels, values=next(cosines), flavor="cosine", config=item.config
+        )
+        for item in built
+    ]
 
 
 def substitution_scores(table: OccurrenceTable) -> PairwiseSimilarity:

@@ -17,7 +17,6 @@ from actsim import (
     read_log,
     run_intrinsic_benchmark,
     run_runtime_bench,
-    score_all,
     similarity_for_config,
 )
 from actsim import cli
@@ -196,12 +195,14 @@ class TestIntrinsic:
 
     def test_unexpected_exception_keeps_the_partial_reports(self, worked_csv, tmp_path,
                                                              monkeypatch, capsys):
-        def score_all_or_raise(sim, classes):
-            if sim.config.weighting == "pmi":
-                raise FloatingPointError("pmi scores overflowed")
-            return score_all(sim, classes)
+        real = intrinsic._score_stack
 
-        monkeypatch.setattr(intrinsic, "score_all", score_all_or_raise)
+        def score_stack_or_raise(sims, classes):
+            if any(sim.config.weighting == "pmi" for sim in sims):
+                raise FloatingPointError("pmi scores overflowed")
+            return real(sims, classes)
+
+        monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
         out = tmp_path / "out"
         code = run([
             "intrinsic", "--input", worked_csv, "--out-dir", out,
@@ -223,7 +224,7 @@ class TestIntrinsic:
     @pytest.mark.parametrize("first_fails", [True, False])
     def test_rerun_removes_the_reports_it_does_not_write(self, worked_csv, tmp_path,
                                                          monkeypatch, first_fails):
-        def score_all_or_raise(sim, classes):
+        def score_stack_raises(sims, classes):
             raise FloatingPointError("every config overflowed")
 
         out = tmp_path / "out"
@@ -235,7 +236,7 @@ class TestIntrinsic:
         for failing in (first_fails, not first_fails):
             with monkeypatch.context() as patch:
                 if failing:
-                    patch.setattr(intrinsic, "score_all", score_all_or_raise)
+                    patch.setattr(intrinsic, "_score_stack", score_stack_raises)
                 assert run(argv) == (1 if failing else 0)
             scores = json.loads((out / "intrinsic_scores.json").read_text())
             assert bool(scores) is not failing
@@ -482,10 +483,10 @@ def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monke
     rows = aggregate_scores(scores).rows
     assert echoed(rows) == sorted(echoes, key=lambda echo: tuple(echo.values()))
 
-    def score_all_raises(sim, classes):
+    def score_stack_raises(sims, classes):
         raise FloatingPointError("scores overflowed")
 
-    monkeypatch.setattr(intrinsic, "score_all", score_all_raises)
+    monkeypatch.setattr(intrinsic, "_score_stack", score_stack_raises)
     scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
     assert echoed(failures) == echoes and not scores
 

@@ -458,6 +458,44 @@ def test_shared_tables_equal_direct_extraction(traces, windows, kinds, w, seed):
             _assert_same_table(table, extract_occurrences(source, window, kind))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(1, 4), min_size=1, max_size=8).map(tuple),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sets(st.integers(2, 6), min_size=1),
+    st.integers(2, 3),
+    st.integers(0, 2**32),
+)
+def test_every_shared_table_of_a_log_has_the_same_row_labels(traces, windows, w, seed):
+    # A plan job compares and scores all of its configs as one (C, n, n)
+    # stack over one label order. So every table of one log has the same
+    # rows: scanned directly, coarsened from the widest scan, or scanned
+    # directly because the widest scan was refused.
+    flat = np.array([aid for trace in traces for aid in trace], dtype=np.int64)
+    offsets = np.cumsum([0] + [len(trace) for trace in traces])
+    log = EventLog.from_arrays(flat, offsets, Alphabet(list("abcd")))
+    derived = generate_ground_truth_log(log, {traces[0][0]}, w=w, seed=seed).log
+    windows = sorted(windows)
+    too_wide = 2**40
+    grids = [
+        expand_grid(("ac",), ("mset",), ("none",), windows[:1]),
+        expand_grid(("ac",), ("mset", "seq"), ("none",), windows),
+        expand_grid(("ac",), ("mset", "seq"), ("none",), windows + [too_wide]),
+    ]
+    for source in (log, derived):
+        occurring = tuple(sorted(source.activity_counts()))
+        for grid in grids:
+            tables = pipeline.shared_tables(source, grid)
+            refused = [key for key, table in tables.items() if isinstance(table, ParameterError)]
+            assert refused == [(kind, n) for kind, n in tables if n == too_wide]
+            for key, table in tables.items():
+                if key not in refused:
+                    assert table.row_labels == occurring
+
+
 def test_bad_fine_table_is_a_parameter_error():
     log = worked_log()
     other = log_from_label_traces([list("abcde")] * 5)

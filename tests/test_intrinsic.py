@@ -41,9 +41,8 @@ from actsim import (
     score_triplet,
     write_log_csv,
 )
-from actsim import intrinsic
+from actsim import intrinsic, similarity
 from actsim.cli import main
-from actsim.pipeline import shared_tables, similarity_for_config
 from reference import (
     naive_compactness,
     naive_mean,
@@ -269,6 +268,10 @@ def test_score_all_matches_naive_oracle(case):
         score_compactness, score_nearest_neighbor, score_precision_at_k, score_triplet)) == expected
 
 
+_real_score_stack = intrinsic._score_stack
+_real_gram = similarity._gram
+
+
 def naive_scores(labels, values, classes):
     return tuple(
         metric(labels, values, classes)
@@ -308,23 +311,88 @@ def test_size_groups_match_naive_oracle(case):
     assert score_all(make_sim(values, labels), classes) == naive_scores(labels, values, classes)
 
 
-def test_score_all_matches_naive_oracle_on_sweep_matrices():
+COSINE = MethodConfig("ac", ContextKind.SEQUENCE, "pmi", 3)
+SUBSTITUTION = MethodConfig("substitution", ContextKind.SEQUENCE, "none", 3)
+
+
+@st.composite
+def stacked_cases(draw):
+    """(labels, [(config, values)], classes): two to four symmetric matrices
+    over the same labels. A cosine matrix has a unit diagonal; a substitution
+    matrix holds log-ratios, its diagonal included."""
+    n = draw(st.integers(2, 9))
+    labels = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True))
+    matrices = []
+    for _ in range(draw(st.integers(2, 4))):
+        config = draw(st.sampled_from([COSINE, SUBSTITUTION]))
+        palette = [-0.5, 0.0, 0.25, 1.0] if config is COSINE else [-1.5, -0.0, 0.7, 2.25]
+        palette = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=4, unique=True))
+        values = [[1.0] * n for _ in range(n)]
+        for i in range(n):
+            if config is SUBSTITUTION:
+                values[i][i] = draw(st.sampled_from(palette))
+            for j in range(i + 1, n):
+                values[i][j] = values[j][i] = draw(st.sampled_from(palette))
+        matrices.append((config, values))
+    members = draw(st.permutations(labels))
+    classes = {}
+    while len(members) >= 2 and (not classes or draw(st.booleans())):
+        size = draw(st.integers(2, len(members)))
+        classes[100 + len(classes)] = frozenset(members[:size])
+        members = members[size:]
+    return labels, matrices, classes
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_cases())
+# A constant cosine matrix (span 0) next to substitution scores, and one
+# class that covers every label, so it has no outsiders.
+@example(([3, 1, 2], [
+    (COSINE, [[1.0, 0.25, 0.25], [0.25, 1.0, 0.25], [0.25, 0.25, 1.0]]),
+    (SUBSTITUTION, [[2.25, -1.5, 0.7], [-1.5, -0.0, 0.7], [0.7, 0.7, 2.25]]),
+    (COSINE, [[1.0, -0.5, 0.0], [-0.5, 1.0, 1.0], [0.0, 1.0, 1.0]]),
+], {7: frozenset({1, 2, 3})}))
+def test_score_stack_matches_naive_oracle(case):
+    labels, matrices, classes = case
+    sims = [
+        PairwiseSimilarity(
+            tuple(labels), np.array(values), "cosine" if config is COSINE else "substitution", config
+        )
+        for config, values in matrices
+    ]
+    scores = intrinsic._score_stack(sims, classes)
+    assert scores == [naive_scores(labels, values, classes) for _, values in matrices]
+    assert all(type(score) is float for four in scores for score in four)
+
+
+def test_score_all_matches_naive_oracle_on_sweep_matrices(monkeypatch):
     # One plan sample of the W1 grid on a small structured log: every job
-    # under every config, each class layout reused across its configs.
+    # scores its 26 configs as one stack, and each matrix of each stack
+    # scores as the oracle does.
     log = structured_log(7, 300, 12)
     configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
     assert len(configs) == 26
+    stacks = []
+
+    def recording(sims, classes):
+        scores = _real_score_stack(sims, classes)
+        stacks.append((sims, classes, scores))
+        return scores
+
+    monkeypatch.setattr(intrinsic, "_score_stack", recording)
+    records, failures = run_intrinsic_benchmark(log, configs, samples=1, master_seed=42)
+    assert not failures
+    assert len(stacks) == len(enumerate_benchmark_plan(log, 1, 42).jobs)
     checked = 0
-    for job in enumerate_benchmark_plan(log, 1, 42).jobs:
-        gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
-        tables = shared_tables(gt.log, configs)
-        classes = gt.classes.psi
-        for config in configs:
-            sim = similarity_for_config(tables[(config.kind, config.window)], config)
-            labels, values = list(sim.labels), sim.values.tolist()
-            assert score_all(sim, classes) == naive_scores(labels, values, classes)
+    for sims, classes, scores in stacks:
+        assert [sim.config for sim in sims] == configs
+        for sim, four in zip(sims, scores):
+            assert four == naive_scores(list(sim.labels), sim.values.tolist(), classes)
             checked += 1
     assert checked >= 26 * 20
+    assert [(r.i_comp, r.i_nn, r.i_prec, r.i_tri) for r in records] == [
+        four for _, _, scores in stacks for four in scores
+    ]
 
 
 class TestLayoutMemo:
@@ -453,9 +521,21 @@ class TestMean:
     def test_negative_zeros_mean_positive_zero(self):
         assert math.copysign(1.0, intrinsic._mean([-0.0, -0.0, -0.0])) == 1.0
 
+    def test_stacked_negative_zeros_mean_positive_zero(self):
+        means = intrinsic._mean(np.full((2, 3, 4), -0.0))
+        assert means.shape == (2, 3)
+        assert (means == 0.0).all() and not np.signbit(means).any()
+
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=20))
     def test_matches_a_left_fold(self, values):
         assert intrinsic._mean(values).hex() == naive_mean(values).hex()
+
+    @given(st.integers(1, 6).flatmap(lambda size: st.lists(
+        st.lists(st.floats(allow_nan=False), min_size=size, max_size=size), min_size=1, max_size=5
+    )))
+    def test_each_row_of_a_stack_is_a_left_fold(self, rows):
+        means = intrinsic._mean(rows).tolist()
+        assert [mean.hex() for mean in means] == [naive_mean(row).hex() for row in rows]
 
     def test_aggregate_means_are_left_folds(self):
         scores = [score_row(i_nn=v, sample=s) for s, v in enumerate([1e16, 1.0, -1e16])]
@@ -548,12 +628,12 @@ class TestRunner:
         log = log_from_label_traces([["a", "b", "c", "b"]] * 12)
         configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
 
-        def score_all_or_raise(sim, classes):
-            if sim.config.method == "ac":
+        def score_stack_or_raise(sims, classes):
+            if any(sim.config.method == "ac" for sim in sims):
                 raise FloatingPointError("overflow in the ac scores")
-            return score_all(sim, classes)
+            return _real_score_stack(sims, classes)
 
-        monkeypatch.setattr(intrinsic, "score_all", score_all_or_raise)
+        monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
         scores, failures = run_intrinsic_benchmark(log, configs, samples=2, master_seed=1)
         plan = enumerate_benchmark_plan(log, 2, 1)
         assert len(scores) == len(failures) == len(plan.jobs)
@@ -561,6 +641,47 @@ class TestRunner:
         assert {(f.method, f.error) for f in failures} == {
             ("ac", "FloatingPointError: overflow in the ac scores")
         }
+
+    @pytest.mark.parametrize("stage", ["compare", "score"])
+    def test_a_config_that_raises_inside_the_stack_fails_alone(self, monkeypatch, stage):
+        # One config raises inside its job's stack; the stack is then scored
+        # one config at a time, and only that config fails.
+        log = structured_log(7, 300, 12)
+        configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+        plan = enumerate_benchmark_plan(log, 1, 42)
+        plan = replace(plan, jobs=plan.jobs[:3])
+        clean, _ = run_intrinsic_benchmark(log, configs, plan=plan)
+        broken = make_config("ac", "seq", "ppmi", 5)
+        sizes = []
+
+        def score_stack_or_raise(sims, classes):
+            sizes.append(len(sims))
+            if stage == "score" and any(sim.config == broken for sim in sims):
+                raise FloatingPointError("ppmi scores overflowed")
+            return _real_score_stack(sims, classes)
+
+        def gram_or_raise(matrix):
+            if stage == "compare" and matrix.config == broken:
+                raise FloatingPointError("ppmi scores overflowed")
+            return _real_gram(matrix)
+
+        monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
+        monkeypatch.setattr(similarity, "_gram", gram_or_raise)
+        scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
+        assert scores == [
+            s for s in clean if (s.method, s.context, s.weighting, s.window) != ("ac", "seq", "ppmi", 5)
+        ]
+        assert [(f.r, f.w, f.sample, f.method, f.context, f.weighting, f.window, f.error)
+                for f in failures] == [
+            (job.r, job.w, job.sample_index, "ac", "seq", "ppmi", 5,
+             "FloatingPointError: ppmi scores overflowed")
+            for job in plan.jobs
+        ]
+        # A Gram that raises stops the stack before it is scored, and the
+        # broken config before its own stack of one is.
+        stacked = [26] if stage == "score" else []
+        alone = [1] * (26 if stage == "score" else 25)
+        assert sizes == (stacked + alone) * len(plan.jobs)
 
     @pytest.mark.parametrize("cpus, jobs, workers", [
         (64, 9, 2),  # two chunks of at most 8 jobs

@@ -26,7 +26,7 @@ from actsim import (
 )
 from actsim import contexts
 from actsim.contexts import ContextKind, OccurrenceTable
-from actsim.similarity import _gram
+from actsim.similarity import _gram, _similarities
 from reference import naive_similarity_matrix, two_copy_cosine
 from synthetic_logs import random_small_log, structured_log, worked_log
 from test_matrices import FOUR_TRACE
@@ -198,6 +198,49 @@ def test_pair_plan_keeps_the_bits(cells):
         assert gram.tobytes() == _gram(replace(matrix, table=None)).tobytes()
         sims = pairwise_distance_matrix(matrix).values
         assert sims.tobytes() == two_copy_cosine(matrix.values).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_matrices)
+@example([[1, 1], [1, 1]])  # every PMI cell is 0: PMI and PPMI rows are zero
+@example([[0, 1, 1], [1, 1, 2]])  # negative PMI cells
+@example([[3, 1, 0, 2], [3, 1, 0, 2], [0, 1, 4, 1]])  # proportional rows
+@example([[1, 0], [0, 1], [1, 1], [2, 1]])  # four rows: every hand-built case
+def test_stacked_cosines_equal_one_at_a_time(cells):
+    # One table's AC (raw, PMI, PPMI) and AA, and a hand-built embedding with
+    # a zero row, a row of -2.5 times another and a row whose squares
+    # underflow, normalized as one stack; the substitution scores pass
+    # through it untouched.
+    table = count_table(cells)
+    ac = build_ac(table)
+    n = ac.shape[0]
+    rows = np.arange(n * 3, dtype=np.float64).reshape(n, 3) - 4.0
+    rows[0] = 0.0
+    if n > 2:
+        rows[-1] = -2.5 * rows[1]
+    if n > 3:
+        rows[2] *= 1e-170  # a zero norm, but not zero products
+    hand = EmbeddingMatrix(row_labels=ac.row_labels, column_labels=(1, 2, 3), values=rows,
+                           config=ac.config)
+    scores = substitution_scores(table)
+    built = [ac, apply_pmi(ac, table), scores, apply_ppmi(ac, table), build_aa(table), hand]
+    stacked = _similarities(built)
+    assert stacked[2] is scores
+    for matrix, sim in zip(built, stacked):
+        if matrix is scores:
+            continue
+        alone = pairwise_distance_matrix(matrix).values
+        assert np.array_equal(sim.values, alone)
+        assert np.array_equal(np.signbit(sim.values), np.signbit(alone))
+        assert sim.values.tobytes() == two_copy_cosine(matrix.values).tobytes()
+        assert (sim.labels, sim.flavor, sim.config) == (matrix.row_labels, "cosine", matrix.config)
+    hand_sims = stacked[-1].values
+    if n > 1:
+        assert hand_sims[0, 1] == 0.0  # the zero row against a nonzero one
+    if n > 2:
+        assert hand_sims[1, -1] == hand_sims[-1, 1] == -1.0  # snapped
+    if n > 3:
+        assert hand_sims[0, 2] == 1.0 and hand_sims[2, 1] == 0.0  # two zero norms
     dense = table.counts.toarray()
     half = dense @ (dense > 0).T
     assert table.aa_counts.dtype == np.int64
