@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, EventLog, _intern, _read_only, _widen
+from .log import PAD, EventLog, _direct, _intern, _read_only, _widen
 
 
 class ContextKind(str, Enum):
@@ -179,10 +179,10 @@ def _pair_plan(counts: sparse.csr_matrix) -> "PairPlan | None":
     )
 
 
-def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
+def _packed_keys(columns: np.ndarray, base: int) -> tuple[np.ndarray, int]:
     """One int64 key per context of the ``(n-1, n_events)`` symbol array
-    ``columns`` (one row per window slot); equal contexts get equal keys
-    and distinct contexts distinct keys.
+    ``columns`` (one row per window slot), and a bound that every key lies
+    below; equal contexts get equal keys and distinct contexts distinct keys.
 
     Contexts are packed in base ``base`` one slot at a time; keys the next
     slot would overflow are renumbered first (:func:`~actsim.log._widen`).
@@ -192,7 +192,7 @@ def _packed_keys(columns: np.ndarray, base: int) -> np.ndarray:
     for column in columns:
         bound = _widen(keys, base, bound)
         keys += column
-    return keys
+    return keys, bound
 
 
 def _shifts(n: int) -> list[int]:
@@ -254,7 +254,7 @@ def _tabulate(columns: np.ndarray, kind: ContextKind, base: int) -> tuple[np.nda
     sorted in place first."""
     if kind is ContextKind.MULTISET:
         _sort_columns(columns)
-    first, numbers = _intern(_packed_keys(columns, base))
+    first, numbers = _intern(*_packed_keys(columns, base))
     return _read_only(np.ascontiguousarray(columns[:, first].T)), numbers
 
 
@@ -272,7 +272,7 @@ def extract_occurrences(
     totals and the context interning order unchanged (a repeated trace can
     never introduce a context that its first occurrence did not). Each
     context slot is one gather from a padded copy of the variants, and the
-    counts come straight from one sort of the (row, context) keys. The
+    counts come straight from the (row, context) keys (:func:`_csr_counts`). The
     window arrays are handed straight to the tabulation, so they are freed
     before the counts are built. A scan whose ``(n-1) x events`` int64 slot
     array would take more than ``_SLOT_BYTES_CAP`` bytes (2 GiB) is a
@@ -347,24 +347,39 @@ def _csr_counts(
 ) -> sparse.csr_matrix:
     """The canonical int64 CSR of the summed ``weights`` per (row, col):
     indices sorted within each row, no duplicates, no explicit zeros (every
-    weight is positive), index arrays as narrow as scipy would pick."""
+    weight is positive), index arrays as narrow as scipy would pick.
+
+    The cells are keyed row * n_cols + col. When ``_direct`` holds for
+    their ``shape[0] * shape[1]`` bins (no more bins than cells), one
+    ``np.bincount`` sums them and the nonzero bins are read off in
+    ascending order; otherwise the cells are sorted.
+    """
     # Each event-sized array goes as soon as it is used: on the largest
     # tables this step sets the extraction's memory peak.
     cells = rows * shape[1]
     cells += cols
-    perm = cells.argsort()
-    cells = cells[perm]
-    running = weights[perm]
-    del perm
-    # Per-cell sums as differences of the running total at each cell's
-    # last sorted position (cheaper than add.reduceat over short runs).
-    np.cumsum(running, out=running)
-    last = np.empty(len(cells), dtype=bool)
-    last[-1] = True
-    np.not_equal(cells[:-1], cells[1:], out=last[:-1])
-    ends = np.flatnonzero(last)
-    cells = cells[ends]
-    data = np.diff(running[ends], prepend=0)
+    bins = shape[0] * shape[1]
+    if _direct(bins, len(cells)):
+        sums = np.bincount(cells, weights, minlength=bins)
+        del cells
+        cells = np.flatnonzero(sums)
+        # Exact: no cell sums to more than the log's event count, far
+        # below the 2**53 up to which float64 holds every integer.
+        data = sums[cells].astype(np.int64)
+    else:
+        perm = cells.argsort()
+        cells = cells[perm]
+        running = weights[perm]
+        del perm
+        # Per-cell sums as differences of the running total at each cell's
+        # last sorted position (cheaper than add.reduceat over short runs).
+        np.cumsum(running, out=running)
+        last = np.empty(len(cells), dtype=bool)
+        last[-1] = True
+        np.not_equal(cells[:-1], cells[1:], out=last[:-1])
+        ends = np.flatnonzero(last)
+        cells = cells[ends]
+        data = np.diff(running[ends], prepend=0)
     index_dtype = np.int32 if max(len(cells), *shape) < 2**31 else np.int64
     indptr = np.zeros(shape[0] + 1, dtype=index_dtype)
     np.cumsum(np.bincount(cells // shape[1], minlength=shape[0]), out=indptr[1:])

@@ -162,14 +162,15 @@ def generate_ground_truth_log(
     # the drawn clone. Draws are numbered activity by activity.
     events, offsets = log.events, log.offsets
     # Number the selected activities 0..r-1 in id order and every other
-    # id r, in a dtype narrow enough that the stable sort is a radix sort:
-    # the selected events, activity by activity and in log order within
-    # one, are then the first of that order.
+    # id r, in a dtype narrow enough that the stable sort is a radix sort.
+    # Only the selected events are sorted: activity by activity, and in
+    # log order within one.
     r = len(clone_ids)
     numbers = np.full(len(alphabet) + 1, r, dtype=np.min_scalar_type(r))
     numbers[list(clone_ids)] = np.arange(r)
     of_event = numbers[events]
-    where = of_event.argsort(kind="stable")[: int(np.count_nonzero(of_event < r))]
+    selected_events = np.flatnonzero(of_event < r)
+    where = selected_events[of_event[selected_events].argsort(kind="stable")]
     activity = of_event[where].astype(np.int64)
     trace = np.repeat(np.arange(log.n_traces, dtype=np.int32), np.diff(offsets))[where]
     # A draw happens at each event that starts a new (activity, trace) run.
@@ -199,7 +200,8 @@ def generate_ground_truth_log(
     for drawn, slot in zip(np.split(trace[heads], starts[1:-1]), np.split(slots, starts[1:-1])):
         bound = _widen(keys, w, bound)
         keys[drawn] += slot
-    derived = _with_variant_numbers(EventLog.from_arrays(derived_events, offsets, alphabet), keys)
+    derived = EventLog.from_arrays(derived_events, offsets, alphabet)
+    derived = _with_variant_numbers(derived, keys, bound)
     return GroundTruthLog(
         log=derived,
         classes=ClassAssignment(phi=phi, psi=psi),

@@ -116,14 +116,35 @@ def _read_only(values):
     return values
 
 
-def _intern(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _direct(bound: "int | None", size: int) -> bool:
+    """Whether keys known to lie below ``bound`` are counted by a
+    ``bound``-sized table rather than sorted: only when ``bound`` is no
+    larger than the ``size`` keys. Then the table is never larger than the
+    sort path's key-sized arrays, so the memory peak cannot rise."""
+    return bound is not None and bound <= size
+
+
+def _intern(keys: np.ndarray, bound: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
     """Number the distinct keys by first appearance.
 
     Returns (index of each distinct key's first appearance, number of
-    every key). An unstable sort plus a per-run minimum of the original
-    positions costs less than ``np.unique``'s stable sort. The keys' dtype
-    must hold their number of distinct values.
+    every key), both intp. When every key is known to lie below ``bound``
+    and ``_direct`` holds, a ``bound``-sized table of first positions
+    (one ``np.minimum.at``) and a rank table number the keys without a
+    sort. Otherwise an unstable sort plus a per-run minimum of the
+    original positions costs less than ``np.unique``'s stable sort; the
+    keys' dtype must then hold their number of distinct values.
     """
+    n = len(keys)
+    if _direct(bound, n):
+        table = np.full(bound, n)
+        np.minimum.at(table, keys, np.arange(n))
+        present = np.flatnonzero(table < n)
+        table = table[present]
+        order = table.argsort()
+        rank = np.empty(bound, dtype=np.intp)
+        rank[present[order]] = np.arange(len(order))
+        return table[order], rank[keys]
     perm = keys.argsort()
     ordered = keys[perm]
     starts = np.empty(len(keys), dtype=bool)
@@ -156,10 +177,10 @@ def _widen(keys: np.ndarray, radix: int, bound: int) -> int:
     return bound * radix
 
 
-def _with_variant_numbers(log: "EventLog", keys: np.ndarray) -> "EventLog":
-    """Store ``variant_numbers`` on ``log``, read off int64 ``keys`` that
-    are equal for two traces exactly when the traces are."""
-    vars(log)["variant_numbers"] = _read_only(_intern(keys)[1])
+def _with_variant_numbers(log: "EventLog", keys: np.ndarray, bound: int) -> "EventLog":
+    """Store ``variant_numbers`` on ``log``, read off int64 ``keys``, all
+    below ``bound``, that are equal for two traces exactly when the traces are."""
+    vars(log)["variant_numbers"] = _read_only(_intern(keys, bound)[1])
     return log
 
 
@@ -608,7 +629,7 @@ def parse_csv(
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     # Renumber the labels by their first appearance in trace order.
-    first, numbers = _intern(events)
+    first, numbers = _intern(events, len(labels) + 1)
     numbers += 1
     keys = list(labels)
     alphabet = Alphabet(keys[code - 1] for code in events[first].tolist())

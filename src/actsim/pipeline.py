@@ -80,23 +80,33 @@ def shared_tables(
 
     A single pair is scanned directly. With more, the log is scanned once,
     as the sequence table at the largest window (made even when no config
-    uses it), and every other table is coarsened from that fine table
-    through ``extract_occurrences(..., fine=...)``. If that scan is refused
-    (a :class:`ParameterError`, such as a slot array over its bound), every
+    uses it). The other sequence tables are then made widest first, and
+    every table other than that scan is coarsened through
+    ``extract_occurrences(..., fine=...)`` from the narrowest sequence
+    table already made whose window is at least its own: the fewer fine
+    contexts, the less to re-key. If that scan is refused (a
+    :class:`ParameterError`, such as a slot array over its bound), every
     other table is scanned directly. A pair whose own table is refused maps
     to that error, so only the configs that need it fail.
     """
     pairs = dict.fromkeys((config.kind, config.window) for config in configs)
-    widest = (ContextKind.SEQUENCE, max(n for _, n in pairs))
-    fine = _scan(log, *widest) if len(pairs) > 1 else None
+    if len(pairs) == 1:
+        return {pair: _scan(log, *pair) for pair in pairs}
+    seq = ContextKind.SEQUENCE
+    widest = max(n for _, n in pairs)
+    fine = _scan(log, seq, widest)
+    if not isinstance(fine, OccurrenceTable):
+        return {pair: fine if pair == (seq, widest) else _scan(log, *pair) for pair in pairs}
+    sequences = {widest: fine}
+    for n in sorted({n for kind, n in pairs if kind is seq and n < widest}, reverse=True):
+        sequences[n] = extract_occurrences(log, n, seq, fine=sequences[min(sequences)])
     tables = {}
     for kind, n in pairs:
-        if (kind, n) == widest and fine is not None:
-            tables[kind, n] = fine
-        elif isinstance(fine, OccurrenceTable):
-            tables[kind, n] = extract_occurrences(log, n, kind, fine=fine)
+        if kind is seq:
+            tables[kind, n] = sequences[n]
         else:
-            tables[kind, n] = _scan(log, kind, n)
+            covering = sequences[min(m for m in sequences if m >= n)]
+            tables[kind, n] = extract_occurrences(log, n, kind, fine=covering)
     return tables
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import actsim
 import actsim.log
@@ -494,6 +495,95 @@ def test_every_shared_table_of_a_log_has_the_same_row_labels(traces, windows, w,
             for key, table in tables.items():
                 if key not in refused:
                     assert table.row_labels == occurring
+
+
+def _ac_grid(*pairs):
+    return [actsim.make_config("ac", kind, "none", window) for kind, window in pairs]
+
+
+@pytest.mark.parametrize(
+    "grid, expected",
+    [
+        # The W1 grid: multiset window 3 comes from the window-3 sequence
+        # table, which itself comes from the window-5 scan.
+        (
+            expand_grid(actsim.METHODS, ("mset", "seq"), actsim.WEIGHTINGS, (3, 5)),
+            [("seq", 5, None), ("seq", 3, 5), ("mset", 3, 3), ("mset", 5, 5)],
+        ),
+        (
+            expand_grid(("ac",), ("mset", "seq"), ("none",), (2, 3, 4)),
+            [
+                ("seq", 4, None), ("seq", 3, 4), ("seq", 2, 3),
+                ("mset", 2, 2), ("mset", 3, 3), ("mset", 4, 4),
+            ],
+        ),
+        # No sequence config: every table comes from the unused widest scan.
+        (_ac_grid(("mset", 3), ("mset", 5)), [("seq", 5, None), ("mset", 3, 5), ("mset", 5, 5)]),
+        # A multiset window between two sequence windows takes the wider.
+        (
+            _ac_grid(("mset", 4), ("seq", 3), ("seq", 5)),
+            [("seq", 5, None), ("seq", 3, 5), ("mset", 4, 5)],
+        ),
+    ],
+)
+def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
+    monkeypatch, grid, expected
+):
+    calls = []
+    extract = pipeline.extract_occurrences
+
+    def spy(log, window, kind, *, fine=None):
+        calls.append((ContextKind(kind).value, window, None if fine is None else fine.window_size))
+        return extract(log, window, kind, fine=fine)
+
+    monkeypatch.setattr(pipeline, "extract_occurrences", spy)
+    log = random_small_log(random.Random(11), 6, 30)
+    tables = pipeline.shared_tables(log, grid)
+    assert calls == expected
+    assert list(tables) == list(dict.fromkeys((config.kind, config.window) for config in grid))
+    for (kind, window), table in tables.items():
+        _assert_same_table(table, extract(log, window, kind))
+
+
+def _scipy_csr(rows, cols, weights, shape):
+    expected = sparse.coo_matrix((weights, (rows, cols)), shape=shape).tocsr()
+    expected.sum_duplicates()
+    return expected
+
+
+@pytest.mark.parametrize("spare", [0, 1])  # bins == cells: direct; one more: sorted
+@pytest.mark.parametrize("shape", [(1, 7), (6, 5), (13, 1)])
+def test_csr_counts_at_the_direct_boundary(shape, spare):
+    rng = np.random.default_rng(sum(shape) + spare)
+    size = shape[0] * shape[1] - spare
+    rows = rng.integers(0, shape[0], size)
+    cols = rng.integers(0, shape[1], size)
+    rows[0], cols[0] = shape[0] - 1, shape[1] - 1  # the last cell occurs
+    weights = rng.integers(1, 4, size)
+    assert actsim.log._direct(shape[0] * shape[1], size) == (spare == 0)
+    got = contexts._csr_counts(rows, cols, weights, shape)
+    want = _scipy_csr(rows, cols, weights, shape)
+    assert got.has_canonical_format and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(1, 2**40)), min_size=1),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+def test_csr_counts_match_scipy_on_either_path(cells, more_rows, more_cols):
+    rows, cols, weights = (np.array(column, dtype=np.int64) for column in zip(*cells))
+    shape = (int(rows.max()) + 1 + more_rows, int(cols.max()) + 1 + more_cols)
+    got = contexts._csr_counts(rows, cols, weights, shape)
+    want = _scipy_csr(rows, cols, weights, shape)
+    assert got.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def test_bad_fine_table_is_a_parameter_error():

@@ -172,6 +172,10 @@ def derivation_cases(draw):
 # Seven traces through pools of w = 2 and 3: both refill twice.
 @example((((1, 2, 2, 1),) * 7, 2, {1, 2}, 3, 5))
 @example((((2, 1), (1,), (2, 2, 2), (1, 2)) * 2, 2, {1, 2}, 2, 0))
+# Every occurring activity selected (ids 4 and 5 never occur), so every
+# event is replaced; and a single one.
+@example((((1, 2, 3, 1), (3, 3), (2, 1, 2), (1,)) * 3, 5, {1, 2, 3}, 3, 4))
+@example((((1, 2, 3, 1), (3, 3), (2, 1, 2), (1,)) * 3, 5, {3}, 2, 4))
 # 280 selected activities: more than a uint8 can number next to the
 # unselected ones, so the per-event numbers take a wider dtype.
 @example(

@@ -23,6 +23,7 @@ from actsim import (
     write_log_csv,
     write_stats_csv,
 )
+from actsim.log import _direct, _intern
 from reference import naive_parse_csv, naive_parse_xes
 from synthetic_logs import big_uniform_log, worked_log
 
@@ -45,6 +46,50 @@ def repeated_traces(draw):
         )
     )
     return size, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
+def naive_intern(keys):
+    """(first position of each distinct key, number of every key), numbered
+    by first appearance."""
+    numbers, first = {}, []
+    for position, key in enumerate(keys.tolist()):
+        if key not in numbers:
+            numbers[key] = len(numbers)
+            first.append(position)
+    return first, [numbers[key] for key in keys.tolist()]
+
+
+def _assert_interned(keys, bound):
+    first, numbers = _intern(keys, bound)
+    want_first, want_numbers = naive_intern(keys)
+    assert first.dtype == numbers.dtype == np.intp
+    assert first.tolist() == want_first
+    assert numbers.tolist() == want_numbers
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])  # parse_csv passes uint8 codes
+@pytest.mark.parametrize("spare", [0, 1])  # bound == len(keys): direct; one more: sorted
+def test_intern_at_the_direct_boundary(dtype, spare):
+    rng = np.random.default_rng(spare)
+    size = 200
+    bound = size + spare
+    keys = rng.integers(0, bound, size).astype(dtype)
+    keys[5] = bound - 1  # the largest key the bound allows occurs
+    assert _direct(bound, size) == (spare == 0)
+    _assert_interned(keys, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=60),
+    st.integers(0, 30),
+    st.sampled_from([np.uint8, np.int64]),
+)
+@example([0], 0, np.uint8)  # one key, bound 1
+def test_intern_numbers_by_first_appearance_on_either_path(keys, spare, dtype):
+    keys = np.array(keys, dtype=dtype)
+    _assert_interned(keys, int(keys.max()) + 1 + spare)
+    _assert_interned(keys, None)
 
 
 class TestAlphabet:
