@@ -6,12 +6,13 @@ the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
 
-A plan job is scored as one stack: the similarity matrices of all its
-configs, over the same labels, as one (C, n, n) array. :func:`_score_stack`
-computes all four metrics of every config in one pass, the classes of
-each size as one (C, m, k, n) block read through a class layout that is
-cached on the value of (labels, classes). ``score_all`` is a stack of one,
-and each single-metric function selects from it. Every mean, per pair,
+A plan job is scored in stacks: the similarity matrices of consecutive
+configs, over the same labels, as one (C, n, n) array of at most
+``_STACK_BYTES``, from the Grams to the scores. :func:`_score_stack`
+computes all four metrics of every matrix of a stack in one pass, the
+classes of each size as one (C, m, k, n) block; a stack that raises is
+scored again one config at a time. ``score_all`` is a stack of one, and
+each single-metric function selects from it. Every mean, per pair,
 member, class, log or config, is one :func:`_mean`: a ``cumsum`` over the
 last axis in the order of the loop oracles in ``tests/reference.py``,
 which is their left fold from 0.0 and gives the same bytes on Python 3.10
@@ -26,7 +27,6 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
@@ -41,6 +41,11 @@ from .pipeline import build_embedding, shared_tables
 from .similarity import PairwiseSimilarity, _similarities
 
 _METRICS = ("i_comp", "i_nn", "i_prec", "i_tri")
+
+# The most bytes of similarities a plan job compares and scores at once:
+# its configs go in stacks of at most this many bytes, and one config always
+# makes a stack of its own.
+_STACK_BYTES = 1 << 23
 
 
 def _mean(values) -> np.ndarray:
@@ -108,63 +113,24 @@ def score_all(
 ) -> tuple[float, float, float, float]:
     """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes: a stack
     of one for :func:`_score_stack`."""
-    return _score_stack([sim], classes)[0]
+    return _score_stack(np.asarray(sim.values)[None], sim.labels, classes)[0]
 
 
 def _score_stack(
-    sims: Sequence[PairwiseSimilarity], classes: Mapping[int, frozenset[int]]
+    values: np.ndarray, labels: Sequence[int], classes: Mapping[int, frozenset[int]]
 ) -> list[tuple[float, float, float, float]]:
-    """(I_comp, I_nn, I_prec, I_tri) of each of ``sims``, which share their
-    labels, in one pass.
+    """(I_comp, I_nn, I_prec, I_tri) of each of the C matrices of ``values``,
+    (C, n, n) over ``labels``, in one pass.
 
-    The classes are validated against the labels and laid out as groups of
-    equal size (see :func:`_class_layout`); each group is then scored as
-    one block of its classes' member rows in every matrix of the stack.
-    """
-    off, groups = _class_layout(
-        sims[0].labels, tuple((original, tuple(clones)) for original, clones in classes.items())
-    )
-    values = np.stack([sim.values for sim in sims])
-    lo = values.min(axis=(1, 2), where=off, initial=np.inf)
-    span = values.max(axis=(1, 2), where=off, initial=-np.inf) - lo
-    per_class = np.empty((4, len(sims), len(classes)))
-    for group in groups:
-        per_class[:, :, group.slots] = _group_scores(values, group, lo, span)
-    return list(map(tuple, _mean(per_class).T.tolist()))
-
-
-@dataclass(frozen=True, eq=False)
-class _SizeGroup:
-    """The m classes of one size k, with the masks that do not depend on
-    similarity values; n is the number of labels."""
-
-    slots: tuple[int, ...]  # each class's position in the classes' order
-    rows: np.ndarray  # (m, k) member rows, each class sorted by activity id
-    own: np.ndarray  # (m, k, n) a member's own column
-    in_class: np.ndarray  # (m, n) the class's columns
-    outside: np.ndarray  # (m, 1, n) every other column
-    ids: np.ndarray  # (n,) each column's activity id
-    positions: np.ndarray  # (m, 1, 1) each class's position in the group
-    upper: np.ndarray  # (k, k) unordered pairs, in combinations order
-    off: np.ndarray  # (k, k) ordered pairs, in permutations order
-
-
-@lru_cache(maxsize=1)
-def _class_layout(
-    labels: tuple[int, ...], classes: tuple[tuple[int, tuple[int, ...]], ...]
-) -> tuple[np.ndarray, tuple[_SizeGroup, ...]]:
-    """Validate the (original, members) classes against ``labels`` and group
-    them by size: the (n, n) mask of off-diagonal cells, and the groups.
-
-    It depends on no similarity value, so it is cached on its arguments:
-    the configs of one job score the same classes over the same labels.
-    An exception is not cached.
+    The classes are validated against the labels and grouped by size; each
+    group is then scored as one block of its classes' member rows, each
+    class sorted by activity id, in every matrix of the stack.
     """
     if not classes:
         raise ParameterError("no classes given")
     index = {aid: i for i, aid in enumerate(labels)}
-    by_size: dict[int, list[tuple[int, list[int]]]] = {}
-    for slot, (original, clones) in enumerate(classes):
+    by_size: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for slot, (original, clones) in enumerate(classes.items()):
         if len(clones) < 2:
             raise ParameterError(f"class of original {original} has fewer than 2 members")
         for clone in clones:
@@ -173,43 +139,43 @@ def _class_layout(
                     f"class member {clone} (original {original}) has no row in the "
                     "similarity matrix; it never occurs in the derived log"
                 )
-        rows = [index[clone] for clone in sorted(clones)]
-        by_size.setdefault(len(rows), []).append((slot, rows))
-    columns = np.arange(len(labels))
-    groups = []
-    for k, members in by_size.items():
-        rows = np.array([member_rows for _, member_rows in members], dtype=np.intp)
-        own = columns == rows[:, :, None]
-        in_class = own.any(axis=1)
-        off = ~np.eye(k, dtype=bool)
-        groups.append(_SizeGroup(
-            slots=tuple(slot for slot, _ in members), rows=rows, own=own,
-            in_class=in_class, outside=~in_class[:, None, :],
-            ids=np.asarray(labels),
-            positions=np.arange(len(members))[:, None, None], upper=np.triu(off), off=off,
-        ))
-    return ~np.eye(len(labels), dtype=bool), tuple(groups)
+        slots, rows = by_size.setdefault(len(clones), ([], []))
+        slots.append(slot)
+        rows.append([index[clone] for clone in sorted(clones)])
+    off = ~np.eye(len(labels), dtype=bool)
+    lo = values.min(axis=(1, 2), where=off, initial=np.inf)
+    span = values.max(axis=(1, 2), where=off, initial=-np.inf) - lo
+    per_class = np.empty((4, len(values), len(classes)))
+    ids = np.asarray(labels)
+    for slots, rows in by_size.values():
+        per_class[:, :, slots] = _group_scores(values, np.array(rows, dtype=np.intp), ids, lo, span)
+    return list(map(tuple, _mean(per_class).T.tolist()))
 
 
 def _group_scores(
-    values: np.ndarray, group: _SizeGroup, lo: np.ndarray, span: np.ndarray
+    values: np.ndarray, rows: np.ndarray, ids: np.ndarray, lo: np.ndarray, span: np.ndarray
 ) -> np.ndarray:
-    """(4, C, m): the four per-class values of each of the m classes of
-    ``group``, in its order, in each of the C matrices of ``values``."""
-    rows = group.rows
+    """(4, C, m): the four per-class values of the m classes of k members
+    whose (m, k) member ``rows`` are given, in each of the C matrices of
+    ``values``; ``ids`` is each column's activity id."""
     m, k = rows.shape
+    own = np.arange(len(ids)) == rows[:, :, None]  # (m, k, n): a member's own column
+    in_class = own.any(axis=1)  # (m, n): the class's columns
+    outside = ~in_class[:, None, :]  # (m, 1, n): every other column
+    pairs = ~np.eye(k, dtype=bool)  # ordered pairs, in permutations order
     block = values[:, rows]
     inner = values[:, rows[:, :, None], rows[:, None, :]]
     scores = np.empty((4, len(values), m))
     with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = (inner[:, :, group.upper] - lo[:, None, None]) / span[:, None, None]
+        # The upper triangle: unordered pairs, in combinations order.
+        scaled = (inner[:, :, np.triu(pairs)] - lo[:, None, None]) / span[:, None, None]
     scores[0] = np.where(span[:, None] != 0.0, _mean(scaled), 0.0)
-    row_max = np.where(group.own, -np.inf, block).max(axis=3, keepdims=True)
-    missed = ((block == row_max) & group.outside).any(axis=3).sum(axis=2)
+    row_max = np.where(own, -np.inf, block).max(axis=3, keepdims=True)
+    missed = ((block == row_max) & outside).any(axis=3).sum(axis=2)
     scores[1] = (k - missed) / k
     # The last key sorts first: the member itself goes after every candidate.
-    hits = group.in_class[group.positions, np.lexsort((
-        np.broadcast_to(group.ids, block.shape), -block, np.broadcast_to(group.own, block.shape)
+    hits = in_class[np.arange(m)[:, None, None], np.lexsort((
+        np.broadcast_to(ids, block.shape), -block, np.broadcast_to(own, block.shape)
     ))[..., : k - 1]]
     scores[2] = _mean(hits.sum(axis=3) / (k - 1))
     outsiders = values.shape[1] - k
@@ -217,8 +183,8 @@ def _group_scores(
     if outsiders:
         # beaten[s, c, a, b, o]: outsider o of class c has s(a, o) < s(a, b).
         beaten = block[:, :, :, None, :] < inner[..., None]
-        beaten &= group.outside[:, :, None, :]
-        scores[3] = _mean(beaten.sum(axis=4)[:, :, group.off] / outsiders)
+        beaten &= outside[:, :, None, :]
+        scores[3] = _mean(beaten.sum(axis=4)[:, :, pairs] / outsiders)
     return scores
 
 
@@ -270,11 +236,12 @@ def _fail_every_config(
 def _run_job(
     log: EventLog, job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
-    """Score one plan job under every config, as one stack.
+    """Score one plan job under every config, in stacks of at most
+    ``_STACK_BYTES`` of similarities.
 
     An exception while deriving the ground truth or its tables fails every
     config. A config whose own table is refused, or whose build raises,
-    fails alone and stays out of the stack. If the stack raises while it is
+    fails alone and stays out of the stacks. If a stack raises while it is
     compared or scored, each of its configs is scored alone, so only the
     configs that raise fail. Records keep config order.
     """
@@ -295,11 +262,9 @@ def _run_job(
         except Exception as exc:
             outcomes[index] = exc
     stack = list(built.values())
-    try:
-        scored = _score_stack(_similarities(stack), gt.classes.psi) if stack else []
-    except Exception:
-        scored = [_score_alone(item, gt.classes.psi) for item in stack]
-    for index, outcome in zip(built, scored):
+    n = stack[0].values.shape[0] if stack else 1
+    size = max(1, _STACK_BYTES // (8 * n * n))
+    for index, outcome in zip(built, _scores(stack, gt.classes.psi, size)):
         outcomes[index] = outcome
 
     scores: list[IntrinsicScores] = []
@@ -313,14 +278,27 @@ def _run_job(
     return scores, failures
 
 
-def _score_alone(
-    built: "EmbeddingMatrix | PairwiseSimilarity", classes: Mapping[int, frozenset[int]]
-) -> "tuple[float, float, float, float] | Exception":
-    """The four scores of one config in a stack of its own, or what it raised."""
-    try:
-        return _score_stack(_similarities([built]), classes)[0]
-    except Exception as exc:
-        return exc
+def _scores(
+    built: Sequence["EmbeddingMatrix | PairwiseSimilarity"],
+    classes: Mapping[int, frozenset[int]],
+    size: int,
+) -> list:
+    """The four scores of each of ``built``, or what it raised, in order.
+
+    ``built`` is compared and scored in stacks of ``size`` consecutive
+    configs. A stack that raises is retried as stacks of one, so only the
+    configs that raise fail.
+    """
+    outcomes: list = []
+    for start in range(0, len(built), size):
+        stack = built[start : start + size]
+        first = stack[0]
+        labels = first.labels if isinstance(first, PairwiseSimilarity) else first.row_labels
+        try:
+            outcomes += _score_stack(_similarities(stack), labels, classes)
+        except Exception as exc:
+            outcomes += _scores(stack, classes, 1) if size > 1 else [exc]
+    return outcomes
 
 
 def _run_chunk(

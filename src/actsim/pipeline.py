@@ -78,31 +78,37 @@ def shared_tables(
     """One table per distinct (kind, window) pair used by ``configs``, each
     from one ``extract_occurrences`` call, keyed in config order.
 
-    A single pair is scanned directly. With more, the log is scanned once,
-    as the sequence table at the largest window (made even when no config
-    uses it). The other sequence tables are then made widest first, and
+    A single pair is scanned directly. With more, the windows are visited
+    widest first, and the log is scanned once, as the sequence table at the
+    first window whose scan is not refused (a :class:`ParameterError`, such
+    as a slot array over its bound; the table is made even when no config
+    uses it). The narrower sequence tables are then made widest first, and
     every table other than that scan is coarsened through
     ``extract_occurrences(..., fine=...)`` from the narrowest sequence
     table already made whose window is at least its own: the fewer fine
-    contexts, the less to re-key. If that scan is refused (a
-    :class:`ParameterError`, such as a slot array over its bound), every
-    other table is scanned directly. A pair whose own table is refused maps
-    to that error, so only the configs that need it fail.
+    contexts, the less to re-key. A pair at a refused window maps to that
+    window's error, so only the configs that need it fail.
     """
     pairs = dict.fromkeys((config.kind, config.window) for config in configs)
     if len(pairs) == 1:
         return {pair: _scan(log, *pair) for pair in pairs}
     seq = ContextKind.SEQUENCE
-    widest = max(n for _, n in pairs)
-    fine = _scan(log, seq, widest)
-    if not isinstance(fine, OccurrenceTable):
-        return {pair: fine if pair == (seq, widest) else _scan(log, *pair) for pair in pairs}
-    sequences = {widest: fine}
-    for n in sorted({n for kind, n in pairs if kind is seq and n < widest}, reverse=True):
-        sequences[n] = extract_occurrences(log, n, seq, fine=sequences[min(sequences)])
+    refused: dict[int, ParameterError] = {}
+    sequences: dict[int, OccurrenceTable] = {}
+    for n in sorted({n for _, n in pairs}, reverse=True):
+        if not sequences:
+            table = _scan(log, seq, n)
+            if isinstance(table, ParameterError):
+                refused[n] = table
+            else:
+                sequences[n] = table
+        elif (seq, n) in pairs:
+            sequences[n] = extract_occurrences(log, n, seq, fine=sequences[min(sequences)])
     tables = {}
     for kind, n in pairs:
-        if kind is seq:
+        if n in refused:
+            tables[kind, n] = refused[n]
+        elif kind is seq:
             tables[kind, n] = sequences[n]
         else:
             covering = sequences[min(m for m in sequences if m >= n)]

@@ -100,25 +100,29 @@ def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
     are snapped to s = +/-1 so identical rows get distance 0.0 exactly;
     zero rows follow the cosine_distance convention.
     """
-    return _similarities([matrix])[0]
+    return PairwiseSimilarity(
+        labels=matrix.row_labels, values=_similarities([matrix])[0], flavor="cosine",
+        config=matrix.config,
+    )
 
 
-def _similarities(
-    built: Sequence["EmbeddingMatrix | PairwiseSimilarity"],
-) -> list[PairwiseSimilarity]:
-    """The similarities of ``built``, in order: a score matrix (substitution)
-    is its own, and the embeddings, whose rows must number the same, are
-    compared by cosine as one (C, n, n) stack of their Gram matrices.
+def _similarities(built: Sequence["EmbeddingMatrix | PairwiseSimilarity"]) -> np.ndarray:
+    """The (C, n, n) similarities of ``built``, which share their rows, in
+    order: the embeddings are compared by cosine, and a score matrix
+    (substitution) is its own.
 
-    Every step after the Grams is elementwise, so a matrix gets the same
-    bits in a stack of any size. Each Gram is dropped once it is stacked,
-    and the stack is normalized in place.
+    Each Gram is written into its slot of the stack, and the slots from the
+    first embedding to the last are normalized in place; a score slot among
+    them stays zero until the scores are copied in after. Every step after
+    the Grams is elementwise, so a matrix gets the same bits in a stack of
+    any size.
     """
-    embeddings = [item for item in built if isinstance(item, EmbeddingMatrix)]
-    n = embeddings[0].shape[0] if embeddings else 0
-    sims = np.empty((len(embeddings), n, n))
-    for slot, matrix in zip(sims, embeddings):
-        slot[...] = _gram(matrix)
+    cosine = [slot for slot, item in enumerate(built) if isinstance(item, EmbeddingMatrix)]
+    n = built[0].values.shape[0]
+    stack = np.zeros((len(built), n, n))
+    for slot in cosine:
+        stack[slot] = _gram(built[slot])
+    sims = stack[cosine[0] : cosine[-1] + 1] if cosine else stack[:0]
     diag = np.diagonal(sims, axis1=1, axis2=2).copy()
     exact = sims * sims == diag[:, :, None] * diag[:, None, :]
     norms = np.sqrt(diag)
@@ -134,13 +138,10 @@ def _similarities(
     sims[zero[:, :, None] & zero[:, None, :]] = 1.0
     np.clip(sims, -1.0, 1.0, out=sims)
     sims[:, np.arange(n), np.arange(n)] = 1.0
-    cosines = iter(sims)
-    return [
-        item if isinstance(item, PairwiseSimilarity) else PairwiseSimilarity(
-            labels=item.row_labels, values=next(cosines), flavor="cosine", config=item.config
-        )
-        for item in built
-    ]
+    for slot, item in enumerate(built):
+        if isinstance(item, PairwiseSimilarity):
+            stack[slot] = item.values
+    return stack
 
 
 def substitution_scores(table: OccurrenceTable) -> PairwiseSimilarity:

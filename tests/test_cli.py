@@ -195,14 +195,14 @@ class TestIntrinsic:
 
     def test_unexpected_exception_keeps_the_partial_reports(self, worked_csv, tmp_path,
                                                              monkeypatch, capsys):
-        real = intrinsic._score_stack
+        real = intrinsic._similarities
 
-        def score_stack_or_raise(sims, classes):
-            if any(sim.config.weighting == "pmi" for sim in sims):
+        def similarities_or_raise(built):
+            if any(item.config.weighting == "pmi" for item in built):
                 raise FloatingPointError("pmi scores overflowed")
-            return real(sims, classes)
+            return real(built)
 
-        monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
+        monkeypatch.setattr(intrinsic, "_similarities", similarities_or_raise)
         out = tmp_path / "out"
         code = run([
             "intrinsic", "--input", worked_csv, "--out-dir", out,
@@ -224,7 +224,7 @@ class TestIntrinsic:
     @pytest.mark.parametrize("first_fails", [True, False])
     def test_rerun_removes_the_reports_it_does_not_write(self, worked_csv, tmp_path,
                                                          monkeypatch, first_fails):
-        def score_stack_raises(sims, classes):
+        def score_stack_raises(values, labels, classes):
             raise FloatingPointError("every config overflowed")
 
         out = tmp_path / "out"
@@ -241,6 +241,11 @@ class TestIntrinsic:
             scores = json.loads((out / "intrinsic_scores.json").read_text())
             assert bool(scores) is not failing
             assert (out / "intrinsic_failures.json").exists() is failing
+            if failing:
+                errors = json.loads((out / "intrinsic_failures.json").read_text())
+                assert {f["error"] for f in errors} == {
+                    "FloatingPointError: every config overflowed"
+                }
             assert (out / "intrinsic_aggregate.csv").exists() is not failing
 
     @pytest.mark.parametrize("parallel", [[], ["--parallel"]])
@@ -483,12 +488,13 @@ def test_every_output_echoes_the_config_that_made_it(worked_csv, tmp_path, monke
     rows = aggregate_scores(scores).rows
     assert echoed(rows) == sorted(echoes, key=lambda echo: tuple(echo.values()))
 
-    def score_stack_raises(sims, classes):
+    def score_stack_raises(values, labels, classes):
         raise FloatingPointError("scores overflowed")
 
     monkeypatch.setattr(intrinsic, "_score_stack", score_stack_raises)
     scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)
     assert echoed(failures) == echoes and not scores
+    assert {failure.error for failure in failures} == {"FloatingPointError: scores overflowed"}
 
 
 def test_single_tables_are_scanned_directly(worked_csv, tmp_path, monkeypatch):

@@ -473,8 +473,8 @@ def test_shared_tables_equal_direct_extraction(traces, windows, kinds, w, seed):
 def test_every_shared_table_of_a_log_has_the_same_row_labels(traces, windows, w, seed):
     # A plan job compares and scores all of its configs as one (C, n, n)
     # stack over one label order. So every table of one log has the same
-    # rows: scanned directly, coarsened from the widest scan, or scanned
-    # directly because the widest scan was refused.
+    # rows: scanned directly, coarsened from the widest scan, or coarsened
+    # from a narrower scan because the widest scan was refused.
     flat = np.array([aid for trace in traces for aid in trace], dtype=np.int64)
     offsets = np.cumsum([0] + [len(trace) for trace in traces])
     log = EventLog.from_arrays(flat, offsets, Alphabet(list("abcd")))
@@ -524,6 +524,12 @@ def _ac_grid(*pairs):
             _ac_grid(("mset", 4), ("seq", 3), ("seq", 5)),
             [("seq", 5, None), ("seq", 3, 5), ("mset", 4, 5)],
         ),
+        # The widest scan is refused: the next window down is scanned, and
+        # the rest coarsen from it, one scan and one coarsening in all.
+        (
+            expand_grid(actsim.METHODS, ("mset", "seq"), actsim.WEIGHTINGS, (3, 2**40)),
+            [("seq", 2**40, None), ("seq", 3, None), ("mset", 3, 3)],
+        ),
     ],
 )
 def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
@@ -542,7 +548,12 @@ def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
     assert calls == expected
     assert list(tables) == list(dict.fromkeys((config.kind, config.window) for config in grid))
     for (kind, window), table in tables.items():
-        _assert_same_table(table, extract(log, window, kind))
+        if isinstance(table, ParameterError):
+            with pytest.raises(ParameterError) as refused:
+                extract(log, window, kind)
+            assert str(table) == str(refused.value)
+        else:
+            _assert_same_table(table, extract(log, window, kind))
 
 
 def _scipy_csr(rows, cols, weights, shape):

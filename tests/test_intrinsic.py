@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -269,6 +270,7 @@ def test_score_all_matches_naive_oracle(case):
 
 
 _real_score_stack = intrinsic._score_stack
+_real_similarities = intrinsic._similarities
 _real_gram = similarity._gram
 
 
@@ -360,7 +362,7 @@ def test_score_stack_matches_naive_oracle(case):
         )
         for config, values in matrices
     ]
-    scores = intrinsic._score_stack(sims, classes)
+    scores = intrinsic._score_stack(intrinsic._similarities(sims), tuple(labels), classes)
     assert scores == [naive_scores(labels, values, classes) for _, values in matrices]
     assert all(type(score) is float for four in scores for score in four)
 
@@ -372,27 +374,112 @@ def test_score_all_matches_naive_oracle_on_sweep_matrices(monkeypatch):
     log = structured_log(7, 300, 12)
     configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
     assert len(configs) == 26
+    built_configs = []
     stacks = []
 
-    def recording(sims, classes):
-        scores = _real_score_stack(sims, classes)
-        stacks.append((sims, classes, scores))
+    def similarities_recording(built):
+        built_configs.append([item.config for item in built])
+        return _real_similarities(built)
+
+    def recording(values, labels, classes):
+        scores = _real_score_stack(values, labels, classes)
+        stacks.append((values, labels, classes, scores))
         return scores
 
+    monkeypatch.setattr(intrinsic, "_similarities", similarities_recording)
     monkeypatch.setattr(intrinsic, "_score_stack", recording)
     records, failures = run_intrinsic_benchmark(log, configs, samples=1, master_seed=42)
     assert not failures
-    assert len(stacks) == len(enumerate_benchmark_plan(log, 1, 42).jobs)
+    assert len(stacks) == len(built_configs) == len(enumerate_benchmark_plan(log, 1, 42).jobs)
     checked = 0
-    for sims, classes, scores in stacks:
-        assert [sim.config for sim in sims] == configs
-        for sim, four in zip(sims, scores):
-            assert four == naive_scores(list(sim.labels), sim.values.tolist(), classes)
+    for stack_configs, (values, labels, classes, scores) in zip(built_configs, stacks):
+        assert stack_configs == configs
+        for matrix, four in zip(values, scores):
+            assert four == naive_scores(list(labels), matrix.tolist(), classes)
             checked += 1
     assert checked >= 26 * 20
     assert [(r.i_comp, r.i_nn, r.i_prec, r.i_tri) for r in records] == [
-        four for _, _, scores in stacks for four in scores
+        four for *_, scores in stacks for four in scores
     ]
+
+
+def test_a_sweep_job_is_compared_and_scored_as_one_stack(monkeypatch):
+    # One sample of the W1 sweep: each job's 26 configs fit one stack (a
+    # job has at most 61 labels here), so the budget never splits them.
+    log = structured_log(7, 2000, 20)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+    stacks = []
+
+    def recording(built):
+        stacks.append((len(built), built[0].values.shape[0]))
+        return _real_similarities(built)
+
+    monkeypatch.setattr(intrinsic, "_similarities", recording)
+    _, failures = run_intrinsic_benchmark(log, configs, samples=1, master_seed=42)
+    assert not failures
+    assert len(stacks) == len(enumerate_benchmark_plan(log, 1, 42).jobs)
+    assert {size for size, _ in stacks} == {26}
+    assert max(8 * n * n for _, n in stacks) * 26 <= intrinsic._STACK_BYTES
+
+
+def test_stacks_of_one_give_the_same_records(monkeypatch):
+    # A budget of one byte makes every config a stack of its own, and one
+    # of a few configs' bytes splits each job's stacks unevenly; neither
+    # changes a bit of any record.
+    log = structured_log(7, 300, 12)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+    plan = enumerate_benchmark_plan(log, 1, 42)
+    default = run_intrinsic_benchmark(log, configs, plan=plan)
+    assert default[0] and not default[1]
+    sizes = []
+
+    def recording(built):
+        sizes.append(len(built))
+        return _real_similarities(built)
+
+    monkeypatch.setattr(intrinsic, "_similarities", recording)
+    monkeypatch.setattr(intrinsic, "_STACK_BYTES", 1)
+    assert repr(run_intrinsic_benchmark(log, configs, plan=plan)) == repr(default)
+    assert set(sizes) == {1}
+    sizes.clear()
+    monkeypatch.setattr(intrinsic, "_STACK_BYTES", 8 * 40 * 40 * 3)
+    assert repr(run_intrinsic_benchmark(log, configs, plan=plan)) == repr(default)
+    assert any(1 < size < 26 for size in sizes)
+
+
+def test_a_job_compares_and_scores_in_bounded_memory(monkeypatch):
+    # The heaviest W1 job (r = 10, w = 5) over about 340 labels: one
+    # config's similarities take 0.9 MiB. Its configs are compared and
+    # scored in stacks of at most _STACK_BYTES, so what that adds to the
+    # built configs stays a few stacks' worth; one stack of all 26 configs
+    # took 66 MiB.
+    rng = random.Random(5)
+    log = log_from_label_traces(
+        [[f"a{rng.randrange(300)}" for _ in range(rng.randint(5, 15))] for _ in range(6000)]
+    )
+    configs = tuple(expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5)))
+    job = next(job for job in enumerate_benchmark_plan(log, 1, 42).jobs if (job.r, job.w) == (10, 5))
+    real = intrinsic.build_embedding
+    built = []
+    held = []
+
+    def building(table, config):
+        built.append(real(table, config))
+        if len(built) == len(configs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return built[-1]
+
+    monkeypatch.setattr(intrinsic, "build_embedding", building)
+    tracemalloc.start()
+    try:
+        scores, failures = intrinsic._run_job(log, job, configs, "log")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == len(configs) and not failures
+    assert len(built[0].row_labels) == 340
+    assert peak - held[0] <= 33 * 2**20, f"{(peak - held[0]) / 2**20:.1f} MiB"
 
 
 class TestLayoutMemo:
@@ -628,12 +715,12 @@ class TestRunner:
         log = log_from_label_traces([["a", "b", "c", "b"]] * 12)
         configs = [make_config("aa", "mset", "none", 3), make_config("ac", "seq", "pmi", 3)]
 
-        def score_stack_or_raise(sims, classes):
-            if any(sim.config.method == "ac" for sim in sims):
+        def similarities_or_raise(built):
+            if any(item.config.method == "ac" for item in built):
                 raise FloatingPointError("overflow in the ac scores")
-            return _real_score_stack(sims, classes)
+            return _real_similarities(built)
 
-        monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
+        monkeypatch.setattr(intrinsic, "_similarities", similarities_or_raise)
         scores, failures = run_intrinsic_benchmark(log, configs, samples=2, master_seed=1)
         plan = enumerate_benchmark_plan(log, 2, 1)
         assert len(scores) == len(failures) == len(plan.jobs)
@@ -653,18 +740,24 @@ class TestRunner:
         clean, _ = run_intrinsic_benchmark(log, configs, plan=plan)
         broken = make_config("ac", "seq", "ppmi", 5)
         sizes = []
+        compared = []
 
-        def score_stack_or_raise(sims, classes):
-            sizes.append(len(sims))
-            if stage == "score" and any(sim.config == broken for sim in sims):
+        def similarities_recording(built):
+            compared.append([item.config for item in built])
+            return _real_similarities(built)
+
+        def score_stack_or_raise(values, labels, classes):
+            sizes.append(len(values))
+            if stage == "score" and broken in compared[-1]:
                 raise FloatingPointError("ppmi scores overflowed")
-            return _real_score_stack(sims, classes)
+            return _real_score_stack(values, labels, classes)
 
         def gram_or_raise(matrix):
             if stage == "compare" and matrix.config == broken:
                 raise FloatingPointError("ppmi scores overflowed")
             return _real_gram(matrix)
 
+        monkeypatch.setattr(intrinsic, "_similarities", similarities_recording)
         monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
         monkeypatch.setattr(similarity, "_gram", gram_or_raise)
         scores, failures = run_intrinsic_benchmark(log, configs, plan=plan)

@@ -209,8 +209,8 @@ def test_pair_plan_keeps_the_bits(cells):
 def test_stacked_cosines_equal_one_at_a_time(cells):
     # One table's AC (raw, PMI, PPMI) and AA, and a hand-built embedding with
     # a zero row, a row of -2.5 times another and a row whose squares
-    # underflow, normalized as one stack; the substitution scores pass
-    # through it untouched.
+    # underflow, normalized as one stack; the substitution scores are copied
+    # into their slot untouched.
     table = count_table(cells)
     ac = build_ac(table)
     n = ac.shape[0]
@@ -225,16 +225,18 @@ def test_stacked_cosines_equal_one_at_a_time(cells):
     scores = substitution_scores(table)
     built = [ac, apply_pmi(ac, table), scores, apply_ppmi(ac, table), build_aa(table), hand]
     stacked = _similarities(built)
-    assert stacked[2] is scores
-    for matrix, sim in zip(built, stacked):
+    assert stacked.shape == (len(built), n, n)
+    assert stacked[2].tobytes() == scores.values.tobytes()
+    for matrix, values in zip(built, stacked):
         if matrix is scores:
             continue
-        alone = pairwise_distance_matrix(matrix).values
-        assert np.array_equal(sim.values, alone)
-        assert np.array_equal(np.signbit(sim.values), np.signbit(alone))
-        assert sim.values.tobytes() == two_copy_cosine(matrix.values).tobytes()
+        sim = pairwise_distance_matrix(matrix)
+        alone = sim.values
+        assert np.array_equal(values, alone)
+        assert np.array_equal(np.signbit(values), np.signbit(alone))
+        assert values.tobytes() == two_copy_cosine(matrix.values).tobytes()
         assert (sim.labels, sim.flavor, sim.config) == (matrix.row_labels, "cosine", matrix.config)
-    hand_sims = stacked[-1].values
+    hand_sims = stacked[-1]
     if n > 1:
         assert hand_sims[0, 1] == 0.0  # the zero row against a nonzero one
     if n > 2:
