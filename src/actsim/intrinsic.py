@@ -6,17 +6,18 @@ the derived log, unreplaced originals included. I_nn, I_prec and I_tri
 depend only on the ranking of similarities; I_comp alone reads values,
 after min-max normalization of the off-diagonal cells.
 
-A plan job is scored in stacks: the similarity matrices of consecutive
-configs, over the same labels, as one (C, n, n) array of at most
-``_STACK_BYTES``, from the Grams to the scores. :func:`_score_stack`
-computes all four metrics of every matrix of a stack in one pass, the
-classes of each size as one (C, m, k, n) block; a stack that raises is
-scored again one config at a time. ``score_all`` is a stack of one, and
-each single-metric function selects from it. Every mean, per pair,
-member, class, log or config, is one :func:`_mean`: a ``cumsum`` over the
-last axis in the order of the loop oracles in ``tests/reference.py``,
-which is their left fold from 0.0 and gives the same bytes on Python 3.10
-to 3.12. numpy's pairwise summation and 3.12's compensated ``sum()`` would
+A plan job is scored in stacks: consecutive configs are built, compared
+and scored together, their similarities over the same labels one (C, n, n)
+array of at most ``_STACK_BYTES``. :func:`_score_stack` computes all four
+metrics of every matrix of a stack in one pass, the classes of each size
+as one (C, m, k, n) block. There is one failure rule: a stack that raises
+anywhere, from a refused table to the scores, is retried one config at a
+time, so only the configs that raise fail. ``score_all`` is a stack of
+one, and each single-metric function selects from it. Every mean, per
+pair, member, class, log or config, is one :func:`_mean`: a ``cumsum``
+over the last axis in the order of the loop oracles in
+``tests/reference.py``, which is their left fold from 0.0 and gives the
+same bytes on Python 3.10 to 3.12. numpy's pairwise summation and 3.12's compensated ``sum()`` would
 each change the last bit.
 """
 
@@ -36,7 +37,8 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .matrices import ConfigEcho, EmbeddingMatrix, MethodConfig
+from .contexts import OccurrenceTable
+from .matrices import ConfigEcho, MethodConfig
 from .pipeline import build_embedding, shared_tables
 from .similarity import PairwiseSimilarity, _similarities
 
@@ -222,15 +224,20 @@ def _error_text(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ActsimError) else f"{type(exc).__name__}: {exc}"
 
 
-def _labels(job: PlanJob, config: MethodConfig, log_id: str) -> dict:
-    """The fields a score or failure record of (job, config) starts with."""
-    return dict(config.echo(), r=job.r, w=job.w, sample=job.sample_index, log_id=log_id)
-
-
-def _fail_every_config(
-    job: PlanJob, configs: tuple[MethodConfig, ...], log_id: str, exc: Exception
-) -> list[FailedJob]:
-    return [FailedJob(**_labels(job, config, log_id), error=_error_text(exc)) for config in configs]
+def _records(
+    job: PlanJob, configs: Sequence[MethodConfig], outcomes: Iterable, log_id: str
+) -> tuple[list[IntrinsicScores], list[FailedJob]]:
+    """The score or failure record of each config of ``job``, in config
+    order, from its outcome: four scores, or the exception it raised."""
+    scores: list[IntrinsicScores] = []
+    failures: list[FailedJob] = []
+    for config, outcome in zip(configs, outcomes):
+        echo = dict(config.echo(), r=job.r, w=job.w, sample=job.sample_index, log_id=log_id)
+        if isinstance(outcome, Exception):
+            failures.append(FailedJob(**echo, error=_error_text(outcome)))
+        else:
+            scores.append(IntrinsicScores(**echo, **dict(zip(_METRICS, outcome))))
+    return scores, failures
 
 
 def _run_job(
@@ -240,65 +247,49 @@ def _run_job(
     ``_STACK_BYTES`` of similarities.
 
     An exception while deriving the ground truth or its tables fails every
-    config. A config whose own table is refused, or whose build raises,
-    fails alone and stays out of the stacks. If a stack raises while it is
-    compared or scored, each of its configs is scored alone, so only the
+    config. After that there is one rule: each stack is built, compared
+    and scored in one ``try``, and a stack that raises, for a refused
+    table or anything else, is retried one config at a time, so only the
     configs that raise fail. Records keep config order.
     """
     try:
         gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
         tables = shared_tables(gt.log, configs)
     except Exception as exc:
-        return [], _fail_every_config(job, configs, log_id, exc)
-
-    outcomes: list = [None] * len(configs)  # four scores, or the exception
-    built: dict[int, "EmbeddingMatrix | PairwiseSimilarity"] = {}
-    for index, config in enumerate(configs):
-        try:
-            table = tables[(config.kind, config.window)]
-            if isinstance(table, ParameterError):
-                raise table
-            built[index] = build_embedding(table, config)
-        except Exception as exc:
-            outcomes[index] = exc
-    stack = list(built.values())
-    n = stack[0].values.shape[0] if stack else 1
-    size = max(1, _STACK_BYTES // (8 * n * n))
-    for index, outcome in zip(built, _scores(stack, gt.classes.psi, size)):
-        outcomes[index] = outcome
-
-    scores: list[IntrinsicScores] = []
-    failures: list[FailedJob] = []
-    for config, outcome in zip(configs, outcomes):
-        labels = _labels(job, config, log_id)
-        if isinstance(outcome, Exception):
-            failures.append(FailedJob(**labels, error=_error_text(outcome)))
-        else:
-            scores.append(IntrinsicScores(**labels, **dict(zip(_METRICS, outcome))))
-    return scores, failures
+        return _records(job, configs, repeat(exc), log_id)
+    # Every table of one log has the same rows; a refused one has none.
+    labels = next((t.row_labels for t in tables.values() if isinstance(t, OccurrenceTable)), ())
+    size = max(1, _STACK_BYTES // (8 * max(1, len(labels)) ** 2))
+    return _records(job, configs, _scores(tables, configs, labels, gt.classes.psi, size), log_id)
 
 
 def _scores(
-    built: Sequence["EmbeddingMatrix | PairwiseSimilarity"],
-    classes: Mapping[int, frozenset[int]],
-    size: int,
+    tables: Mapping, configs: Sequence[MethodConfig], labels: Sequence[int],
+    classes: Mapping[int, frozenset[int]], size: int,
 ) -> list:
-    """The four scores of each of ``built``, or what it raised, in order.
+    """The four scores of each of ``configs``, or what it raised, in order.
 
-    ``built`` is compared and scored in stacks of ``size`` consecutive
-    configs. A stack that raises is retried as stacks of one, so only the
-    configs that raise fail.
+    ``configs`` are built from ``tables``, compared and scored in stacks
+    of ``size`` consecutive configs, over the tables' row ``labels``. A
+    stack that raises is retried as stacks of one.
     """
     outcomes: list = []
-    for start in range(0, len(built), size):
-        stack = built[start : start + size]
-        first = stack[0]
-        labels = first.labels if isinstance(first, PairwiseSimilarity) else first.row_labels
+    for start in range(0, len(configs), size):
+        stack = configs[start : start + size]
         try:
-            outcomes += _score_stack(_similarities(stack), labels, classes)
+            built = [build_embedding(_table(tables, config), config) for config in stack]
+            outcomes += _score_stack(_similarities(built), labels, classes)
         except Exception as exc:
-            outcomes += _scores(stack, classes, 1) if size > 1 else [exc]
+            outcomes += _scores(tables, stack, labels, classes, 1) if size > 1 else [exc]
     return outcomes
+
+
+def _table(tables: Mapping, config: MethodConfig) -> OccurrenceTable:
+    """The table of ``config``; a refused one raises its refusal."""
+    table = tables[(config.kind, config.window)]
+    if isinstance(table, ParameterError):
+        raise table
+    return table
 
 
 def _run_chunk(
@@ -345,9 +336,7 @@ def run_intrinsic_benchmark(
                 try:
                     results.extend(future.result())
                 except BrokenProcessPool as exc:
-                    results.extend(
-                        ([], _fail_every_config(job, configs, log_id, exc)) for job in chunk
-                    )
+                    results.extend(_records(job, configs, repeat(exc), log_id) for job in chunk)
     else:
         results = list(map(_run_job, repeat(log), plan.jobs, repeat(configs), repeat(log_id)))
     scores: list[IntrinsicScores] = []

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -50,7 +49,8 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
 
     Exactly one all-zero vector gives distance 1; two all-zero vectors
     give distance 0. Vectors must have equal positive length and finite
-    entries.
+    entries. The two rows' Gram goes through :func:`_normalize`, so this is
+    the distance :func:`pairwise_distance_matrix` gives them, to the bit.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -60,14 +60,10 @@ def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
         )
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ParameterError("vectors must be finite")
-    nu = math.sqrt(float(u @ u))
-    nv = math.sqrt(float(v @ v))
-    if nu == 0.0 and nv == 0.0:
-        return 0.0
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    s = float(u @ v) / (nu * nv)
-    return 1.0 - max(-1.0, min(1.0, s))
+    x = np.stack([u, v])
+    sims = x @ x.T
+    _normalize(sims[None])
+    return 1.0 - float(sims[0, 1])
 
 
 def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
@@ -95,10 +91,8 @@ def pairwise_distance_matrix(matrix: EmbeddingMatrix) -> PairwiseSimilarity:
     """All-pairs cosine similarities of the embedding rows: a stack of one
     for :func:`_similarities`.
 
-    The Gram matrix is computed once in float64. Rows with an exact
-    Cauchy-Schwarz equality (G(a,b)^2 = G(a,a) G(b,b), proportional rows)
-    are snapped to s = +/-1 so identical rows get distance 0.0 exactly;
-    zero rows follow the cosine_distance convention.
+    The Gram matrix is computed once in float64 and normalized by
+    :func:`_normalize`.
     """
     return PairwiseSimilarity(
         labels=matrix.row_labels, values=_similarities([matrix])[0], flavor="cosine",
@@ -122,7 +116,22 @@ def _similarities(built: Sequence["EmbeddingMatrix | PairwiseSimilarity"]) -> np
     stack = np.zeros((len(built), n, n))
     for slot in cosine:
         stack[slot] = _gram(built[slot])
-    sims = stack[cosine[0] : cosine[-1] + 1] if cosine else stack[:0]
+    _normalize(stack[cosine[0] : cosine[-1] + 1] if cosine else stack[:0])
+    for slot, item in enumerate(built):
+        if isinstance(item, PairwiseSimilarity):
+            stack[slot] = item.values
+    return stack
+
+
+def _normalize(sims: np.ndarray) -> None:
+    """Turn the (C, n, n) Grams ``sims`` into cosine similarities, in place.
+
+    Cells with an exact Cauchy-Schwarz equality (G(a,b)^2 = G(a,a) G(b,b),
+    proportional rows) are snapped to s = +/-1, so identical rows get
+    distance 0.0 exactly; a zero row has similarity 0 to every other row
+    and 1 to another zero row.
+    """
+    n = sims.shape[-1]
     diag = np.diagonal(sims, axis1=1, axis2=2).copy()
     exact = sims * sims == diag[:, :, None] * diag[:, None, :]
     norms = np.sqrt(diag)
@@ -138,10 +147,6 @@ def _similarities(built: Sequence["EmbeddingMatrix | PairwiseSimilarity"]) -> np
     sims[zero[:, :, None] & zero[:, None, :]] = 1.0
     np.clip(sims, -1.0, 1.0, out=sims)
     sims[:, np.arange(n), np.arange(n)] = 1.0
-    for slot, item in enumerate(built):
-        if isinstance(item, PairwiseSimilarity):
-            stack[slot] = item.values
-    return stack
 
 
 def substitution_scores(table: OccurrenceTable) -> PairwiseSimilarity:

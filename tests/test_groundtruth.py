@@ -20,6 +20,7 @@ from actsim import (
     splitmix64,
     write_classes_json,
 )
+from actsim import groundtruth
 from actsim.groundtruth import _draws_below
 from reference import naive_ground_truth
 from synthetic_logs import random_small_log
@@ -294,6 +295,19 @@ class TestPlan:
         assert len(seeds) == len(set(seeds))
         job = plan.jobs[0]
         assert job.seed == mix_seed(42, job.r, job.w, job.sample_index)
+
+    def test_a_colliding_seed_is_mixed_again(self, monkeypatch):
+        # Were every job given the same derived seed, each would take the
+        # next one of its splitmix64 chain: c, splitmix64(c), ...
+        c = 12345
+        monkeypatch.setattr(groundtruth, "mix_seed", lambda *words: c)
+        seeds = [job.seed for job in enumerate_benchmark_plan(three_activity_log(), 5, 42).jobs]
+        chain = [c]
+        while len(chain) < len(seeds):
+            chain.append(splitmix64(chain[-1]))
+        assert len(seeds) > 2
+        assert seeds == chain
+        assert len(set(seeds)) == len(seeds)
 
     def test_plan_deterministic(self):
         labels = [f"x{i:02d}" for i in range(12)]

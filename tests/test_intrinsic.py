@@ -272,6 +272,7 @@ def test_score_all_matches_naive_oracle(case):
 _real_score_stack = intrinsic._score_stack
 _real_similarities = intrinsic._similarities
 _real_gram = similarity._gram
+_real_build_embedding = intrinsic.build_embedding
 
 
 def naive_scores(labels, values, classes):
@@ -729,10 +730,11 @@ class TestRunner:
             ("ac", "FloatingPointError: overflow in the ac scores")
         }
 
-    @pytest.mark.parametrize("stage", ["compare", "score"])
+    @pytest.mark.parametrize("stage", ["build", "compare", "score"])
     def test_a_config_that_raises_inside_the_stack_fails_alone(self, monkeypatch, stage):
-        # One config raises inside its job's stack; the stack is then scored
-        # one config at a time, and only that config fails.
+        # One config raises inside its job's stack, while it is built,
+        # compared or scored; the stack is then scored one config at a time,
+        # and only that config fails.
         log = structured_log(7, 300, 12)
         configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
         plan = enumerate_benchmark_plan(log, 1, 42)
@@ -757,6 +759,12 @@ class TestRunner:
                 raise FloatingPointError("ppmi scores overflowed")
             return _real_gram(matrix)
 
+        def build_or_raise(table, config):
+            if stage == "build" and config == broken:
+                raise FloatingPointError("ppmi scores overflowed")
+            return _real_build_embedding(table, config)
+
+        monkeypatch.setattr(intrinsic, "build_embedding", build_or_raise)
         monkeypatch.setattr(intrinsic, "_similarities", similarities_recording)
         monkeypatch.setattr(intrinsic, "_score_stack", score_stack_or_raise)
         monkeypatch.setattr(similarity, "_gram", gram_or_raise)
@@ -770,8 +778,8 @@ class TestRunner:
              "FloatingPointError: ppmi scores overflowed")
             for job in plan.jobs
         ]
-        # A Gram that raises stops the stack before it is scored, and the
-        # broken config before its own stack of one is.
+        # A build or a Gram that raises stops the stack before it is scored,
+        # and the broken config before its own stack of one is.
         stacked = [26] if stage == "score" else []
         alone = [1] * (26 if stage == "score" else 25)
         assert sizes == (stacked + alone) * len(plan.jobs)

@@ -620,6 +620,29 @@ def xes_documents(draw):
     return draw(st.sampled_from(["", "\ufeff"])) + text
 
 
+class _UnreadableStream(io.StringIO):
+    """A stream whose every read fails, as a dropped network file does."""
+
+    def read(self, *args):
+        raise OSError("connection reset")
+
+    readline = read
+
+    def __next__(self):
+        raise OSError("connection reset")
+
+
+@pytest.mark.parametrize("parse", [parse_csv, parse_xes])
+def test_a_stream_that_cannot_be_read_raises_its_own_error(parse, tmp_path):
+    # A caller's stream is the caller's: its OSError passes through as it
+    # is. Only a path that cannot be read is a format error.
+    with pytest.raises(OSError, match="^connection reset$") as raised:
+        parse(_UnreadableStream())
+    assert type(raised.value) is OSError
+    with pytest.raises(FormatError, match=f"^cannot read {tmp_path}: "):
+        parse(tmp_path)
+
+
 class TestParserOracle:
     """The streamed parsers against the plain ones in ``reference.py``:
     the same log and alphabet, or the same error and message."""

@@ -32,6 +32,9 @@ from synthetic_logs import random_small_log, structured_log, worked_log
 from test_matrices import FOUR_TRACE
 
 
+coordinates = st.one_of(st.integers(-9, 9).map(float), st.floats(-100, 100))
+
+
 class TestCosineDistance:
     def test_worked_rows(self):
         # Rows c and d of the worked AC matrix share one context with count 5 vs 1.
@@ -64,6 +67,32 @@ class TestCosineDistance:
     def test_empty(self):
         with pytest.raises(ParameterError):
             cosine_distance([], [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(coordinates, min_size=1, max_size=6).flatmap(lambda u: st.tuples(
+            st.just(u),
+            st.one_of(
+                st.lists(coordinates, min_size=len(u), max_size=len(u)),
+                st.integers(-3, 3).map(lambda c: [c * x for x in u]),  # proportional or zero
+                st.floats(-3, 3).map(lambda c: [c * x for x in u]),
+            ),
+        ))
+    )
+    @example(([1.0, -3.0], [-1.0, 3.0]))  # 1.9999999999999998 by norms alone
+    @example(([0.0, 0.0], [0.0, 0.0]))
+    @example(([0.0, 0.0], [1.0, 2.0]))
+    def test_is_the_distance_the_matrix_exports(self, pair):
+        u, v = pair
+        matrix = EmbeddingMatrix(
+            row_labels=(1, 2),
+            column_labels=tuple(range(len(u))),
+            values=np.array([u, v]),
+            config=MethodConfig("aa", ContextKind.SEQUENCE, "none", 3),
+        )
+        exported = pairwise_distance_matrix(matrix).distance_matrix()
+        assert cosine_distance(u, v).hex() == float(exported[0, 1]).hex()
+        assert cosine_distance(v, u).hex() == float(exported[1, 0]).hex()
 
 
 class TestPairwise:
