@@ -26,18 +26,13 @@ def expand_grid(
     """Cross product of the axes, silently dropping combinations that are
     invalid for substitution (which contributes one config per window)."""
     kinds = [_coerce_kind(kind) for kind in kinds]
-    configs: list[MethodConfig] = []
-    seen: set[MethodConfig] = set()
-    for method, kind, weighting, window in product(methods, kinds, weightings, windows):
-        if method == "substitution":
-            candidate = MethodConfig("substitution", ContextKind.SEQUENCE, "none", window)
-        else:
-            candidate = MethodConfig(method, kind, weighting, window)
-        candidate.validate()
-        if candidate not in seen:
-            seen.add(candidate)
-            configs.append(candidate)
-    return configs
+    configs = (
+        MethodConfig("substitution", ContextKind.SEQUENCE, "none", window)
+        if method == "substitution"
+        else MethodConfig(method, kind, weighting, window)
+        for method, kind, weighting, window in product(methods, kinds, weightings, windows)
+    )
+    return list(dict.fromkeys(config.validate() for config in configs))
 
 
 def build_embedding(table: OccurrenceTable, config: MethodConfig) -> Union[
@@ -78,47 +73,36 @@ def shared_tables(
     """One table per distinct (kind, window) pair used by ``configs``, each
     from one ``extract_occurrences`` call, keyed in config order.
 
-    A single pair is scanned directly. With more, the windows are visited
-    widest first, and the log is scanned once, as the sequence table at the
-    first window whose scan is not refused (a :class:`ParameterError`, such
-    as a slot array over its bound; the table is made even when no config
-    uses it). The narrower sequence tables are then made widest first, and
-    every table other than that scan is coarsened through
-    ``extract_occurrences(..., fine=...)`` from the narrowest sequence
-    table already made whose window is at least its own: the fewer fine
-    contexts, the less to re-key. A pair at a refused window maps to that
-    window's error, so only the configs that need it fail.
+    The windows are visited widest first. Each is scanned until a scan is
+    not refused (a :class:`ParameterError`, such as a slot array over its
+    bound): as the sequence table, even when no config uses it, or as the
+    pair's own table when there is only one pair. Below it, a window gets a
+    sequence table only when a config uses one there, coarsened through
+    ``extract_occurrences(..., fine=...)`` from the last one made, so each
+    window is covered by the narrowest sequence table at it or above: the
+    fewer fine contexts, the less to re-key. A multiset pair is coarsened
+    from its window's covering table; a pair at a refused window maps to
+    that window's error, so only the configs that need it fail.
     """
-    pairs = dict.fromkeys((config.kind, config.window) for config in configs)
-    if len(pairs) == 1:
-        return {pair: _scan(log, *pair) for pair in pairs}
     seq = ContextKind.SEQUENCE
-    refused: dict[int, ParameterError] = {}
-    sequences: dict[int, OccurrenceTable] = {}
+    pairs = dict.fromkeys((config.kind, config.window) for config in configs)
+    scanned = next(iter(pairs))[0] if len(pairs) == 1 else seq
+    covering: dict[int, "OccurrenceTable | ParameterError"] = {}
+    table = None
     for n in sorted({n for _, n in pairs}, reverse=True):
-        if not sequences:
-            table = _scan(log, seq, n)
-            if isinstance(table, ParameterError):
-                refused[n] = table
-            else:
-                sequences[n] = table
+        if table is None:
+            try:
+                table = extract_occurrences(log, n, scanned)
+            except ParameterError as exc:
+                covering[n] = exc
+                continue
         elif (seq, n) in pairs:
-            sequences[n] = extract_occurrences(log, n, seq, fine=sequences[min(sequences)])
+            table = extract_occurrences(log, n, seq, fine=table)
+        covering[n] = table
     tables = {}
     for kind, n in pairs:
-        if n in refused:
-            tables[kind, n] = refused[n]
-        elif kind is seq:
-            tables[kind, n] = sequences[n]
-        else:
-            covering = sequences[min(m for m in sequences if m >= n)]
-            tables[kind, n] = extract_occurrences(log, n, kind, fine=covering)
+        found = covering[n]
+        if isinstance(found, OccurrenceTable) and found.kind is not kind:
+            found = extract_occurrences(log, n, kind, fine=found)
+        tables[kind, n] = found
     return tables
-
-
-def _scan(log: EventLog, kind: ContextKind, n: int) -> "OccurrenceTable | ParameterError":
-    """The scanned table, or the :class:`ParameterError` that refused it."""
-    try:
-        return extract_occurrences(log, n, kind)
-    except ParameterError as exc:
-        return exc

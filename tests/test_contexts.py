@@ -530,6 +530,15 @@ def _ac_grid(*pairs):
             expand_grid(actsim.METHODS, ("mset", "seq"), actsim.WEIGHTINGS, (3, 2**40)),
             [("seq", 2**40, None), ("seq", 3, None), ("mset", 3, 3)],
         ),
+        # A lone pair is one scan of its own kind, refused or not.
+        (_ac_grid(("mset", 5)), [("mset", 5, None)]),
+        (_ac_grid(("mset", 2**40)), [("mset", 2**40, None)]),
+        # A refused widest window above multisets: the multiset window is
+        # scanned as a sequence table, and both its pairs come from that scan.
+        (
+            _ac_grid(("mset", 2**40), ("mset", 5), ("seq", 3)),
+            [("seq", 2**40, None), ("seq", 5, None), ("seq", 3, 5), ("mset", 5, 5)],
+        ),
     ],
 )
 def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
@@ -554,6 +563,46 @@ def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
             assert str(table) == str(refused.value)
         else:
             _assert_same_table(table, extract(log, window, kind))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["mset", "seq"]), st.sampled_from([2, 3, 4, 5, 6, 2**40])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_shared_tables_scan_until_accepted_then_coarsen_from_the_narrowest_cover(pairs):
+    calls = []
+    extract = pipeline.extract_occurrences
+
+    def spy(log, window, kind, *, fine=None):
+        calls.append((ContextKind(kind).value, window, None if fine is None else fine.window_size))
+        return extract(log, window, kind, fine=fine)
+
+    log = random_small_log(random.Random(11), 6, 30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "extract_occurrences", spy)
+        tables = pipeline.shared_tables(log, _ac_grid(*pairs))
+    windows = sorted({n for _, n in pairs}, reverse=True)
+    refused = sorted(
+        {n for (_, n), table in tables.items() if isinstance(table, ParameterError)}, reverse=True
+    )
+    accepted = [n for n in windows if n not in refused]
+    # Scans: every refused window, all above the first accepted one, then it.
+    assert refused == windows[: len(refused)]
+    assert [n for _, n, fine in calls if fine is None] == refused + accepted[:1]
+    scanned = pairs[0][0] if len(tables) == 1 else "seq"
+    assert {kind for kind, _, fine in calls if fine is None} == {scanned}
+    # Coarsenings: each from the narrowest sequence table made so far that
+    # covers its window.
+    made = [n for kind, n, fine in calls if fine is None and kind == "seq" and n not in refused]
+    for kind, n, fine in calls:
+        if fine is not None:
+            assert fine == min(m for m in made if m >= n)
+            if kind == "seq":
+                made.append(n)
 
 
 def _scipy_csr(rows, cols, weights, shape):
