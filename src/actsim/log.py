@@ -8,10 +8,10 @@ import json
 import xml.etree.ElementTree as ET
 from array import array
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -380,35 +380,36 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
     return _log(ids, offsets, codes)
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text``, split as ``io.StringIO(text)`` splits them.
-
-    A ``StringIO`` holds 4 bytes per character, so it is given one slice
-    of about 64k characters at a time, each cut after a line feed.
-    """
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + (1 << 16)) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
+_BLOCK = 1 << 16  # characters a log source is read in at a time
 
 
-@contextmanager
-def _reading(source: TextSource) -> Iterator[IO[str] | Iterator[str]]:
-    """A text handle on ``source``: a path opened as ``utf-8-sig`` with
-    universal newlines and closed on exit, a string's :func:`_lines`, or
-    the stream itself. Pass the first text read to :func:`_unmarked`.
+def _blocks(source: TextSource) -> Iterator[str]:
+    """The text of ``source`` in blocks of about 64k characters, each cut
+    after a line feed: the one reader of a log source, for both parsers.
 
-    Failing to read or decode a path, or to decode a stream, inside the
-    block is a :class:`FormatError`.
+    A string is sliced, a path is read as ``utf-8-sig`` with universal
+    newlines, and a stream through its ``read``. A leading UTF-8
+    byte-order mark is dropped (``utf-8-sig`` drops a path's). Closing
+    the generator closes a path. Failing to read or decode a path, or to
+    decode a stream, is a :class:`FormatError`; a stream's own
+    ``OSError`` passes through.
     """
     is_path = isinstance(source, Path)
     try:
-        if is_path:
-            with open(source, encoding="utf-8-sig") as handle:
-                yield handle
-        else:
-            yield _lines(source) if isinstance(source, str) else source
+        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
+            if isinstance(handle, str):
+                reads = (handle[at : at + _BLOCK] for at in range(0, len(handle), _BLOCK))
+            else:
+                reads = iter(partial(handle.read, _BLOCK), "")
+            head = next(reads, "")
+            pending = [head if is_path else head.removeprefix("\ufeff")]
+            for text in reads:
+                cut = text.rfind("\n") + 1
+                if cut:
+                    yield "".join([*pending, text[:cut]])
+                    pending = []
+                pending.append(text[cut:])
+            yield "".join(pending)
     except OSError as exc:
         if not is_path:
             raise
@@ -416,25 +417,6 @@ def _reading(source: TextSource) -> Iterator[IO[str] | Iterator[str]]:
     except UnicodeDecodeError as exc:
         where = source if is_path else "the input stream"
         raise FormatError(f"cannot decode {where} as UTF-8: {exc}") from exc
-
-
-def _unmarked(head: str, source: TextSource) -> str:
-    """The first text read from ``source`` without a leading UTF-8
-    byte-order mark (``utf-8-sig`` has already dropped a path's)."""
-    return head if isinstance(source, Path) else head.removeprefix("\ufeff")
-
-
-def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
-    """The text of ``source`` in chunks of ``size`` characters, as
-    :func:`_reading` reads it; a string is one chunk and is not copied."""
-    if isinstance(source, str):
-        yield _unmarked(source, source)
-        return
-    with _reading(source) as handle:
-        chunk = handle.read(size)
-        yield _unmarked(chunk, source)
-        while chunk := handle.read(size):
-            yield chunk
 
 
 @contextmanager
@@ -548,6 +530,11 @@ def parse_csv(
     Row numbers in error messages are 1-based CSV records (the header is
     row 1); a record the csv module rejects is a format error too.
 
+    The text comes from :func:`_blocks`, the one reader of both parsers,
+    and ``io.StringIO`` splits it into lines at ``\\n`` only, after the
+    source's own newline handling: a bare ``\\r`` outside quotes is a
+    format error in a string, a ``StringIO`` or a ``newline=""`` stream,
+    and a path's universal newlines make it a line end.
     The rows are streamed: each becomes a case code and a label code, so
     memory follows the events, not the text.
     """
@@ -556,9 +543,8 @@ def parse_csv(
     case_of, label_of = array("q"), array("q")
     stamps, aware = array("q"), array("b")
     blank = 0
-    with _reading(source) as handle:
-        head = _unmarked(next(handle, ""), source)
-        reader = csv.reader(chain((head,), handle) if head else handle)
+    with closing(_blocks(source)) as blocks:
+        reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
         try:
             header = next(reader, None)
         except csv.Error as exc:
@@ -651,7 +637,8 @@ def parse_xes(source: TextSource) -> EventLog:
     attribute is ignored. A trace without events, or an event without a
     ``concept:name`` string, is a format error naming the trace index.
     Each trace is checked when its end tag is parsed, so of a bad trace and
-    malformed XML the one earlier in the document is reported.
+    malformed XML the one earlier in the document is reported. The text
+    comes in the blocks of :func:`_blocks`, the one reader of both parsers.
     """
     roles: dict[str, int] = {}  # tag -> role, by the tag's local name
     # The role of each open element: a trace, an event of a trace that has
@@ -715,8 +702,9 @@ def parse_xes(source: TextSource) -> EventLog:
     try:
         # A check that fails inside the parser stops it, and the ``feed``
         # that parsed the trace's end tag raises it.
-        for chunk in _text_chunks(source, 1 << 16):
-            parser.feed(chunk)
+        with closing(_blocks(source)) as blocks:
+            for block in blocks:
+                parser.feed(block)
         parser.close()
     except ET.ParseError as exc:
         raise FormatError(f"malformed XES/XML: {exc}") from exc

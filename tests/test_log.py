@@ -1,6 +1,7 @@
 import csv
 import io
 import pickle
+import tempfile
 import tracemalloc
 from xml.sax.saxutils import quoteattr
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import actsim.log
 from actsim import (
     Alphabet,
     EmptyLogError,
@@ -26,6 +28,16 @@ from actsim import (
 from actsim.log import _direct, _intern
 from reference import naive_parse_csv, naive_parse_xes
 from synthetic_logs import big_uniform_log, worked_log
+
+
+def newline_stream(text: str):
+    """``text`` in a temporary UTF-8 file opened with ``newline=""``, so
+    a read returns every line end as it is, a bare ``\\r`` too."""
+    handle = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    handle.write(text)
+    handle.seek(0)
+    return handle
+
 
 WORKED_CSV = "case,activity\n" + "".join(
     f"{case},{act}\n"
@@ -328,7 +340,7 @@ class TestParseCsv:
         source.write_bytes("case,activity\n1,a\n1,b\n".encode("utf-8-sig"))
         assert parse_csv(source).label_traces() == [("a", "b")]
 
-    @pytest.mark.parametrize("wrap", [str, io.StringIO])
+    @pytest.mark.parametrize("wrap", [str, io.StringIO, newline_stream])
     def test_bare_carriage_return_names_row(self, wrap):
         with pytest.raises(FormatError, match="^row 3: new-line character seen in unquoted"):
             parse_csv(wrap("case,activity\n1,a\n1,b\rc\n"))
@@ -490,18 +502,27 @@ class TestParseXes:
 
 def parse_outcome(parse, source, **options):
     """The log and alphabet a parser returns, or the type and message of
-    the format error it raises."""
+    the format error it raises. A stream is closed once it is parsed."""
     try:
         log = parse(source, **options)
     except (FormatError, EmptyLogError) as exc:
         return type(exc), str(exc)
+    finally:
+        if isinstance(source, io.IOBase):
+            source.close()
     return log, log.alphabet
 
 
 def sources(text: str, path):
-    """``text`` as a string, as a stream and as a UTF-8 file at ``path``."""
+    """``text`` as a string, as a stream, as a UTF-8 file at ``path``, and
+    as a file stream that keeps its line ends."""
     path.write_bytes(text.encode("utf-8"))
-    return {"str": lambda: text, "stream": lambda: io.StringIO(text), "path": lambda: path}
+    return {
+        "str": lambda: text,
+        "stream": lambda: io.StringIO(text),
+        "path": lambda: path,
+        "newline stream": lambda: newline_stream(text),
+    }
 
 
 def rare(common, *faults, weight=8):
@@ -667,6 +688,80 @@ class TestParserOracle:
         path = tmp_path_factory.mktemp("xes") / "log.xes"
         for kind, source in sources(text, path).items():
             assert parse_outcome(parse_xes, source()) == parse_outcome(naive_parse_xes, source()), kind
+
+
+class TestBlockCuts:
+    """Texts of several 64k-character blocks, whose cuts fall inside
+    quoted fields and long lines, parse as the oracle parses them."""
+
+    @staticmethod
+    def csv_text(line_end: str, mark: str) -> str:
+        lines = "".join(f"line {i}\n" for i in range(9000))  # a quoted field over a block
+        rows = [[f"c{i % 7}", "ab"[i % 2]] for i in range(3000)]
+        rows[100:100] = [["c1", "two\nlines"], ["c2", "two\r\nlines"], ["c3", lines]]
+        rows[1500:1500] = [["c4", "y" * 100_000]]  # one field longer than a block
+        rows[2500:2500] = [[f"c{i}", f"{i}\r\n\n{i}"] for i in range(500)]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator=line_end)
+        writer.writerow(["case", "activity"])
+        writer.writerows(rows)
+        return mark + buffer.getvalue()
+
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_csv(self, tmp_path, line_end, mark):
+        text = self.csv_text(line_end, mark)
+        assert len(text) > 3 << 16
+        for kind, source in sources(text, tmp_path / "log.csv").items():
+            expected = parse_outcome(naive_parse_csv, source())
+            assert expected[0] is not FormatError
+            assert parse_outcome(parse_csv, source()) == expected, kind
+
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_xes(self, tmp_path, mark):
+        traces = [["a", "b & c", "ünï"][: 1 + i % 3] for i in range(3000)]
+        traces[1000] = [f"e{i}" for i in range(2000)]  # a line over a block
+        text = mark + TestParseXes.document(traces).replace("</trace>\n", "</trace>\r\n")
+        assert len(text) > 3 << 16
+        for kind, source in sources(text, tmp_path / "log.xes").items():
+            expected = parse_outcome(naive_parse_xes, source())
+            assert expected[0] is not FormatError
+            assert parse_outcome(parse_xes, source()) == expected, kind
+
+
+@pytest.mark.parametrize(
+    "parse, text, error",
+    [
+        (parse_csv, "case,activity\n" + "1,a\n" * 30000 + "1\n", "^row 30002: expected"),
+        (
+            parse_xes,
+            "<log>\n" + "<trace><event><string key='concept:name' value='a'/></event></trace>\n"
+            * 2000 + "<trace/>\n</log>\n",
+            "^trace 2000 has no events$",
+        ),
+    ],
+    ids=["csv", "xes"],
+)
+def test_a_path_is_closed_before_its_parse_error_is_raised(
+    parse, text, error, tmp_path, monkeypatch
+):
+    handles = []
+
+    def spy(*args, **kwargs):
+        handles.append(open(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(actsim.log, "open", spy, raising=False)
+    source = tmp_path / "bad.log"
+    source.write_text(text, encoding="utf-8")
+    assert source.stat().st_size > 1 << 16
+    with pytest.raises(FormatError, match=error) as raised:
+        parse(source)
+    # The error's traceback still holds the parser's frame, and with it
+    # every reader the parser made.
+    assert raised.value.__traceback__ is not None
+    assert len(handles) == 1
+    assert handles[0].closed
 
 
 @pytest.mark.parametrize("n_labels", [255, 256])
