@@ -755,11 +755,10 @@ def test_a_path_is_closed_before_its_parse_error_is_raised(
     source = tmp_path / "bad.log"
     source.write_text(text, encoding="utf-8")
     assert source.stat().st_size > 1 << 16
+    # ``raised`` keeps the error's traceback alive while the handle is
+    # checked, and with it the parser's frame and every reader it made.
     with pytest.raises(FormatError, match=error) as raised:
         parse(source)
-    # The error's traceback still holds the parser's frame, and with it
-    # every reader the parser made.
-    assert raised.value.__traceback__ is not None
     assert len(handles) == 1
     assert handles[0].closed
 
