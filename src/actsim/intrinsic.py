@@ -11,7 +11,7 @@ and scored together, their similarities over the same labels one (C, n, n)
 array of at most ``_STACK_BYTES``. :func:`_score_stack` computes all four
 metrics of every matrix of a stack in one pass, the classes of each size
 as one (C, m, k, n) block. There is one failure rule: a stack that raises
-anywhere, from a refused table to the scores, is retried one config at a
+anywhere, from a refused window to the scores, is retried one config at a
 time, so only the configs that raise fail. ``score_all`` is a stack of
 one, and each single-metric function selects from it. Every mean, per
 pair, member, class, log or config, is one :func:`_mean`: a ``cumsum``
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ActsimError, DataError, ParameterError
 from .groundtruth import BenchmarkPlan, PlanJob, enumerate_benchmark_plan, generate_ground_truth_log
 from .log import EventLog
-from .contexts import OccurrenceTable
+from .contexts import OccurrenceTable, extract_occurrences
 from .matrices import ConfigEcho, MethodConfig
 from .pipeline import build_embedding, shared_tables
 from .similarity import PairwiseSimilarity, _similarities
@@ -228,13 +228,13 @@ def _records(
     job: PlanJob, configs: Sequence[MethodConfig], outcomes: Iterable, log_id: str
 ) -> tuple[list[IntrinsicScores], list[FailedJob]]:
     """The score or failure record of each config of ``job``, in config
-    order, from its outcome: four scores, or the exception it raised."""
+    order, from its outcome: four scores, or the text of what it raised."""
     scores: list[IntrinsicScores] = []
     failures: list[FailedJob] = []
     for config, outcome in zip(configs, outcomes):
         echo = dict(config.echo(), r=job.r, w=job.w, sample=job.sample_index, log_id=log_id)
-        if isinstance(outcome, Exception):
-            failures.append(FailedJob(**echo, error=_error_text(outcome)))
+        if isinstance(outcome, str):
+            failures.append(FailedJob(**echo, error=outcome))
         else:
             scores.append(IntrinsicScores(**echo, **dict(zip(_METRICS, outcome))))
     return scores, failures
@@ -248,48 +248,48 @@ def _run_job(
 
     An exception while deriving the ground truth or its tables fails every
     config. After that there is one rule: each stack is built, compared
-    and scored in one ``try``, and a stack that raises, for a refused
-    table or anything else, is retried one config at a time, so only the
-    configs that raise fail. Records keep config order.
+    and scored in one ``try``, and a stack that raises is retried one
+    config at a time, so only the configs that raise fail. Each error
+    becomes text where it is caught; records keep config order.
     """
     try:
         gt = generate_ground_truth_log(log, set(job.selected), job.w, job.seed)
         tables = shared_tables(gt.log, configs)
     except Exception as exc:
-        return _records(job, configs, repeat(exc), log_id)
-    # Every table of one log has the same rows; a refused one has none.
-    labels = next((t.row_labels for t in tables.values() if isinstance(t, OccurrenceTable)), ())
+        return _records(job, configs, repeat(_error_text(exc)), log_id)
+    # Every table of one log has the same rows.
+    labels = next((table.row_labels for table in tables.values()), ())
     size = max(1, _STACK_BYTES // (8 * max(1, len(labels)) ** 2))
-    return _records(job, configs, _scores(tables, configs, labels, gt.classes.psi, size), log_id)
+    outcomes = _scores(gt.log, tables, configs, labels, gt.classes.psi, size)
+    return _records(job, configs, outcomes, log_id)
 
 
 def _scores(
-    tables: Mapping, configs: Sequence[MethodConfig], labels: Sequence[int],
+    log: EventLog, tables: Mapping, configs: Sequence[MethodConfig], labels: Sequence[int],
     classes: Mapping[int, frozenset[int]], size: int,
 ) -> list:
-    """The four scores of each of ``configs``, or what it raised, in order.
+    """The four scores of each of ``configs``, or its error's text, in order.
 
-    ``configs`` are built from ``tables``, compared and scored in stacks
-    of ``size`` consecutive configs, over the tables' row ``labels``. A
-    stack that raises is retried as stacks of one.
+    ``configs`` are built from ``tables``, the shared tables of ``log``,
+    compared and scored in stacks of ``size`` consecutive configs, over the
+    tables' row ``labels``. A stack that raises is retried as stacks of one.
     """
     outcomes: list = []
     for start in range(0, len(configs), size):
         stack = configs[start : start + size]
         try:
-            built = [build_embedding(_table(tables, config), config) for config in stack]
+            built = [build_embedding(_table(log, tables, config), config) for config in stack]
             outcomes += _score_stack(_similarities(built), labels, classes)
         except Exception as exc:
-            outcomes += _scores(tables, stack, labels, classes, 1) if size > 1 else [exc]
+            error = _error_text(exc)
+            outcomes += _scores(log, tables, stack, labels, classes, 1) if size > 1 else [error]
     return outcomes
 
 
-def _table(tables: Mapping, config: MethodConfig) -> OccurrenceTable:
-    """The table of ``config``; a refused one raises its refusal."""
-    table = tables[(config.kind, config.window)]
-    if isinstance(table, ParameterError):
-        raise table
-    return table
+def _table(log: EventLog, tables: Mapping, config: MethodConfig) -> OccurrenceTable:
+    """The table of ``config``; a refused window's scan raises its refusal again."""
+    table = tables.get((config.kind, config.window))
+    return extract_occurrences(log, config.window, config.kind) if table is None else table
 
 
 def _run_chunk(
@@ -336,7 +336,8 @@ def run_intrinsic_benchmark(
                 try:
                     results.extend(future.result())
                 except BrokenProcessPool as exc:
-                    results.extend(_records(job, configs, repeat(exc), log_id) for job in chunk)
+                    error = repeat(_error_text(exc))
+                    results.extend(_records(job, configs, error, log_id) for job in chunk)
     else:
         results = list(map(_run_job, repeat(log), plan.jobs, repeat(configs), repeat(log_id)))
     scores: list[IntrinsicScores] = []

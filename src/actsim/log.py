@@ -383,9 +383,9 @@ def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
 _BLOCK = 1 << 16  # characters a log source is read in at a time
 
 
-def _blocks(source: TextSource) -> Iterator[str]:
+def _blocks(source: TextSource, by_line: bool) -> Iterator[str]:
     """The text of ``source`` in blocks of about 64k characters, each cut
-    after a line feed: the one reader of a log source, for both parsers.
+    after a line feed if ``by_line`` (CSV's need): the one reader of both parsers.
 
     A string is sliced, a path is read as ``utf-8-sig`` with universal
     newlines, and a stream through its ``read``. A leading UTF-8
@@ -404,7 +404,7 @@ def _blocks(source: TextSource) -> Iterator[str]:
             head = next(reads, "")
             pending = [head if is_path else head.removeprefix("\ufeff")]
             for text in reads:
-                cut = text.rfind("\n") + 1
+                cut = text.rfind("\n") + 1 if by_line else len(text)
                 if cut:
                     yield "".join([*pending, text[:cut]])
                     pending = []
@@ -543,7 +543,7 @@ def parse_csv(
     case_of, label_of = array("q"), array("q")
     stamps, aware = array("q"), array("b")
     blank = 0
-    with closing(_blocks(source)) as blocks:
+    with closing(_blocks(source, by_line=True)) as blocks:
         reader = csv.reader(chain.from_iterable(map(io.StringIO, blocks)))
         try:
             header = next(reader, None)
@@ -702,7 +702,7 @@ def parse_xes(source: TextSource) -> EventLog:
     try:
         # A check that fails inside the parser stops it, and the ``feed``
         # that parsed the trace's end tag raises it.
-        with closing(_blocks(source)) as blocks:
+        with closing(_blocks(source, by_line=False)) as blocks:
             for block in blocks:
                 parser.feed(block)
         parser.close()

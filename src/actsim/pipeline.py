@@ -69,7 +69,7 @@ def similarity_for_config(table: OccurrenceTable, config: MethodConfig) -> Pairw
 
 def shared_tables(
     log: EventLog, configs: Sequence[MethodConfig]
-) -> dict[tuple[ContextKind, int], "OccurrenceTable | ParameterError"]:
+) -> dict[tuple[ContextKind, int], OccurrenceTable]:
     """One table per distinct (kind, window) pair used by ``configs``, each
     from one ``extract_occurrences`` call, keyed in config order.
 
@@ -81,28 +81,26 @@ def shared_tables(
     ``extract_occurrences(..., fine=...)`` from the last one made, so each
     window is covered by the narrowest sequence table at it or above: the
     fewer fine contexts, the less to re-key. A multiset pair is coarsened
-    from its window's covering table; a pair at a refused window maps to
-    that window's error, so only the configs that need it fail.
+    from its window's covering table. A refused window's pairs get no table:
+    their scan raises the refusal again, before it allocates anything.
     """
     seq = ContextKind.SEQUENCE
     pairs = dict.fromkeys((config.kind, config.window) for config in configs)
     scanned = next(iter(pairs))[0] if len(pairs) == 1 else seq
-    covering: dict[int, "OccurrenceTable | ParameterError"] = {}
+    covering: dict[int, OccurrenceTable] = {}
     table = None
     for n in sorted({n for _, n in pairs}, reverse=True):
         if table is None:
             try:
                 table = extract_occurrences(log, n, scanned)
-            except ParameterError as exc:
-                covering[n] = exc
+            except ParameterError:
                 continue
         elif (seq, n) in pairs:
             table = extract_occurrences(log, n, seq, fine=table)
         covering[n] = table
-    tables = {}
-    for kind, n in pairs:
-        found = covering[n]
-        if isinstance(found, OccurrenceTable) and found.kind is not kind:
-            found = extract_occurrences(log, n, kind, fine=found)
-        tables[kind, n] = found
-    return tables
+    return {
+        (kind, n): covering[n] if covering[n].kind is kind
+        else extract_occurrences(log, n, kind, fine=covering[n])
+        for kind, n in pairs
+        if n in covering
+    }

@@ -324,6 +324,20 @@ def test_a_window_too_wide_for_memory_is_refused_before_the_scan(kind, monkeypat
         extract_occurrences(log, 4, kind)
 
 
+def _assert_shared(tables, log, configs):
+    """``tables`` holds a table for each (kind, window) pair of ``configs``
+    below 2**40, in config order, equal to the direct scan; a pair at 2**40
+    has none, and its scan raises the refusal a plan job records."""
+    pairs = list(dict.fromkeys((config.kind, config.window) for config in configs))
+    assert list(tables) == [(kind, n) for kind, n in pairs if n != 2**40]
+    for kind, window in pairs:
+        if window == 2**40:
+            with pytest.raises(ParameterError, match=f"^window size {window} needs a .* slot"):
+                extract_occurrences(log, window, kind)
+        else:
+            _assert_same_table(tables[kind, window], extract_occurrences(log, window, kind))
+
+
 def _assert_same_table(table, direct):
     """Every array of ``table`` equals ``direct``'s, dtypes and shapes included."""
     for name in ("window_size", "kind", "row_labels", "total_events"):
@@ -490,11 +504,10 @@ def test_every_shared_table_of_a_log_has_the_same_row_labels(traces, windows, w,
         occurring = tuple(sorted(source.activity_counts()))
         for grid in grids:
             tables = pipeline.shared_tables(source, grid)
-            refused = [key for key, table in tables.items() if isinstance(table, ParameterError)]
-            assert refused == [(kind, n) for kind, n in tables if n == too_wide]
-            for key, table in tables.items():
-                if key not in refused:
-                    assert table.row_labels == occurring
+            pairs = dict.fromkeys((config.kind, config.window) for config in grid)
+            assert list(tables) == [(kind, n) for kind, n in pairs if n != too_wide]
+            for table in tables.values():
+                assert table.row_labels == occurring
 
 
 def _ac_grid(*pairs):
@@ -555,14 +568,7 @@ def test_shared_tables_coarsen_from_the_narrowest_covering_sequence_table(
     log = random_small_log(random.Random(11), 6, 30)
     tables = pipeline.shared_tables(log, grid)
     assert calls == expected
-    assert list(tables) == list(dict.fromkeys((config.kind, config.window) for config in grid))
-    for (kind, window), table in tables.items():
-        if isinstance(table, ParameterError):
-            with pytest.raises(ParameterError) as refused:
-                extract(log, window, kind)
-            assert str(table) == str(refused.value)
-        else:
-            _assert_same_table(table, extract(log, window, kind))
+    _assert_shared(tables, log, grid)
 
 
 @settings(max_examples=80, deadline=None)
@@ -582,18 +588,17 @@ def test_shared_tables_scan_until_accepted_then_coarsen_from_the_narrowest_cover
         return extract(log, window, kind, fine=fine)
 
     log = random_small_log(random.Random(11), 6, 30)
+    grid = _ac_grid(*pairs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pipeline, "extract_occurrences", spy)
-        tables = pipeline.shared_tables(log, _ac_grid(*pairs))
+        tables = pipeline.shared_tables(log, grid)
+    _assert_shared(tables, log, grid)
     windows = sorted({n for _, n in pairs}, reverse=True)
-    refused = sorted(
-        {n for (_, n), table in tables.items() if isinstance(table, ParameterError)}, reverse=True
-    )
+    refused = [n for n in windows if n == 2**40]
     accepted = [n for n in windows if n not in refused]
     # Scans: every refused window, all above the first accepted one, then it.
-    assert refused == windows[: len(refused)]
     assert [n for _, n, fine in calls if fine is None] == refused + accepted[:1]
-    scanned = pairs[0][0] if len(tables) == 1 else "seq"
+    scanned = pairs[0][0] if len(set(pairs)) == 1 else "seq"
     assert {kind for kind, _, fine in calls if fine is None} == {scanned}
     # Coarsenings: each from the narrowest sequence table made so far that
     # covers its window.

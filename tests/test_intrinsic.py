@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -481,6 +482,35 @@ def test_a_job_compares_and_scores_in_bounded_memory(monkeypatch):
     assert len(scores) == len(configs) and not failures
     assert len(built[0].row_labels) == 340
     assert peak - held[0] <= 33 * 2**20, f"{(peak - held[0]) / 2**20:.1f} MiB"
+
+
+def test_a_refused_window_leaves_no_cycle_and_records_its_scan_message():
+    # A job at a refused window fails only its configs there, each with the
+    # message its window's scan raises, and keeps no exception: with the
+    # cycle collector off, nothing of the job is left for it to find.
+    log = structured_log(7, 300, 12)
+    configs = tuple(expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 2**40)))
+    jobs = [job for job in enumerate_benchmark_plan(log, 1, 42).jobs if job.r >= 8][:3]
+    assert len(jobs) == 3
+    gc.collect()
+    gc.disable()
+    try:
+        for job in jobs:
+            scores, failures = intrinsic._run_job(log, job, configs, "log")
+            del scores, failures
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
+    job = jobs[0]
+    scores, failures = intrinsic._run_job(log, job, configs, "log")
+    assert [s.window for s in scores] == [c.window for c in configs if c.window == 3]
+    assert [f.window for f in failures] == [c.window for c in configs if c.window == 2**40]
+    derived = generate_ground_truth_log(log, set(job.selected), job.w, job.seed).log
+    for failure in failures:
+        with pytest.raises(ParameterError) as refused:
+            extract_occurrences(derived, failure.window, failure.context)
+        assert failure.error == str(refused.value)
 
 
 class TestLayoutMemo:

@@ -144,8 +144,23 @@ class TestAlphabet:
         assert bigger.id_of("c") == 3
         assert len(alphabet) == 2  # original untouched
 
+    def test_activity_ids_and_equality(self):
+        alphabet = Alphabet(["x", "y"])
+        assert alphabet.activity_ids() == range(1, 3)
+        assert Alphabet([]).activity_ids() == range(1, 1)
+        assert alphabet == Alphabet(["x", "y"]) and alphabet != Alphabet(["y", "x"])
+        assert alphabet.__eq__(("x", "y")) is NotImplemented
+        assert alphabet != ("x", "y")
+
 
 class TestEventLog:
+    def test_repr_and_equality(self):
+        log = worked_log()
+        assert repr(log) == "EventLog(6 traces, 30 events, Alphabet(5 activities))"
+        assert log == worked_log() and log != EventLog(((1,),), log.alphabet)
+        assert log.__eq__(log.traces) is NotImplemented
+        assert log != log.traces
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ParameterError):
             EventLog(((),), Alphabet(["a"]))
@@ -483,6 +498,23 @@ class TestParseXes:
             tracemalloc.stop()
         assert parsed.label_traces() == log.label_traces()
         assert peak < 4 * source.stat().st_size
+
+    def test_a_one_line_document_is_streamed_like_one_trace_per_line(self, tmp_path):
+        # Expat takes the document in reads of a block whatever its lines:
+        # a reader that waited for a line feed would hold all of it.
+        text = self.document(big_uniform_log(3, n_traces=5000).label_traces())
+        peaks, logs = [], []
+        for name, document in (("lines", text), ("one_line", text.replace("\n", ""))):
+            source = tmp_path / f"{name}.xes"
+            source.write_text(document, encoding="utf-8")
+            tracemalloc.start()
+            try:
+                logs.append(parse_xes(source))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert logs[1] == logs[0]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     @settings(max_examples=40, deadline=None)
     @given(
