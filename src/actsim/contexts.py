@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import EmptyLogError, ParameterError
-from .log import PAD, EventLog, _direct, _intern, _read_only, _widen
+from .log import PAD, EventLog, _direct, _intern, _read_only, _sorted_order, _widen
 
 
 class ContextKind(str, Enum):
@@ -328,8 +328,12 @@ def extract_occurrences(
         rows = (np.cumsum(occurs) - 1)[centers]
         weights = np.repeat(multiplicities, lengths)
     counts = _csr_counts(rows, context_ids, weights, (len(row_labels), len(symbols)))
-    row_totals = _read_only(np.asarray(counts.sum(axis=1)).ravel())
-    context_totals = _read_only(np.asarray(counts.sum(axis=0)).ravel())
+    # The int64 sums, read off the CSR's own arrays: no row is empty, as
+    # each is an activity that occurs, so one reduceat sums the rows.
+    row_totals = _read_only(np.add.reduceat(counts.data, counts.indptr[:-1]))
+    context_totals = np.zeros(len(symbols), dtype=np.int64)
+    np.add.at(context_totals, counts.indices, counts.data)
+    _read_only(context_totals)
     return OccurrenceTable(
         window_size=n,
         kind=kind,
@@ -352,7 +356,8 @@ def _csr_counts(
     The cells are keyed row * n_cols + col. When ``_direct`` holds for
     their ``shape[0] * shape[1]`` bins (no more bins than cells), one
     ``np.bincount`` sums them and the nonzero bins are read off in
-    ascending order; otherwise the cells are sorted.
+    ascending order; otherwise :func:`~actsim.log._sorted_order` sorts
+    them, by value when their keys pack with their positions.
     """
     # Each event-sized array goes as soon as it is used: on the largest
     # tables this step sets the extraction's memory peak.
@@ -367,8 +372,7 @@ def _csr_counts(
         # below the 2**53 up to which float64 holds every integer.
         data = sums[cells].astype(np.int64)
     else:
-        perm = cells.argsort()
-        cells = cells[perm]
+        perm, cells = _sorted_order(cells)
         running = weights[perm]
         del perm
         # Per-cell sums as differences of the running total at each cell's

@@ -120,8 +120,36 @@ def _direct(bound: "int | None", size: int) -> bool:
     """Whether keys known to lie below ``bound`` are counted by a
     ``bound``-sized table rather than sorted: only when ``bound`` is no
     larger than the ``size`` keys. Then the table is never larger than the
-    sort path's key-sized arrays, so the memory peak cannot rise."""
+    sort path's key-sized arrays (:func:`_sorted_order`'s packed keys and
+    permutation), so the memory peak cannot rise."""
     return bound is not None and bound <= size
+
+
+def _sorted_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sorting permutation of the non-negative ``keys``, and the
+    keys sorted.
+
+    Each key is packed above its position, ``key << shift | i`` with
+    ``shift = (n - 1).bit_length()``, into a new int64 array that is
+    sorted in place by value and unpacked: the packed values are distinct,
+    so the order is stable, and a value sort takes about a third of an
+    ``argsort``'s time. Keys of ``2 ** (63 - shift)`` or more do not pack
+    and take a stable ``argsort``. Either way two key-sized arrays are
+    made, as an ``argsort`` and its gather make, so the memory peak does
+    not rise.
+    """
+    n = len(keys)
+    shift = (n - 1).bit_length()
+    if n and keys.max() >= 1 << (63 - shift):
+        perm = keys.argsort(kind="stable")
+        return perm, keys[perm]
+    packed = keys.astype(np.int64)  # a copy, widened before the shift
+    packed <<= shift
+    packed |= np.arange(n)
+    packed.sort()
+    perm = packed & ((1 << shift) - 1)
+    packed >>= shift
+    return perm, packed
 
 
 def _intern(keys: np.ndarray, bound: "int | None" = None) -> tuple[np.ndarray, np.ndarray]:
@@ -130,28 +158,28 @@ def _intern(keys: np.ndarray, bound: "int | None" = None) -> tuple[np.ndarray, n
     Returns (index of each distinct key's first appearance, number of
     every key), both intp. When every key is known to lie below ``bound``
     and ``_direct`` holds, a ``bound``-sized table of first positions
-    (one ``np.minimum.at``) and a rank table number the keys without a
-    sort. Otherwise an unstable sort plus a per-run minimum of the
-    original positions costs less than ``np.unique``'s stable sort; the
-    keys' dtype must then hold their number of distinct values.
+    (one ``np.minimum.at``) and a rank table number the keys without
+    sorting them. Otherwise :func:`_sorted_order` sorts the keys, and as
+    its permutation is stable, each run of equal keys starts at the key's
+    first position. Either way :func:`_sorted_order` puts those first
+    positions, distinct and below ``len(keys)``, in order, and they always
+    pack. Keys too large to pack must have a dtype that holds their number
+    of distinct values.
     """
     n = len(keys)
     if _direct(bound, n):
         table = np.full(bound, n)
         np.minimum.at(table, keys, np.arange(n))
         present = np.flatnonzero(table < n)
-        table = table[present]
-        order = table.argsort()
+        order, first = _sorted_order(table[present])
         rank = np.empty(bound, dtype=np.intp)
         rank[present[order]] = np.arange(len(order))
-        return table[order], rank[keys]
-    perm = keys.argsort()
-    ordered = keys[perm]
-    starts = np.empty(len(keys), dtype=bool)
+        return first, rank[keys]
+    perm, ordered = _sorted_order(keys)
+    starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
-    order = np.argsort(first)
+    order, first = _sorted_order(perm[np.flatnonzero(starts)])
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     groups = np.cumsum(starts, out=ordered)  # reuses the sorted keys' memory
@@ -159,7 +187,7 @@ def _intern(keys: np.ndarray, bound: "int | None" = None) -> tuple[np.ndarray, n
     np.take(rank, groups, out=groups)  # take's buffer is freed before numbers is made
     numbers = np.empty_like(perm)
     numbers[perm] = groups
-    return first[order], numbers
+    return first, numbers
 
 
 def _widen(keys: np.ndarray, radix: int, bound: int) -> int:

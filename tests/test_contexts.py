@@ -634,6 +634,24 @@ def test_csr_counts_at_the_direct_boundary(shape, spare):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+@pytest.mark.parametrize("spare", [0, 1])  # top cell packs with its position; one more: not
+@pytest.mark.parametrize("size", [2, 16, 17])  # the packing shift is 1, 4 and 5
+def test_csr_counts_at_the_packing_boundary(size, spare):
+    # One row, so a cell's key is its column; the largest is the top cell.
+    top = (1 << (63 - (size - 1).bit_length())) - 1 + spare
+    rng = np.random.default_rng(size + spare)
+    cols = np.array([0, 1, top - 1, top], dtype=np.int64)[rng.integers(0, 4, size)]
+    cols[-1] = top
+    rows = np.zeros(size, dtype=np.int64)
+    weights = rng.integers(1, 4, size)
+    got = contexts._csr_counts(rows, cols, weights, (1, top + 1))
+    want = _scipy_csr(rows, cols, weights, (1, top + 1))
+    assert got.has_canonical_format
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(1, 2**40)), min_size=1),

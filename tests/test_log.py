@@ -25,7 +25,7 @@ from actsim import (
     write_log_csv,
     write_stats_csv,
 )
-from actsim.log import _direct, _intern
+from actsim.log import _direct, _intern, _sorted_order
 from reference import naive_parse_csv, naive_parse_xes
 from synthetic_logs import big_uniform_log, worked_log
 
@@ -101,6 +101,42 @@ def test_intern_at_the_direct_boundary(dtype, spare):
 def test_intern_numbers_by_first_appearance_on_either_path(keys, spare, dtype):
     keys = np.array(keys, dtype=dtype)
     _assert_interned(keys, int(keys.max()) + 1 + spare)
+    _assert_interned(keys, None)
+
+
+# n = 1, 2, 2**k and 2**k + 1: the packing shift (n - 1).bit_length()
+# steps from 0 to 1, and from k to k + 1.
+PACKING_SIZES = [1, 2, 16, 17]
+
+
+def keys_topped_at(n, top, dtype):
+    """``n`` keys of ``dtype`` drawn with repeats from 0, 1, top - 1 and
+    ``top``, the last of them ``top``."""
+    rng = np.random.default_rng(n)
+    keys = np.array([0, 1, top - 1, top], dtype=dtype)[rng.integers(0, 4, n)]
+    keys[-1] = top
+    return keys
+
+
+def packing_cases():
+    """(n, dtype, top): uint8 keys at their dtype's top, and int64 keys at
+    the largest key that packs and at the smallest that does not. One key
+    packs up to 2**63 - 1, so it has no key that does not."""
+    for n in PACKING_SIZES:
+        limit = 1 << (63 - (n - 1).bit_length())
+        yield n, np.uint8, 255
+        yield n, np.int64, limit - 1
+        if limit < 1 << 63:
+            yield n, np.int64, limit
+
+
+@pytest.mark.parametrize("n, dtype, top", list(packing_cases()))
+def test_sorted_order_at_the_packing_boundary(n, dtype, top):
+    # A key packed a bit too high would wrap negative and sort first.
+    keys = keys_topped_at(n, top, dtype)
+    perm, ordered = _sorted_order(keys)
+    assert perm.tolist() == np.argsort(keys, kind="stable").tolist()
+    assert ordered.tolist() == np.sort(keys).tolist()
     _assert_interned(keys, None)
 
 
