@@ -104,11 +104,6 @@ def test_intern_numbers_by_first_appearance_on_either_path(keys, spare, dtype):
     _assert_interned(keys, None)
 
 
-# n = 1, 2, 2**k and 2**k + 1: the packing shift (n - 1).bit_length()
-# steps from 0 to 1, and from k to k + 1.
-PACKING_SIZES = [1, 2, 16, 17]
-
-
 def keys_topped_at(n, top, dtype):
     """``n`` keys of ``dtype`` drawn with repeats from 0, 1, top - 1 and
     ``top``, the last of them ``top``."""
@@ -120,9 +115,11 @@ def keys_topped_at(n, top, dtype):
 
 def packing_cases():
     """(n, dtype, top): uint8 keys at their dtype's top, and int64 keys at
-    the largest key that packs and at the smallest that does not. One key
-    packs up to 2**63 - 1, so it has no key that does not."""
-    for n in PACKING_SIZES:
+    the largest key that packs and at the smallest that does not. At n = 1,
+    2, 2**k and 2**k + 1 the shift (n - 1).bit_length() steps from 0 to 1
+    and from k to k + 1. One key packs up to 2**63 - 1, so it has no key
+    that does not."""
+    for n in (1, 2, 16, 17):
         limit = 1 << (63 - (n - 1).bit_length())
         yield n, np.uint8, 255
         yield n, np.int64, limit - 1
