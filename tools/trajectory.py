@@ -18,7 +18,8 @@ quartiles of every end-to-end metric that ``BENCHMARK.json`` lists, the
 head/parent ratio of the medians, the pairs the head won, and every run;
 and both commit hashes, the seeds, ``--seconds``, ``--pairs``, the CPU
 count and the Python, numpy and scipy versions. It is a record, not a gate:
-it exits 0 whatever the figures are, and 1 only when a run cannot be read.
+it exits 0 whatever the figures are, 1 only when a run cannot be read, and
+2 on a usage error, such as a ``--parent`` that names no commit.
 """
 
 from __future__ import annotations
@@ -43,20 +44,28 @@ FIRST_SEED = 6001
 W1_GRID = ["--method", "all", "--context", "all", "--weight", "all", "--window", "3,5"]
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
-    ).stdout.strip()
+def _commit(revision: str) -> str:
+    """The hash of the commit ``revision`` names; if none, one ``error:`` line and exit 2."""
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+                           cwd=ROOT, capture_output=True, text=True)
+    if found.returncode:
+        print(f"error: {revision!r} names no commit in {ROOT}", file=sys.stderr)
+        raise SystemExit(2)
+    return found.stdout.strip()
 
 
 def _checkout(commit: str, target: Path) -> Path:
     """The committed files of ``commit``, unpacked into ``target``."""
     target.mkdir()
     archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait():
-        raise SystemExit(f"trajectory: git archive {commit} failed")
+    try:
+        untar = subprocess.run(["tar", "-x", "-C", str(target)], stdin=archive.stdout)
+    finally:
+        # Closing the pipe lets git archive end even when tar did not read it all.
+        archive.stdout.close()
+        archived = archive.wait()
+    if archived or untar.returncode:
+        raise SystemExit(f"error: git archive {commit} | tar -x failed")
     return target
 
 
@@ -145,7 +154,7 @@ def main(argv: "list[str] | None" = None) -> int:
     workloads = args.workload or names
     seeds = [FIRST_SEED + i for i in range(args.pairs)]
     revisions = {"parent": args.parent, "head": "HEAD"}
-    commits = {side: _git("rev-parse", f"{revisions[side]}^{{commit}}") for side in SIDES}
+    commits = {side: _commit(revisions[side]) for side in SIDES}
 
     with tempfile.TemporaryDirectory(prefix="trajectory-") as temp:
         work = Path(temp)
