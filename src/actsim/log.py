@@ -12,7 +12,7 @@ from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import cached_property, partial
-from itertools import chain, count, repeat
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence, Union
@@ -415,16 +415,17 @@ def _blocks(source: TextSource, by_line: bool) -> Iterator[str]:
     """The text of ``source`` in blocks of about 64k characters, each cut
     after a line feed if ``by_line`` (CSV's need): the one reader of both parsers.
 
-    A string is sliced, a path is read as ``utf-8-sig`` with universal
-    newlines, and a stream through its ``read``. A leading UTF-8
-    byte-order mark is dropped (``utf-8-sig`` drops a path's). Closing
-    the generator closes a path. Failing to read or decode a path, or to
-    decode a stream, is a :class:`FormatError`; a stream's own
-    ``OSError`` passes through.
+    A string is sliced, a path is read as ``utf-8-sig`` with its line
+    ends as they are (``newline=""``), and a stream through its ``read``.
+    A leading UTF-8 byte-order mark is dropped (``utf-8-sig`` drops a
+    path's). Closing the generator closes a path. Failing to read or
+    decode a path, or to decode a stream, is a :class:`FormatError`; a
+    stream's own ``OSError`` passes through.
     """
     is_path = isinstance(source, Path)
     try:
-        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
+        opened = open(source, encoding="utf-8-sig", newline="") if is_path else nullcontext(source)
+        with opened as handle:
             if isinstance(handle, str):
                 reads = (handle[at : at + _BLOCK] for at in range(0, len(handle), _BLOCK))
             else:
@@ -475,9 +476,18 @@ def write_json(payload: object, target: IO[str] | str | Path) -> None:
 
 def write_csv(target: IO[str] | str | Path, header: list, rows: Iterable[Iterable]) -> None:
     """Write ``header`` and then ``rows`` as CSV with ``\\n`` line endings,
-    each row as it is read."""
+    each row as it is read.
+
+    A field is quoted, each ``"`` in it doubled, when it holds a comma, a
+    ``"``, a ``\\r`` or a ``\\n``; so is a row of one empty field.
+    """
     with open_output(target) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
+        # Before Python 3.13 the csv module quotes a field that holds a \r
+        # only if its line terminator holds one: it ends rows in \r\n, and
+        # each row is written with \n.
+        write = handle.write
+        lines = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
+        writer = csv.writer(lines, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -487,6 +497,11 @@ def csv_line(fields: list) -> str:
     buffer = io.StringIO()
     write_csv(buffer, fields, ())
     return buffer.getvalue()
+
+
+def csv_field(text: str) -> str:
+    """``text`` as :func:`write_csv` writes it in a row of several fields."""
+    return csv_line([text, ""])[:-2]
 
 
 def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) -> None:
@@ -559,10 +574,10 @@ def parse_csv(
     row 1); a record the csv module rejects is a format error too.
 
     The text comes from :func:`_blocks`, the one reader of both parsers,
-    and ``io.StringIO`` splits it into lines at ``\\n`` only, after the
-    source's own newline handling: a bare ``\\r`` outside quotes is a
-    format error in a string, a ``StringIO`` or a ``newline=""`` stream,
-    and a path's universal newlines make it a line end.
+    and ``io.StringIO`` splits it into lines at ``\\n`` only, after a
+    stream's own newline handling: a bare ``\\r`` outside quotes is a
+    format error in a string, a path, a ``StringIO`` or a ``newline=""``
+    stream, and one inside quotes is kept.
     The rows are streamed: each becomes a case code and a label code, so
     memory follows the events, not the text.
     """
@@ -764,11 +779,16 @@ def write_log_csv(log: EventLog, target: IO[str] | str | Path) -> None:
     """Serialize a log to canonical CSV (columns ``case,activity``).
 
     Case ids are 1-based trace positions; re-parsing the output yields an
-    identical log (same traces, same alphabet order).
+    identical log (same traces, same alphabet order). Each label is quoted
+    once, as :func:`write_csv` quotes a field, and a trace is one string.
     """
-    traces = _split(log.alphabet.labels_of(log.events).tolist(), log.offsets)
-    rows = (zip(repeat(case), labels) for case, labels in enumerate(traces, start=1))
-    write_csv(target, ["case", "activity"], chain.from_iterable(rows))
+    names = log.alphabet.labels_of(np.arange(len(log.alphabet) + 1)).tolist()
+    lines = np.array([csv_field(name) + "\n" for name in names], dtype=object)
+    with open_output(target) as handle:
+        handle.write("case,activity\n")
+        for case, trace in enumerate(_split(lines[log.events].tolist(), log.offsets), start=1):
+            head = f"{case},"
+            handle.write(head + head.join(trace))
 
 
 @dataclass(frozen=True)

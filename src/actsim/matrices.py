@@ -5,14 +5,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator
+from itertools import chain
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
 
 from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet, csv_line, open_output
+from .log import Alphabet, csv_field, csv_line, open_output
 
 
 METHODS = ("aa", "ac", "substitution")
@@ -140,67 +141,94 @@ def build_aa(table: OccurrenceTable) -> EmbeddingMatrix:
     )
 
 
+_BLOCK = 1 << 14  # contexts rendered at a time
+
+
 def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
     """The rendered column labels, read as ``matrix.config`` says: activity
     labels (AA), or one label per context row (AC), ``{x,y}`` for a
     multiset and ``<x,y>`` for a sequence, with PAD shown as ``__PAD__``.
 
-    A context header is joined one slot at a time over all contexts at
-    once. A multiset lists its labels sorted as strings, so its slots are
+    A multiset lists its labels sorted as strings, so its slots are
     ordered by the rank of their label, not by id.
     """
-    ids = matrix.column_labels
     if matrix.config.method != "ac":
-        return alphabet.labels_of(ids).tolist()
+        return alphabet.labels_of(matrix.column_labels).tolist()
+    slots = chain.from_iterable(_context_slots(matrix, alphabet, quoted=False))
+    # One iterator zipped with itself: each tuple is one context's n-1 slots.
+    return list(map("".join, zip(*[slots] * matrix.column_labels.shape[1])))
+
+
+def _context_slots(
+    matrix: EmbeddingMatrix, alphabet: Alphabet, quoted: bool
+) -> Iterator[list[str]]:
+    """The slots of an AC matrix's context labels, ``_BLOCK`` contexts at a
+    time: each context's n-1 strings in turn, which joined make its label.
+
+    Each slot is one string of a table of the n-1 places times the |A|+1
+    names, with its punctuation, so a block is one gather from the table.
+    ``quoted`` makes each label a CSV field after a comma, as
+    :func:`~actsim.log.write_csv` writes it: each name is quoted once. A
+    label of two or more slots holds a comma, so it is always quoted; a
+    one-slot label is quoted exactly when its name is. The ids are checked
+    against the alphabet before the first block.
+    """
+    ids = matrix.column_labels
     if ids.size:  # an id outside the alphabet fails here as well
         alphabet.labels_of([ids.min(), ids.max()])
-    names = alphabet.labels_of(np.arange(len(alphabet) + 1))
+    names = alphabet.labels_of(np.arange(len(alphabet) + 1)).tolist()
+    width = ids.shape[1]
+    blocks = (ids[start : start + _BLOCK] for start in range(0, len(ids), _BLOCK))
     if matrix.config.kind is ContextKind.MULTISET:
         by_rank = np.argsort(names)
-        ids = by_rank[np.sort(np.argsort(by_rank)[ids], axis=1)]
+        rank = np.argsort(by_rank)
+        blocks = (by_rank[np.sort(rank[block], axis=1)] for block in blocks)
         opening, closing = "{", "}"
     else:
         opening, closing = "<", ">"
-    # Each slot's labels with their punctuation, so a context costs one
-    # string concatenation per slot after the first.
-    last = ids.shape[1] - 1
-    slots = [
-        (opening if j == 0 else ",") + names + (closing if j == last else "")
-        for j in range(last + 1)
+    lead, marks = "", [""] * len(names)
+    if quoted:
+        fields = [csv_field(name) for name in names]
+        lead = ","
+        marks = ['"' if width > 1 or field != name else "" for name, field in zip(names, fields)]
+        names = [field[1:-1] if field != name else name for name, field in zip(names, fields)]
+    last = width - 1
+    table = [
+        (lead + mark + opening if j == 0 else ",") + name + (closing + mark if j == last else "")
+        for j in range(width)
+        for name, mark in zip(names, marks)
     ]
-    text = slots[0][ids[:, 0]]
-    for j in range(1, last + 1):
-        text = text + slots[j][ids[:, j]]
-    return text.tolist()
+    shift = np.arange(width) * len(names)  # slot j reads the j-th run of names
+    return (list(map(table.__getitem__, (block + shift).ravel().tolist())) for block in blocks)
 
 
 def _write_matrix_csv(
     target: IO[str] | str | Path,
-    column_labels: list[str],
+    header: Iterable[str],
     row_labels: list[str],
     values: "np.ndarray | sparse.spmatrix",
 ) -> None:
-    """Write an ``activity`` header over the column labels, then each row
-    label followed by its row of ``values``.
+    """Write the ``header`` line, given in pieces, then each row label
+    followed by its row of ``values``.
 
     Cells are formatted with 17 significant digits so floats round-trip.
-    The csv module quotes the header and each row label; a cell is a
-    number, which never needs quoting, so each row's cells are written as
-    one joined string. A canonical CSR matrix, as every matrix actsim
-    builds, is never densified: each run of zeros between its stored cells
-    is one ``",0" * gap`` and each stored value is formatted once, so the
-    Python work follows the stored cells and the bytes written, not rows x
-    columns. Any other sparse matrix (a CSC, or a CSR with duplicate or
-    unsorted indices) is written from its ``toarray()``.
+    Each label is quoted as :func:`~actsim.log.write_csv` quotes a field;
+    a cell is a number, which never needs quoting, so each row's cells are
+    written as one joined string. A canonical CSR matrix, as every matrix
+    actsim builds, is never densified: each run of zeros between its
+    stored cells is one ``",0" * gap`` and each stored value is formatted
+    once, so the Python work follows the stored cells and the bytes
+    written, not rows x columns. Any other sparse matrix (a CSC, or a CSR
+    with duplicate or unsorted indices) is written from its ``toarray()``.
     """
     if sparse.issparse(values) and not (values.format == "csr" and values.has_canonical_format):
         values = values.toarray()
     rows = _stored_cells(values) if sparse.issparse(values) else _dense_cells(values)
     with open_output(target) as handle:
-        handle.write(csv_line(["activity"] + column_labels))
+        handle.writelines(header)
         for label, cells in zip(row_labels, rows):
             # A label alone on its line is quoted as a one-field row.
-            head = csv_line([label, ""])[:-2] if cells else csv_line([label])[:-1]
+            head = csv_field(label) if cells else csv_line([label])[:-1]
             handle.write(head + cells + "\n")
 
 
@@ -239,12 +267,16 @@ def write_embedding_csv(
     """Write the matrix with an ``activity`` label column and rendered headers.
 
     Values are formatted with 17 significant digits so floats round-trip.
+    An AC header is rendered and written in blocks of contexts, so no
+    string of the whole header is held.
     """
+    if matrix.config.method == "ac":
+        blocks = map("".join, _context_slots(matrix, alphabet, quoted=True))
+        header = chain(["activity"], blocks, ["\n"])
+    else:
+        header = [csv_line(["activity"] + column_headers(matrix, alphabet))]
     _write_matrix_csv(
-        target,
-        column_headers(matrix, alphabet),
-        alphabet.labels_of(matrix.row_labels).tolist(),
-        matrix.values,
+        target, header, alphabet.labels_of(matrix.row_labels).tolist(), matrix.values
     )
 
 

@@ -11,7 +11,7 @@ from scipy import sparse
 
 from .contexts import ContextKind, OccurrenceTable
 from .errors import ParameterError
-from .log import Alphabet, write_json
+from .log import Alphabet, csv_line, write_json
 from .matrices import EmbeddingMatrix, MethodConfig, _write_matrix_csv, build_aa
 from .weighting import _log_ratios, stored_values
 
@@ -182,7 +182,7 @@ def write_distance_csv(
     path = Path(target)
     cells = sim.distance_matrix() if sim.flavor == "cosine" else sim.values
     labels = alphabet.labels_of(sim.labels).tolist()
-    _write_matrix_csv(path, labels, labels, cells)
+    _write_matrix_csv(path, [csv_line(["activity"] + labels)], labels, cells)
     meta = dict(
         sim.config.echo(),
         schema=1,

@@ -305,15 +305,23 @@ def naive_context_label(symbol_labels, kind):
     return "<" + ",".join(symbol_labels) + ">"
 
 
+def naive_csv_line(fields):
+    """One CSV line: a field that holds a comma, a quote, a ``\\r`` or a
+    ``\\n`` is quoted with its quotes doubled, and a row of one empty
+    field is ``""``."""
+    if fields == [""]:
+        return '""\n'
+    quoted = ['"' + f.replace('"', '""') + '"' if set(f) & set(',"\r\n') else f for f in fields]
+    return ",".join(quoted) + "\n"
+
+
 def naive_matrix_csv(header, row_labels, rows):
     """The CSV text of a matrix: the header, then each row label followed by
     its row's cells, each formatted with 17 significant digits."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    lines = [naive_csv_line(header)]
     for label, row in zip(row_labels, rows):
-        writer.writerow([label] + [format(v, ".17g") for v in row])
-    return buffer.getvalue()
+        lines.append(naive_csv_line([label] + [format(v, ".17g") for v in row]))
+    return "".join(lines)
 
 
 def naive_ground_truth(traces, alphabet_size, selected, w, seed):
@@ -383,15 +391,17 @@ def _text_chunks(source: TextSource, size: int) -> Iterator[str]:
     """The source's text in chunks of ``size`` characters (all of it at
     once when ``size`` is -1), without a leading UTF-8 byte-order mark.
 
-    A path is opened as ``utf-8-sig``. Failing to read or decode a path,
-    or to decode a stream, is a :class:`FormatError`.
+    A path is opened as ``utf-8-sig`` with its line ends as they are.
+    Failing to read or decode a path, or to decode a stream, is a
+    :class:`FormatError`.
     """
     if isinstance(source, str):
         yield source.removeprefix("\ufeff")
         return
     is_path = isinstance(source, Path)
     try:
-        with open(source, encoding="utf-8-sig") if is_path else nullcontext(source) as handle:
+        opened = open(source, encoding="utf-8-sig", newline="") if is_path else nullcontext(source)
+        with opened as handle:
             chunk = handle.read(size)  # utf-8-sig has stripped a path's mark
             yield chunk if is_path else chunk.removeprefix("\ufeff")
             while chunk := handle.read(size):

@@ -3,6 +3,7 @@ import io
 import pickle
 import tempfile
 import tracemalloc
+from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
@@ -870,6 +871,32 @@ class TestRoundTrip:
         again = parse_csv(buffer.getvalue())
         assert again.traces == log.traces
         assert again.alphabet == log.alphabet
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(
+        st.text(st.sampled_from(',"\r\n{< é'), min_size=1, max_size=4), min_size=1, max_size=5
+    ), min_size=1, max_size=6))
+    def test_line_breaks_in_labels_roundtrip(self, label_traces):
+        # A label with a \r or a \n is quoted, so it is one field in a
+        # string and in a file read by path alike.
+        log = log_from_label_traces(label_traces)
+        buffer = io.StringIO()
+        write_log_csv(log, buffer)
+        text = buffer.getvalue()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(text.encode("utf-8"))
+            for source in (text, path):
+                again = parse_csv(source)
+                assert again.traces == log.traces
+                assert again.alphabet == log.alphabet
+
+    def test_stats_quote_a_carriage_return(self, tmp_path):
+        log = log_from_label_traces([["a\rb", "c\nd", "a\rb"]])
+        write_stats_csv(compute_stats(log), tmp_path / "stats.csv")
+        with open(tmp_path / "stats.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[1] for row in rows] == ["activity", "a\rb", "c\nd"]
 
 
 class TestStats:

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -30,8 +31,17 @@ from actsim import (
     write_embedding_csv,
 )
 from actsim.contexts import OccurrenceTable
+import actsim.matrices
+from actsim.log import csv_line
 from actsim.matrices import EmbeddingMatrix, column_headers
-from reference import naive_aa, naive_ac, naive_context_label, naive_matrix_csv, row_index
+from reference import (
+    naive_aa,
+    naive_ac,
+    naive_context_label,
+    naive_csv_line,
+    naive_matrix_csv,
+    row_index,
+)
 from synthetic_logs import random_small_log, structured_log, worked_log
 
 WORKED_AC = np.array(
@@ -219,7 +229,7 @@ class TestExport:
                 assert row.dtype == dense.dtype and np.array_equal(row, dense[i])
 
 
-LABELS = st.text(alphabet=st.sampled_from('ab,"\'é中 x'), min_size=1, max_size=4)
+LABELS = st.text(alphabet=st.sampled_from('ab,"\'é中 x\r\n'), min_size=1, max_size=4)
 INT_CELLS = st.integers(-(10**18), 10**18)
 FLOAT_CELLS = st.one_of(
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, -2.5]),
@@ -459,3 +469,59 @@ def test_context_headers_render_every_context(traces, window, kind):
     contexts = table.symbols.tolist()
     expected = [naive_context_label([names[s] for s in ctx], kind) for ctx in contexts]
     assert column_headers(build_ac(table), log.alphabet) == expected
+
+
+# Labels whose fields need quoting, or look as if they might: a comma, a
+# quote, a line break of either kind, the context brackets and a space.
+HEADER_NAMES = st.text(st.sampled_from(',"\r\n{< é'), min_size=1, max_size=3)
+
+
+@st.composite
+def context_headers(draw):
+    """(alphabet, AC matrix) of zero to 40 contexts at window 2, 3 or 5."""
+    labels = draw(st.lists(HEADER_NAMES, min_size=1, max_size=4, unique=True))
+    width = draw(st.sampled_from([2, 3, 5])) - 1
+    contexts = draw(st.lists(
+        st.lists(st.integers(0, len(labels)), min_size=width, max_size=width), max_size=40
+    ))
+    config = MethodConfig("ac", ContextKind(draw(st.sampled_from(["mset", "seq"]))), "none", width + 1)
+    columns = np.array(contexts, dtype=np.int64).reshape(-1, width)
+    values = sparse.csr_matrix(np.arange(len(contexts), dtype=np.int64)[None, :] % 3)
+    return Alphabet(labels), EmbeddingMatrix((1,), columns, values, config)
+
+
+@pytest.mark.parametrize("block", [3, 1 << 14])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(context_headers())
+@example((Alphabet([","]), EmbeddingMatrix(
+    (1,), np.zeros((0, 2), dtype=np.int64), sparse.csr_matrix((1, 0), dtype=np.int64),
+    MethodConfig("ac", ContextKind.MULTISET, "none", 3),
+)))
+def test_context_header_is_written_as_one_field_at_a_time(block, monkeypatch, case):
+    # The header is quoted per name and written in blocks of contexts; it
+    # must read as csv quotes each rendered label, one field at a time.
+    monkeypatch.setattr(actsim.matrices, "_BLOCK", block)
+    alphabet, matrix = case
+    header = ["activity"] + column_headers(matrix, alphabet)
+    names = (PAD_LABEL,) + alphabet.labels()
+    kind = matrix.config.kind.value
+    assert header[1:] == [naive_context_label([names[s] for s in ctx], kind)
+                          for ctx in matrix.column_labels.tolist()]
+    line = csv_line(header)
+    assert line == naive_csv_line(header)
+    buffer = io.StringIO()
+    write_embedding_csv(matrix, alphabet, buffer)
+    row = naive_csv_line([alphabet.label_of(1)] + [str(v) for v in matrix.values.toarray()[0]])
+    assert buffer.getvalue() == line + row
+
+
+def test_a_label_with_a_carriage_return_reads_back_as_one_field(tmp_path):
+    labels = ["a\rb", "c", "d\r\ne", 'f"\r']
+    alphabet = Alphabet(labels)
+    sim = PairwiseSimilarity((1, 2, 3, 4), np.eye(4), "cosine",
+                             MethodConfig("aa", ContextKind.SEQUENCE, "none", 3))
+    write_distance_csv(sim, alphabet, tmp_path / "distances.csv")
+    with open(tmp_path / "distances.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["activity"] + labels
+    assert [row[0] for row in rows[1:]] == labels
