@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping
 
 from itertools import combinations
@@ -22,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptyLogError, ParameterError
-from .log import EventLog, _widen, _with_variant_numbers, write_json
+from .log import EventLog, _widen, _with_variant_numbers
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,13 +59,6 @@ class GroundTruthLog:
     r: int
     w: int
     seed: int
-
-    def restore_traces(self) -> tuple[tuple[int, ...], ...]:
-        """Traces with every clone mapped back through phi."""
-        log = self.log
-        original = np.arange(len(log.alphabet) + 1)
-        original[list(self.classes.phi)] = list(self.classes.phi.values())
-        return EventLog.from_arrays(original[log.events], log.offsets, log.alphabet).traces
 
 
 def _pool_slots(picks: np.ndarray, rank: np.ndarray, w: int) -> np.ndarray:
@@ -209,16 +201,6 @@ def generate_ground_truth_log(
         w=w,
         seed=seed,
     )
-
-
-def write_classes_json(gt: GroundTruthLog, target: str | Path) -> None:
-    """Export the class assignment as {clone label: original label}."""
-    alphabet = gt.log.alphabet
-    mapping = {
-        alphabet.label_of(clone): alphabet.label_of(orig)
-        for clone, orig in gt.classes.phi.items()
-    }
-    write_json(mapping, target)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ metrics of every matrix of a stack in one pass, the classes of each size
 as one (C, m, k, n) block. There is one failure rule: a stack that raises
 anywhere, from a refused window to the scores, is retried one config at a
 time, so only the configs that raise fail. ``score_all`` is a stack of
-one, and each single-metric function selects from it. Every mean, per
+one, and its docstring defines the four metrics. Every mean, per
 pair, member, class, log or config, is one :func:`_mean`: a ``cumsum``
 over the last axis in the order of the loop oracles in
 ``tests/reference.py``, which is their left fold from 0.0 and gives the
@@ -59,62 +59,31 @@ def _mean(values) -> np.ndarray:
         return (np.cumsum(values, axis=-1)[..., -1] + 0.0) / values.shape[-1]
 
 
-def score_compactness(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Mean normalized in-class similarity (I_comp).
-
-    Off-diagonal similarities of the full matrix are min-max scaled to
-    [0, 1]; a degenerate matrix (max equals min) scales everything to 0.
-    The score averages the scaled similarity over unordered in-class
-    pairs, then over classes.
-    """
-    return score_all(sim, classes)[0]
-
-
-def score_nearest_neighbor(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Fraction of members whose most similar activity is a classmate (I_nn).
-
-    The candidate set of a member is every other activity of the derived
-    log. A member succeeds only if every candidate attaining the maximum
-    similarity is in its class; a tie with an outsider counts as failure.
-    Fractions are averaged per class, then over classes.
-    """
-    return score_all(sim, classes)[1]
-
-
-def score_precision_at_k(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Precision of the top w-1 candidates (I_prec).
-
-    For each member the k = w-1 most similar candidates are taken, ties
-    broken by smallest activity id, and the in-class share among them is
-    recorded; averaged per class, then over classes.
-    """
-    return score_all(sim, classes)[2]
-
-
-def score_triplet(
-    sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
-) -> float:
-    """Fraction of triples where classmates beat outsiders (I_tri).
-
-    For every ordered in-class pair (a, b) and every out-of-class
-    activity o, the triple succeeds when s(a, o) < s(a, b) strictly.
-    Success rates are averaged per pair, per class, then over classes.
-    A class covering the whole log has no outsiders and scores 1.0.
-    """
-    return score_all(sim, classes)[3]
-
-
 def score_all(
     sim: PairwiseSimilarity, classes: Mapping[int, frozenset[int]]
 ) -> tuple[float, float, float, float]:
     """(I_comp, I_nn, I_prec, I_tri) in one pass over the classes: a stack
-    of one for :func:`_score_stack`."""
+    of one for :func:`_score_stack`.
+
+    Each metric averages per class, then over classes:
+
+    - I_comp, the mean normalized in-class similarity: the off-diagonal
+      cells of the full matrix are min-max scaled to [0, 1] (a degenerate
+      matrix, max equal to min, scales everything to 0), and the scaled
+      similarity is averaged over the unordered in-class pairs.
+    - I_nn, the fraction of members whose most similar activity is a
+      classmate. A member's candidates are every other activity of the
+      derived log, and it succeeds only if every candidate at the maximum
+      is in its class: a tie with an outsider fails.
+    - I_prec, the precision of the top w-1 candidates: each member takes
+      its k = w-1 most similar candidates, ties broken by the smallest
+      activity id, and records the in-class share among them.
+    - I_tri, the fraction of triples where classmates beat outsiders: for
+      every ordered in-class pair (a, b) and every out-of-class activity
+      o, the triple succeeds when s(a, o) < s(a, b) strictly; the success
+      rate is averaged per pair first. A class that covers the whole log
+      has no outsiders and scores 1.0.
+    """
     return _score_stack(np.asarray(sim.values)[None], sim.labels, classes)[0]
 
 

@@ -93,19 +93,6 @@ class EmbeddingMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def dense(self) -> np.ndarray:
-        if sparse.issparse(self.values):
-            return self.values.toarray()
-        return self.values
-
-    def row(self, activity_id: int) -> np.ndarray:
-        try:
-            index = self.row_labels.index(activity_id)
-        except ValueError:
-            raise ParameterError(f"activity id {activity_id} has no row") from None
-        row = self.values[index]
-        return row.toarray()[0] if sparse.issparse(row) else row
-
 
 def build_ac(table: OccurrenceTable) -> EmbeddingMatrix:
     """Activity-context matrix: AC(a, c) = #(a, c), stored sparse.

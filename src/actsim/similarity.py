@@ -29,41 +29,10 @@ class PairwiseSimilarity:
     flavor: str
     config: MethodConfig
 
-    def index_of(self, activity_id: int) -> int:
-        try:
-            return self.labels.index(activity_id)
-        except ValueError:
-            raise ParameterError(f"activity id {activity_id} has no row") from None
-
-    def similarity(self, a: int, b: int) -> float:
-        return float(self.values[self.index_of(a), self.index_of(b)])
-
     def distance_matrix(self) -> np.ndarray:
         if self.flavor != "cosine":
             raise ParameterError("distances are defined for the cosine flavor only")
         return 1.0 - self.values
-
-
-def cosine_distance(u: Sequence[float], v: Sequence[float]) -> float:
-    """Cosine distance 1 - (u.v)/(|u||v|) with the zero-vector convention.
-
-    Exactly one all-zero vector gives distance 1; two all-zero vectors
-    give distance 0. Vectors must have equal positive length and finite
-    entries. The two rows' Gram goes through :func:`_normalize`, so this is
-    the distance :func:`pairwise_distance_matrix` gives them, to the bit.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape or u.size == 0:
-        raise ParameterError(
-            f"expected two equal-length non-empty vectors, got shapes {u.shape} and {v.shape}"
-        )
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ParameterError("vectors must be finite")
-    x = np.stack([u, v])
-    sims = x @ x.T
-    _normalize(sims[None])
-    return 1.0 - float(sims[0, 1])
 
 
 def _gram(matrix: EmbeddingMatrix) -> np.ndarray:
@@ -129,11 +98,16 @@ def _normalize(sims: np.ndarray) -> None:
     Cells with an exact Cauchy-Schwarz equality (G(a,b)^2 = G(a,a) G(b,b),
     proportional rows) are snapped to s = +/-1, so identical rows get
     distance 0.0 exactly; a zero row has similarity 0 to every other row
-    and 1 to another zero row.
+    and 1 to another zero row. The test needs G(a,a) G(b,b) to be a normal
+    float: where it underflows or overflows, so does G(a,b)^2, and the two
+    compare equal for rows that are not proportional.
     """
     n = sims.shape[-1]
     diag = np.diagonal(sims, axis1=1, axis2=2).copy()
-    exact = sims * sims == diag[:, :, None] * diag[:, None, :]
+    with np.errstate(over="ignore"):
+        products = diag[:, :, None] * diag[:, None, :]
+        exact = sims * sims == products
+    exact &= (products >= np.finfo(np.float64).tiny) & (products <= np.finfo(np.float64).max)
     norms = np.sqrt(diag)
     outer = norms[:, :, None] * norms[:, None, :]
     positive = outer > 0.0

@@ -13,8 +13,9 @@ CSV writer formats every cell of a dense row, one at a time. The ground
 truth walks every event of every trace. The CSV and XES parsers collect
 label traces and intern them at the end; they build the package's
 ``EventLog`` and raise its errors, so their outcomes compare directly.
-``pair_counts`` and ``row_index`` are lookup views over the package's own
-objects, read by the tests only.
+``pair_counts``, ``row_index``, ``dense``, ``row_of``, ``sim_cell`` and
+``restored_traces`` are lookup views over the package's own objects, read
+by the tests only.
 """
 
 from __future__ import annotations
@@ -89,6 +90,28 @@ def row_index(matrix):
     return {aid: i for i, aid in enumerate(matrix.row_labels)}
 
 
+def dense(matrix):
+    """The values of an embedding matrix as a numpy array, sparse or not."""
+    values = matrix.values
+    return values.toarray() if sparse.issparse(values) else np.asarray(values)
+
+
+def row_of(matrix, aid):
+    """The dense row of activity ``aid`` in an embedding matrix."""
+    return dense(matrix)[row_index(matrix)[aid]]
+
+
+def sim_cell(sim, a, b):
+    """The similarity of activities ``a`` and ``b`` in a ``PairwiseSimilarity``."""
+    return float(sim.values[sim.labels.index(a), sim.labels.index(b)])
+
+
+def restored_traces(gt):
+    """The derived log's traces with every clone mapped back through phi."""
+    phi = gt.classes.phi
+    return tuple(tuple(phi.get(aid, aid) for aid in trace) for trace in gt.log.traces)
+
+
 def naive_ac(traces, n, kind):
     """(activities, context_order, dense rows) with rows sorted by id."""
     pair, _, act, order = naive_counts(traces, n, kind)
@@ -114,6 +137,34 @@ def naive_aa(traces, n, kind):
             row.append(total)
         rows.append(row)
     return activities, rows
+
+
+def naive_weighting(rows, row_totals, column_totals, n, weighting):
+    """Dense count ``rows`` weighted by name: ``none`` as they are, ``pmi``
+    as ln(j N / (r c)) for each positive count j with row total r, column
+    total c and grand total N (0 where j is 0), ``ppmi`` as that clamped at
+    0. AA's column totals are the activity totals."""
+    if weighting == "none":
+        return [list(row) for row in rows]
+    out = []
+    for r, row in zip(row_totals, rows):
+        cells = [math.log(j * n / (r * c)) if j > 0 else 0.0 for j, c in zip(row, column_totals)]
+        out.append([max(cell, 0.0) for cell in cells] if weighting == "ppmi" else cells)
+    return out
+
+
+def naive_substitution(aa_rows, totals, n):
+    """Substitution scores of dense AA count rows over activity ``totals``:
+    ln((AA(a,b)/N) / (2 p(a) p(b))) off the diagonal, ln((AA(a,a)/N) / p(a)^2)
+    on it, with p(a) = #a/N, and 0 where AA(a,b) is 0."""
+    out = []
+    for i, row in enumerate(aa_rows):
+        cells = []
+        for j, count in enumerate(row):
+            pairs = totals[i] * totals[j] * (1 if i == j else 2)
+            cells.append(math.log(count * n / pairs) if count > 0 else 0.0)
+        out.append(cells)
+    return out
 
 
 def naive_cosine_distance(u, v):

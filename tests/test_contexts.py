@@ -1,5 +1,6 @@
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from actsim import (
     generate_ground_truth_log,
     log_from_label_traces,
 )
-from actsim import contexts, pipeline
+from actsim import contexts, groundtruth, intrinsic, pipeline, similarity
 from actsim.matrices import column_headers
 from reference import naive_counts, pair_counts
 from synthetic_logs import random_small_log, worked_log
@@ -188,10 +189,31 @@ class TestRendering:
 def test_every_public_name_resolves():
     for name in actsim.__all__:
         assert getattr(actsim, name) is not None
+    # __all__ is sorted and lists every public name the package binds, so a
+    # dropped import cannot leave a stale entry behind.
+    assert actsim.__all__ == sorted(actsim.__all__)
+    public = {name for name, value in vars(actsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(actsim.__all__) == public
     # A context is a row of the table's symbol array; no key type renders it.
-    for retired in ("ContextKey", "ContextKeys", "render_context"):
-        assert not hasattr(actsim, retired)
-        assert not hasattr(contexts, retired)
+    # The single-metric scores, cosine_distance and write_classes_json were
+    # read by the tests only; score_all and the matrices remain.
+    retired = (
+        "ContextKey", "ContextKeys", "render_context", "score_compactness",
+        "score_nearest_neighbor", "score_precision_at_k", "score_triplet",
+        "cosine_distance", "write_classes_json",
+    )
+    for name in retired:
+        for module in (actsim, contexts, groundtruth, intrinsic, similarity):
+            assert not hasattr(module, name)
+    retired_methods = {
+        actsim.EmbeddingMatrix: ("dense", "row"),
+        actsim.PairwiseSimilarity: ("index_of", "similarity"),
+        actsim.GroundTruthLog: ("restore_traces",),
+    }
+    for cls, names in retired_methods.items():
+        for name in names:
+            assert not hasattr(cls, name)
 
 
 @settings(max_examples=40, deadline=None)

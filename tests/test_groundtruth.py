@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 from math import comb
@@ -18,11 +17,10 @@ from actsim import (
     log_from_label_traces,
     mix_seed,
     splitmix64,
-    write_classes_json,
 )
 from actsim import groundtruth
 from actsim.groundtruth import _draws_below
-from reference import naive_ground_truth
+from reference import naive_ground_truth, restored_traces
 from synthetic_logs import random_small_log
 
 
@@ -117,7 +115,7 @@ class TestGenerate:
             r = rng.randint(1, len(occurring))
             selected = set(rng.sample(occurring, r))
             gt = generate_ground_truth_log(log, selected, w=rng.randint(2, 5), seed=rng.getrandbits(32))
-            assert gt.restore_traces() == log.traces
+            assert restored_traces(gt) == log.traces
 
     def test_label_collision(self):
         log = log_from_label_traces([["a", "a__1"]])
@@ -139,13 +137,6 @@ class TestGenerate:
         log = EventLog(((1, 2, 3),), alphabet)
         with pytest.raises(ParameterError, match="does not occur"):
             generate_ground_truth_log(log, {4}, w=2, seed=0)
-
-    def test_classes_json(self, tmp_path):
-        log = three_activity_log()
-        gt = generate_ground_truth_log(log, {log.alphabet.id_of("b")}, w=2, seed=1)
-        target = tmp_path / "classes.json"
-        write_classes_json(gt, target)
-        assert json.loads(target.read_text()) == {"b__1": "b", "b__2": "b"}
 
 
 @st.composite

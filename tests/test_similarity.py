@@ -17,7 +17,6 @@ from actsim import (
     apply_weighting,
     build_ac,
     build_aa,
-    cosine_distance,
     extract_occurrences,
     log_from_label_traces,
     pairwise_distance_matrix,
@@ -27,7 +26,7 @@ from actsim import (
 from actsim import contexts
 from actsim.contexts import ContextKind, OccurrenceTable
 from actsim.similarity import _gram, _similarities
-from reference import naive_similarity_matrix, two_copy_cosine
+from reference import dense, naive_cosine_distance, naive_similarity_matrix, sim_cell, two_copy_cosine
 from synthetic_logs import random_small_log, structured_log, worked_log
 from test_matrices import FOUR_TRACE
 
@@ -35,38 +34,38 @@ from test_matrices import FOUR_TRACE
 coordinates = st.one_of(st.integers(-9, 9).map(float), st.floats(-100, 100))
 
 
+def two_row_distances(u, v):
+    """The cosine distances ``pairwise_distance_matrix`` exports for the
+    rows ``u`` and ``v`` of one two-row float embedding."""
+    matrix = EmbeddingMatrix(
+        row_labels=(1, 2),
+        column_labels=tuple(range(len(u))),
+        values=np.array([u, v], dtype=np.float64),
+        config=MethodConfig("aa", ContextKind.SEQUENCE, "none", 3),
+    )
+    return pairwise_distance_matrix(matrix).distance_matrix()
+
+
+# (u, v, distance, abs tolerance). Rows c and d of the worked AC matrix share
+# one context with count 5 vs 1: 1 - 1/sqrt(27) = 0.80755. One all-zero row
+# is at distance 1, two are at 0. The last two pairs are not proportional,
+# but their Gram cells square to 0 or to inf.
+TWO_ROWS = {
+    "worked": ([0, 0, 5, 0, 0, 0, 0], [0, 0, 1, 5, 0, 1, 0], 1 - 5 / (5 * math.sqrt(27)), 1e-12),
+    "identical": ([1, 2, 3], [2, 4, 6], 0.0, 1e-12),
+    "one_zero": ([0, 0], [1, 2], 1.0, 0.0),
+    "both_zero": ([0, 0], [0, 0], 0.0, 0.0),
+    "opposite": ([1.0, 0.0], [-1.0, 0.0], 2.0, 1e-12),
+    "tiny": ([1e-155, 1e-155], [1e-155, -2e-155], 1 + 1 / math.sqrt(10), 1e-12),
+    "huge": ([1e100, 1e100], [1e100, -2e100], 1 + 1 / math.sqrt(10), 1e-12),
+}
+
+
 class TestCosineDistance:
-    def test_worked_rows(self):
-        # Rows c and d of the worked AC matrix share one context with count 5 vs 1.
-        c = [0, 0, 5, 0, 0, 0, 0]
-        d = [0, 0, 1, 5, 0, 1, 0]
-        expected = 1 - 5 / (5 * math.sqrt(27))
-        assert cosine_distance(c, d) == pytest.approx(expected, abs=1e-12)
-        assert cosine_distance(c, d) == pytest.approx(0.80755, abs=1e-5)
-
-    def test_identical_rows(self):
-        assert cosine_distance([1, 2, 3], [2, 4, 6]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_vector_conventions(self):
-        assert cosine_distance([0, 0], [1, 2]) == 1.0
-        assert cosine_distance([0, 0], [0, 0]) == 0.0
-
-    def test_opposite_vectors(self):
-        assert cosine_distance([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(2.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ParameterError):
-            cosine_distance([1, 2], [1, 2, 3])
-
-    def test_non_finite(self):
-        with pytest.raises(ParameterError):
-            cosine_distance([1, float("nan")], [1, 2])
-        with pytest.raises(ParameterError):
-            cosine_distance([1, float("inf")], [1, 2])
-
-    def test_empty(self):
-        with pytest.raises(ParameterError):
-            cosine_distance([], [])
+    @pytest.mark.parametrize("u, v, distance, tolerance", TWO_ROWS.values(), ids=TWO_ROWS)
+    def test_two_rows(self, u, v, distance, tolerance):
+        distances = two_row_distances(u, v)
+        assert distances[0, 1] == distances[1, 0] == pytest.approx(distance, rel=0, abs=tolerance)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -82,17 +81,12 @@ class TestCosineDistance:
     @example(([1.0, -3.0], [-1.0, 3.0]))  # 1.9999999999999998 by norms alone
     @example(([0.0, 0.0], [0.0, 0.0]))
     @example(([0.0, 0.0], [1.0, 2.0]))
+    @example(([3e-160, 1e-160], [1e-160, 2e-160]))  # every Gram cell is subnormal
     def test_is_the_distance_the_matrix_exports(self, pair):
         u, v = pair
-        matrix = EmbeddingMatrix(
-            row_labels=(1, 2),
-            column_labels=tuple(range(len(u))),
-            values=np.array([u, v]),
-            config=MethodConfig("aa", ContextKind.SEQUENCE, "none", 3),
-        )
-        exported = pairwise_distance_matrix(matrix).distance_matrix()
-        assert cosine_distance(u, v).hex() == float(exported[0, 1]).hex()
-        assert cosine_distance(v, u).hex() == float(exported[1, 0]).hex()
+        distances = two_row_distances(u, v)
+        naive = naive_cosine_distance(u, v)
+        assert distances[0, 1] == distances[1, 0] == pytest.approx(naive, rel=0, abs=1e-12)
 
 
 class TestPairwise:
@@ -103,7 +97,7 @@ class TestPairwise:
             table = extract_occurrences(log, rng.randint(2, 4), rng.choice(["mset", "seq"]))
             ac = build_ac(table)
             sim = pairwise_distance_matrix(ac)
-            expected = np.array(naive_similarity_matrix(ac.dense().tolist()))
+            expected = np.array(naive_similarity_matrix(dense(ac).tolist()))
             assert np.allclose(sim.values, expected, atol=1e-12)
 
     def test_matches_brute_force_on_pmi(self):
@@ -113,7 +107,7 @@ class TestPairwise:
             table = extract_occurrences(log, 3, "mset")
             weighted = apply_pmi(build_ac(table), table)
             sim = pairwise_distance_matrix(weighted)
-            expected = np.array(naive_similarity_matrix(weighted.dense().tolist()))
+            expected = np.array(naive_similarity_matrix(dense(weighted).tolist()))
             assert np.allclose(sim.values, expected, atol=1e-12)
 
     def test_diagonal_and_symmetry(self):
@@ -127,8 +121,7 @@ class TestPairwise:
         log = worked_log()
         sim = pairwise_distance_matrix(build_ac(extract_occurrences(log, 3, "mset")))
         c, d = log.alphabet.id_of("c"), log.alphabet.id_of("d")
-        dist = sim.distance_matrix()[sim.index_of(c), sim.index_of(d)]
-        assert dist == pytest.approx(1 - 5 / (5 * math.sqrt(27)), abs=1e-12)
+        assert 1.0 - sim_cell(sim, c, d) == pytest.approx(1 - 5 / (5 * math.sqrt(27)), abs=1e-12)
 
     def test_row_scaling_invariance(self):
         table = extract_occurrences(worked_log(), 3, "mset")
@@ -136,7 +129,7 @@ class TestPairwise:
         scaled = EmbeddingMatrix(
             row_labels=ac.row_labels,
             column_labels=ac.column_labels,
-            values=ac.dense() * np.array([1.0, 3.0, 0.5, 7.0, 2.0])[:, None],
+            values=dense(ac) * np.array([1.0, 3.0, 0.5, 7.0, 2.0])[:, None],
             config=ac.config,
         )
         a = pairwise_distance_matrix(ac).values
@@ -370,7 +363,7 @@ def test_other_counts_are_weighted_from_their_own_values(cells, shift):
             got = apply_weighting(replace(raw, values=other), table, weighting)
             for matrix, counts in ((got, other), (own, raw.values)):
                 want = dense_weighting(counts, table, method, weighting)
-                assert matrix.dense().tobytes() == want.tobytes()
+                assert dense(matrix).tobytes() == want.tobytes()
             assert apply_weighting(raw, table, weighting).values is own.values
 
 
@@ -406,9 +399,9 @@ class TestPairPlan:
         # A stored cell the table never counted, and a CSC matrix.
         table = extract_occurrences(worked_log(), 3, "seq")
         ac = build_ac(table)
-        dense = ac.dense().astype(np.float64)
-        dense[0, np.flatnonzero(dense[0] == 0)[0]] = 2.5
-        for values in (sparse.csr_matrix(dense), ac.values.tocsc()):
+        cells = dense(ac).astype(np.float64)
+        cells[0, np.flatnonzero(cells[0] == 0)[0]] = 2.5
+        for values in (sparse.csr_matrix(cells), ac.values.tocsc()):
             matrix = replace(ac, values=values)
             assert _gram(matrix).tobytes() == scipy_gram(values).tobytes()
 
@@ -422,18 +415,18 @@ class TestSubstitution:
         a = log.alphabet.id_of("a")
         e = log.alphabet.id_of("e")
         # AA_seq(d,d)=14, #(d)=7, N=30 -> ln((14/30)/(7/30)^2) = ln(60/7).
-        assert ss.similarity(d, d) == pytest.approx(math.log(60 / 7), abs=1e-12)
-        assert ss.similarity(d, d) == pytest.approx(2.1484, abs=1e-3)
+        assert sim_cell(ss, d, d) == pytest.approx(math.log(60 / 7), abs=1e-12)
+        assert sim_cell(ss, d, d) == pytest.approx(2.1484, abs=1e-3)
         # c's only sequence context <b,d> is shared with nobody, so the cell is empty.
-        assert ss.similarity(c, d) == 0.0
-        assert ss.similarity(a, e) == 0.0
+        assert sim_cell(ss, c, d) == 0.0
+        assert sim_cell(ss, a, e) == 0.0
 
     def test_four_trace_off_diagonal(self):
         log = log_from_label_traces(FOUR_TRACE)
         ss = substitution_scores(extract_occurrences(log, 3, "seq"))
         b, c = log.alphabet.id_of("b"), log.alphabet.id_of("c")
         # AA_seq(b,c)=2, #(b)=2, #(c)=3, N=19 -> ln(2*19/(2*2*3)).
-        assert ss.similarity(b, c) == pytest.approx(math.log(2 * 19 / 12), abs=1e-12)
+        assert sim_cell(ss, b, c) == pytest.approx(math.log(2 * 19 / 12), abs=1e-12)
 
     def test_symmetric(self):
         ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))
@@ -442,14 +435,6 @@ class TestSubstitution:
     def test_multiset_table_rejected(self):
         with pytest.raises(ParameterError):
             substitution_scores(extract_occurrences(worked_log(), 3, "mset"))
-
-    def test_an_id_without_a_row_has_no_index(self):
-        ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))
-        assert ss.index_of(ss.labels[-1]) == len(ss.labels) - 1
-        with pytest.raises(ParameterError, match="^activity id 99 has no row$"):
-            ss.index_of(99)
-        with pytest.raises(ParameterError, match="^activity id 99 has no row$"):
-            ss.similarity(ss.labels[0], 99)
 
     def test_no_distances_for_scores(self):
         ss = substitution_scores(extract_occurrences(worked_log(), 3, "seq"))

@@ -18,7 +18,7 @@ from actsim import (
     log_from_label_traces,
     substitution_scores,
 )
-from reference import previous_dense_weighting, previous_substitution, row_index
+from reference import dense, previous_dense_weighting, previous_substitution, row_index
 from synthetic_logs import random_small_log, structured_log, worked_log
 
 
@@ -32,7 +32,7 @@ def cell(matrix, log, label, context_labels):
     row = row_index(matrix)[log.alphabet.id_of(label)]
     symbols = tuple(sorted(log.alphabet.id_of(l) if l != "__PAD__" else 0 for l in context_labels))
     col = next(i for i, ctx in enumerate(matrix.column_labels.tolist()) if tuple(ctx) == symbols)
-    return matrix.dense()[row, col]
+    return dense(matrix)[row, col]
 
 
 class TestPmiValues:
@@ -52,8 +52,8 @@ class TestPmiValues:
     def test_zero_cells_stay_zero(self):
         _, table, ac = worked_ac()
         pmi = apply_pmi(ac, table)
-        raw = ac.dense()
-        weighted = pmi.dense()
+        raw = dense(ac)
+        weighted = dense(pmi)
         assert np.all(weighted[raw == 0] == 0.0)
 
     def test_aa_cell_by_direct_formula(self):
@@ -75,8 +75,8 @@ class TestPmiValues:
             table = extract_occurrences(log, window, kind)
             for build in (build_aa, build_ac):
                 raw = build(table)
-                pmi = apply_pmi(raw, table).dense()
-                ppmi = apply_ppmi(raw, table).dense()
+                pmi = dense(apply_pmi(raw, table))
+                ppmi = dense(apply_ppmi(raw, table))
                 assert np.allclose(ppmi, np.maximum(pmi, 0.0), atol=0.0)
 
     def test_worked_ppmi_clamps_negative_cell(self):
@@ -167,8 +167,8 @@ class TestScaleInvariance:
         for build in (build_aa, build_ac):
             t1 = extract_occurrences(log1, 3, "mset")
             t2 = extract_occurrences(log2, 3, "mset")
-            m1 = apply_pmi(build(t1), t1).dense()
-            m2 = apply_pmi(build(t2), t2).dense()
+            m1 = dense(apply_pmi(build(t1), t1))
+            m2 = dense(apply_pmi(build(t2), t2))
             assert np.allclose(m1, m2, atol=1e-12)
 
 

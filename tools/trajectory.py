@@ -12,12 +12,14 @@ in each copy, in ``--pairs`` pairs that alternate which side runs first;
 both runs of pair i use seed 6001 + i. It reads each run's last
 standard-output line (the scaled metrics, ``correct`` and ``failed``) and
 the line before it (the unscaled metrics and the calibration median). It
-also times one W1 ``actsim intrinsic`` run per copy, serial and
-``--parallel``. The file records per workload and side the median and
-quartiles of every end-to-end metric that ``BENCHMARK.json`` lists, the
-head/parent ratio of the medians, the pairs the head won, and every run;
-and both commit hashes, the seeds, ``--seconds``, ``--pairs``, the CPU
-count and the Python, numpy and scipy versions. It is a record, not a gate:
+also times W1 ``actsim intrinsic`` runs, serial and ``--parallel``, in
+``--pairs`` pairs that alternate in the same way. The file records per
+workload and side the median and quartiles of every end-to-end metric that
+``BENCHMARK.json`` lists, the head/parent ratio of the medians, the pairs
+the head won, and every run; the same for W1's ``serial_s`` and
+``parallel_s``, with each side's medians also under ``w1[side]``; and both
+commit hashes, the seeds, ``--seconds``, ``--pairs``, the CPU count and the
+Python, numpy and scipy versions. It is a record, not a gate:
 it exits 0 whatever the figures are, 1 only when a run cannot be read, and
 2 on a usage error, such as a ``--parent`` that names no commit.
 """
@@ -42,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "head")
 FIRST_SEED = 6001
 W1_GRID = ["--method", "all", "--context", "all", "--weight", "all", "--window", "3,5"]
+W1_METRICS = [{"name": f"{mode}_s", "unit": "s", "better": "lower"} for mode in ("serial", "parallel")]
 
 
 def _commit(revision: str) -> str:
@@ -112,24 +115,30 @@ def _summary(runs: dict, metrics: list[dict]) -> dict:
     return out
 
 
-def _w1(trees: dict, work: Path) -> dict:
-    """Wall seconds of one W1 ``actsim intrinsic`` run per tree, serial and
-    ``--parallel``."""
+def _w1(trees: dict, work: Path, pairs: int) -> dict:
+    """Wall seconds of W1 ``actsim intrinsic`` runs, serial and
+    ``--parallel``, in ``pairs`` pairs that alternate which side runs
+    first: each side's medians, the summary of each mode, and every run."""
     log = work / "w1.csv"
     subprocess.run([sys.executable, "-c", (
         "import sys, actsim, workloads\n"
         "actsim.write_log_csv(workloads.structured_log(7, 2000, 20), sys.argv[1])"
     ), str(log)], check=True, env=_env(trees["head"], "benchmark"))
-    times: dict = {side: {} for side in trees}
-    for side, tree in trees.items():
-        for mode in ("serial", "parallel"):
-            command = [sys.executable, "-m", "actsim.cli", "intrinsic", "--input", str(log),
-                       "--out-dir", str(work / f"w1-{side}-{mode}"), *W1_GRID]
-            command += ["--parallel"] if mode == "parallel" else []
-            start = time.perf_counter()
-            subprocess.run(command, check=True, env=_env(tree), stdout=subprocess.DEVNULL)
-            times[side][f"{mode}_s"] = time.perf_counter() - start
-    return times
+    runs: dict = {side: [] for side in SIDES}
+    for i in range(pairs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            metrics = {}
+            for mode in ("serial", "parallel"):
+                command = [sys.executable, "-m", "actsim.cli", "intrinsic", "--input", str(log),
+                           "--out-dir", str(work / f"w1-{side}-{mode}"), *W1_GRID]
+                command += ["--parallel"] if mode == "parallel" else []
+                start = time.perf_counter()
+                subprocess.run(command, check=True, env=_env(trees[side]), stdout=subprocess.DEVNULL)
+                metrics[f"{mode}_s"] = {"value": time.perf_counter() - start}
+            runs[side].append({"metrics": metrics})
+    summary = _summary(runs, W1_METRICS)
+    medians = {side: {name: summary[name][side]["median"] for name in summary} for side in SIDES}
+    return {**medians, "metrics": summary, "runs": runs}
 
 
 def _env(tree: Path, *extra: str) -> dict:
@@ -178,7 +187,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 },
                 "runs": runs,
             }
-        w1 = _w1(trees, work)
+        w1 = _w1(trees, work, args.pairs)
 
     record = {
         "commits": commits,
