@@ -395,16 +395,17 @@ def _log(events: array, offsets: array, labels: Iterable[str]) -> EventLog:
 
 
 def log_from_label_traces(label_traces: Iterable[Sequence[str]]) -> EventLog:
-    """Build a log from label sequences, interning labels by first appearance."""
-    codes = _Codes(reserved=(PAD_LABEL,))
+    """Build a log from label sequences, interning labels by first appearance.
+    The empty label and ``__PAD__`` are a :class:`FormatError`, as in the parsers."""
+    codes = _Codes(reserved=("", PAD_LABEL))
     ids = array("q")
     offsets = array("q", [0])
     try:
         for trace in label_traces:
             ids.extend(map(codes.__getitem__, trace))
             offsets.append(len(ids))
-    except _ReservedKey:
-        raise FormatError(f"activity label {PAD_LABEL!r} is reserved") from None
+    except _ReservedKey as exc:
+        raise FormatError(f"activity label {exc.args[0]!r} is reserved") from None
     return _log(ids, offsets, codes)
 
 
@@ -475,33 +476,27 @@ def write_json(payload: object, target: IO[str] | str | Path) -> None:
 
 
 def write_csv(target: IO[str] | str | Path, header: list, rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then ``rows`` as CSV with ``\\n`` line endings,
-    each row as it is read.
-
-    A field is quoted, each ``"`` in it doubled, when it holds a comma, a
-    ``"``, a ``\\r`` or a ``\\n``; so is a row of one empty field.
-    """
+    """Write the :func:`csv_line` of ``header`` and then of each of ``rows``,
+    each row as it is read."""
     with open_output(target) as handle:
-        # Before Python 3.13 the csv module quotes a field that holds a \r
-        # only if its line terminator holds one: it ends rows in \r\n, and
-        # each row is written with \n.
-        write = handle.write
-        lines = SimpleNamespace(write=lambda line: write(line[:-2] + "\n"))
-        writer = csv.writer(lines, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(csv_line(header))
+        handle.writelines(map(csv_line, rows))
 
 
-def csv_line(fields: list) -> str:
-    """The line, ``\\n`` included, that :func:`write_csv` writes for ``fields``."""
-    buffer = io.StringIO()
-    write_csv(buffer, fields, ())
-    return buffer.getvalue()
+def csv_line(fields: Iterable) -> str:
+    """The :func:`csv_field` of each of ``fields``, joined by commas, and a
+    ``\\n``: one CSV line. A row of one empty field is ``""``."""
+    texts = [*map(csv_field, fields)]
+    return (",".join(texts) if texts != [""] else '""') + "\n"
 
 
-def csv_field(text: str) -> str:
-    """``text`` as :func:`write_csv` writes it in a row of several fields."""
-    return csv_line([text, ""])[:-2]
+def csv_field(value: object) -> str:
+    """``str(value)`` as every CSV file of actsim writes it: quoted, each
+    ``"`` in it doubled, when it holds a comma, a ``"``, a ``\\r`` or a ``\\n``."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_json_array(entries: Iterable[object], target: IO[str] | str | Path) -> None:
@@ -678,7 +673,8 @@ def parse_xes(source: TextSource) -> EventLog:
     is the ``value`` of its first ``string`` child whose ``key`` is
     ``concept:name``. Trace and event order follow the document. Any other
     attribute is ignored. A trace without events, or an event without a
-    ``concept:name`` string, is a format error naming the trace index.
+    ``concept:name`` string or with an empty one, is a format error naming
+    the trace index.
     Each trace is checked when its end tag is parsed, so of a bad trace and
     malformed XML the one earlier in the document is reported. The text
     comes in the blocks of :func:`_blocks`, the one reader of both parsers.
@@ -693,7 +689,7 @@ def parse_xes(source: TextSource) -> EventLog:
     names: list = []
     add_name = names.append
     starts: list[int] = []
-    codes = _Codes(reserved=(None, PAD_LABEL))
+    codes = _Codes(reserved=(None, "", PAD_LABEL))
     events = array("q")
     offsets = array("q", [0])
 
@@ -732,6 +728,10 @@ def parse_xes(source: TextSource) -> EventLog:
                 if name is None:
                     raise FormatError(
                         f"trace {index}: event {position} lacks a concept:name string"
+                    ) from None
+                if name == "":
+                    raise FormatError(
+                        f"trace {index}: event {position} has an empty activity label"
                     ) from None
                 if name == PAD_LABEL:
                     raise FormatError(
@@ -779,8 +779,8 @@ def write_log_csv(log: EventLog, target: IO[str] | str | Path) -> None:
     """Serialize a log to canonical CSV (columns ``case,activity``).
 
     Case ids are 1-based trace positions; re-parsing the output yields an
-    identical log (same traces, same alphabet order). Each label is quoted
-    once, as :func:`write_csv` quotes a field, and a trace is one string.
+    identical log (same traces, same alphabet order). Each label is written
+    once, as its :func:`csv_field`, and a trace is one string.
     """
     names = log.alphabet.labels_of(np.arange(len(log.alphabet) + 1)).tolist()
     lines = np.array([csv_field(name) + "\n" for name in names], dtype=object)

@@ -3,6 +3,8 @@ each carrying the method config that made it."""
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain
@@ -137,28 +139,26 @@ def column_headers(matrix: EmbeddingMatrix, alphabet: Alphabet) -> list[str]:
     multiset and ``<x,y>`` for a sequence, with PAD shown as ``__PAD__``.
 
     A multiset lists its labels sorted as strings, so its slots are
-    ordered by the rank of their label, not by id.
+    ordered by the rank of their label, not by id. The AC labels are the
+    header fields of :func:`write_embedding_csv`, read back.
     """
     if matrix.config.method != "ac":
         return alphabet.labels_of(matrix.column_labels).tolist()
-    slots = chain.from_iterable(_context_slots(matrix, alphabet, quoted=False))
-    # One iterator zipped with itself: each tuple is one context's n-1 slots.
-    return list(map("".join, zip(*[slots] * matrix.column_labels.shape[1])))
+    fields = "".join(chain.from_iterable(_context_slots(matrix, alphabet)))
+    return next(csv.reader(io.StringIO(fields, newline="")), [""])[1:]
 
 
-def _context_slots(
-    matrix: EmbeddingMatrix, alphabet: Alphabet, quoted: bool
-) -> Iterator[list[str]]:
-    """The slots of an AC matrix's context labels, ``_BLOCK`` contexts at a
-    time: each context's n-1 strings in turn, which joined make its label.
+def _context_slots(matrix: EmbeddingMatrix, alphabet: Alphabet) -> Iterator[list[str]]:
+    """The slots of an AC matrix's header fields, ``_BLOCK`` contexts at a
+    time: each context's n-1 strings in turn, which joined make its label
+    as a CSV field after a comma.
 
     Each slot is one string of a table of the n-1 places times the |A|+1
     names, with its punctuation, so a block is one gather from the table.
-    ``quoted`` makes each label a CSV field after a comma, as
-    :func:`~actsim.log.write_csv` writes it: each name is quoted once. A
-    label of two or more slots holds a comma, so it is always quoted; a
-    one-slot label is quoted exactly when its name is. The ids are checked
-    against the alphabet before the first block.
+    A label of two or more slots holds a comma, so it is always quoted; a
+    one-slot label is quoted exactly when :func:`~actsim.log.csv_field`
+    quotes its name. A quoted label's ``"`` are doubled name by name. The
+    ids are checked against the alphabet before the first block.
     """
     ids = matrix.column_labels
     if ids.size:  # an id outside the alphabet fails here as well
@@ -173,15 +173,12 @@ def _context_slots(
         opening, closing = "{", "}"
     else:
         opening, closing = "<", ">"
-    lead, marks = "", [""] * len(names)
-    if quoted:
-        fields = [csv_field(name) for name in names]
-        lead = ","
-        marks = ['"' if width > 1 or field != name else "" for name, field in zip(names, fields)]
-        names = [field[1:-1] if field != name else name for name, field in zip(names, fields)]
+    marks = ['"' if width > 1 or csv_field(name) != name else "" for name in names]
     last = width - 1
     table = [
-        (lead + mark + opening if j == 0 else ",") + name + (closing + mark if j == last else "")
+        ("," + mark + opening if j == 0 else ",")
+        + (name.replace('"', '""') if mark else name)
+        + (closing + mark if j == last else "")
         for j in range(width)
         for name, mark in zip(names, marks)
     ]
@@ -199,7 +196,7 @@ def _write_matrix_csv(
     followed by its row of ``values``.
 
     Cells are formatted with 17 significant digits so floats round-trip.
-    Each label is quoted as :func:`~actsim.log.write_csv` quotes a field;
+    Each label is written as its :func:`~actsim.log.csv_field`;
     a cell is a number, which never needs quoting, so each row's cells are
     written as one joined string. A canonical CSR matrix, as every matrix
     actsim builds, is never densified: each run of zeros between its
@@ -258,7 +255,7 @@ def write_embedding_csv(
     string of the whole header is held.
     """
     if matrix.config.method == "ac":
-        blocks = map("".join, _context_slots(matrix, alphabet, quoted=True))
+        blocks = map("".join, _context_slots(matrix, alphabet))
         header = chain(["activity"], blocks, ["\n"])
     else:
         header = [csv_line(["activity"] + column_headers(matrix, alphabet))]
@@ -266,7 +263,3 @@ def write_embedding_csv(
         target, header, alphabet.labels_of(matrix.row_labels).tolist(), matrix.values
     )
 
-
-def dimension_bound(alphabet_size: int, window_size: int) -> int:
-    """Upper bound on the number of distinct contexts: (|A|+1)^(n-1)."""
-    return (alphabet_size + 1) ** (window_size - 1)

@@ -9,7 +9,8 @@ is shared with the package's optimized
 paths beyond the PAD id convention (0). The four intrinsic metrics take
 activity labels, the similarity matrix as nested lists of floats, and the
 clone classes, and loop over every candidate of every member. The matrix
-CSV writer formats every cell of a dense row, one at a time. The ground
+CSV writer formats every cell of a dense row, one at a time, and
+``csv_module_line`` writes a row with the csv module. The ground
 truth walks every event of every trace. The CSV and XES parsers collect
 label traces and intern them at the end; they build the package's
 ``EventLog`` and raise its errors, so their outcomes compare directly.
@@ -366,6 +367,15 @@ def naive_csv_line(fields):
     return ",".join(quoted) + "\n"
 
 
+def csv_module_line(fields):
+    """One CSV line as the csv module's writer makes it, ended in ``\\n``.
+    Before Python 3.13 that writer quotes a bare ``\\r`` only when its line
+    terminator holds one, so the row is ended in ``\\r\\n`` and re-ended."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(fields)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def naive_matrix_csv(header, row_labels, rows):
     """The CSV text of a matrix: the header, then each row label followed by
     its row's cells, each formatted with 17 significant digits."""
@@ -580,7 +590,8 @@ def naive_parse_xes(source: TextSource) -> EventLog:
     parsed and then cleared, so memory holds the labels, not the tree.
     Trace and event order follow the document. Any other attribute is
     ignored. A trace without events, or an event without a
-    ``concept:name`` string, is a format error naming the trace index.
+    ``concept:name`` string or with an empty one, is a format error naming
+    the trace index.
     """
     label_traces: list[list[str]] = []
     for _, element in _end_elements(source):
@@ -602,6 +613,10 @@ def naive_parse_xes(source: TextSource) -> EventLog:
             if name is None:
                 raise FormatError(
                     f"trace {trace_index}: event {len(labels)} lacks a concept:name string"
+                )
+            if name == "":
+                raise FormatError(
+                    f"trace {trace_index}: event {len(labels)} has an empty activity label"
                 )
             if name == PAD_LABEL:
                 raise FormatError(

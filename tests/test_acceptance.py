@@ -20,7 +20,6 @@ from actsim import (
     build_aa,
     build_ac,
     build_embedding,
-    dimension_bound,
     extract_occurrences,
     generate_ground_truth_log,
     log_from_label_traces,
@@ -191,7 +190,7 @@ def test_a7_scaling_run():
     pairwise_distance_matrix(aa)
     elapsed = time.perf_counter() - start
     dimension = len(table.contexts)
-    bound = dimension_bound(len(log.alphabet), 3)
+    bound = (len(log.alphabet) + 1) ** (3 - 1)  # (|A|+1)^(n-1) contexts at most
     ok = elapsed < 30.0 and dimension <= bound
     report("A7", ok, f"embed+distances {elapsed:.2f}s, dimension {dimension} <= {bound}")
 

@@ -20,7 +20,6 @@ from actsim import (
     ParameterError,
     aggregate_scores,
     build_embedding,
-    dimension_bound,
     expand_grid,
     export_report,
     extract_occurrences,
@@ -121,7 +120,7 @@ class TestRuntimeBench:
                 config = make_config("ac", kind, "none", window)
                 report = run_runtime_bench(log, [config], repetitions=1)
                 dim = report.records[0].embedding_dimension
-                assert 0 < dim <= dimension_bound(len(log.alphabet), window)
+                assert 0 < dim <= (len(log.alphabet) + 1) ** (window - 1)  # (|A|+1)^(n-1)
 
     def test_memory_estimate_arithmetic(self):
         log = worked_log()

@@ -414,6 +414,8 @@ class TestUsage:
             ("long.csv", "case,activity\n1,a\n1," + "x" * 200_000 + "\n",
              "error: row 3: field larger than field limit"),
             ("cut.xes", XES_DOC[:200], "error: malformed XES/XML: unclosed token"),
+            ("empty.xes", XES_DOC.replace('value="a"', 'value=""'),
+             "error: trace 0: event 0 has an empty activity label\n"),
             ("header.csv", "case,activity," + "x" * 200_000 + "\n1,a\n",
              "error: row 1: field larger than field limit (131072)"),
         ],

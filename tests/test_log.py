@@ -26,8 +26,8 @@ from actsim import (
     write_log_csv,
     write_stats_csv,
 )
-from actsim.log import _direct, _intern, _sorted_order
-from reference import naive_parse_csv, naive_parse_xes
+from actsim.log import _direct, _intern, _sorted_order, csv_field, csv_line
+from reference import csv_module_line, naive_csv_line, naive_parse_csv, naive_parse_xes
 from synthetic_logs import big_uniform_log, worked_log
 
 
@@ -309,6 +309,12 @@ class TestEventLog:
         with pytest.raises(FormatError, match="^activity label '__PAD__' is reserved$"):
             log_from_label_traces([["a"], ["b", "__PAD__"]])
 
+    def test_label_traces_reject_the_empty_label(self):
+        # parse_csv refuses an empty label, so a log holding one could not
+        # be read back from its own CSV.
+        with pytest.raises(FormatError, match="^activity label '' is reserved$"):
+            log_from_label_traces([["", "b"]])
+
     def test_arrays_are_read_only(self):
         for log in (worked_log(), EventLog(((1, 2),), Alphabet(["a", "b"]))):
             for array in (log.events, log.offsets, *log.variants):
@@ -465,6 +471,17 @@ class TestParseXes:
     def test_event_without_name(self):
         bad = "<log><trace><event><string key='other' value='x'/></event></trace></log>"
         with pytest.raises(FormatError, match="trace 0"):
+            parse_xes(bad)
+
+    def test_empty_label(self):
+        # An empty label would be written as an empty CSV field, which
+        # parse_csv refuses.
+        bad = (
+            "<log><trace><event><string key='concept:name' value='a'/></event></trace>"
+            "<trace><event><string key='concept:name' value='b'/></event>"
+            "<event><string key='concept:name' value=''/></event></trace></log>"
+        )
+        with pytest.raises(FormatError, match="^trace 1: event 1 has an empty activity label$"):
             parse_xes(bad)
 
     def test_trace_without_events(self):
@@ -890,6 +907,20 @@ class TestRoundTrip:
                 again = parse_csv(source)
                 assert again.traces == log.traces
                 assert again.alphabet == log.alphabet
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text(st.sampled_from(',"\r\n \t\x0b\x0c\x1c\x85\u2028é'), max_size=5), st.integers()
+    ), max_size=4))
+    def test_csv_line_is_the_stated_rule(self, fields):
+        # No NUL: the csv module of Python 3.10 refuses to read one.
+        texts = [str(field) for field in fields]
+        line = csv_line(fields)
+        assert line == csv_module_line(fields) == naive_csv_line(texts)
+        assert next(csv.reader(io.StringIO(line, newline=""))) == texts
+        for field, text in zip(fields, texts):
+            assert csv_field(field) == csv_module_line([field, ""])[:-2]
+            assert csv_field(field) == naive_csv_line([text, ""])[:-2]
 
     def test_stats_quote_a_carriage_return(self, tmp_path):
         log = log_from_label_traces([["a\rb", "c\nd", "a\rb"]])

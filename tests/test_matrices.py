@@ -23,7 +23,6 @@ from actsim import (
     build_aa,
     build_ac,
     build_embedding,
-    dimension_bound,
     extract_occurrences,
     log_from_label_traces,
     substitution_scores,
@@ -99,7 +98,7 @@ class TestAc:
             kind = rng.choice(["mset", "seq"])
             table = extract_occurrences(log, window, kind)
             ac = build_ac(table)
-            assert ac.shape[1] <= dimension_bound(len(log.alphabet), window)
+            assert ac.shape[1] <= (len(log.alphabet) + 1) ** (window - 1)  # (|A|+1)^(n-1)
             assert ac.shape[1] <= log.n_events
 
     def test_provenance(self):

@@ -121,8 +121,9 @@ def make_inputs(work: Path) -> None:
     rng = random.Random(5)
     traces = [[f"a{rng.randrange(300)}" for _ in range(rng.randint(5, 15))] for _ in range(6000)]
     write_log_csv(log_from_label_traces(traces), work / "alphabet.csv")
-    # Labels that csv must quote, and whose string order is not their id order.
-    labels = ["B", "a", "10", "9", "x,y", 'say "hi"', " lead", "é"]
+    # Labels that csv must quote, line breaks too, and whose string order is
+    # not their id order.
+    labels = ["B", "a", "10", "9", "x,y", 'say "hi"', " lead", "é", "a\rb", "c\nd", "e\r\nf"]
     rng = random.Random(3)
     rows = [[case, rng.choice(labels)] for case in range(40) for _ in range(rng.randint(2, 8))]
     with open(work / "quoted.csv", "w", encoding="utf-8", newline="") as handle:
