@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy import sparse
@@ -24,13 +24,14 @@ from .similarity import pairwise_distance_matrix
 class TimingRecord(ConfigEcho):
     """Measurements for one config; ``error`` is set when the config failed.
 
+    Both times are medians over fresh passes, each on its own new table.
     ``embed_seconds`` covers extraction, matrix build and weighting;
     ``distance_seconds`` covers the full pairwise matrix, including the
     table's pair plan, and is 0 for substitution configs, whose cells
-    already are the scores. Memory is
-    estimated analytically: dense as rows x dimension x 8 bytes, sparse
-    as stored nonzeros x 16 (8-byte value plus 8 bytes of indices). A
-    failed config keeps every measurement at 0.
+    already are the scores. Memory is estimated analytically: dense as
+    rows x dimension x 8 bytes, sparse as stored nonzeros x 16 (8-byte
+    value plus 8 bytes of indices). A failed config keeps every
+    measurement at 0.
     """
 
     embed_seconds: float = 0.0
@@ -51,10 +52,7 @@ class TimingReport:
 def _values_stats(values: "np.ndarray | sparse.csr_matrix") -> dict:
     """The size fields of a :class:`TimingRecord` for one built matrix."""
     rows, dimension = values.shape
-    if sparse.issparse(values):
-        nonzero = int(np.count_nonzero(values.data))
-    else:
-        nonzero = int(np.count_nonzero(values))
+    nonzero = int(np.count_nonzero(values.data if sparse.issparse(values) else values))
     return {
         "embedding_dimension": dimension,
         "nonzero_ratio": nonzero / (rows * dimension) if rows * dimension else 0.0,
@@ -63,26 +61,18 @@ def _values_stats(values: "np.ndarray | sparse.csr_matrix") -> dict:
     }
 
 
-def _median_of(fn, inputs: Iterable) -> tuple[float, object]:
-    """The median wall time of ``fn`` over ``inputs``, each made before its
-    clock starts, and the last result."""
-    times = []
-    result = None
-    for item in inputs:
-        start = time.perf_counter()
-        result = fn(item)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
-
-
 def run_runtime_bench(
     log: EventLog, configs: Sequence[MethodConfig], repetitions: int = 10
 ) -> TimingReport:
     """Time every config on an already parsed log.
 
-    Each stage is run ``repetitions`` times and the median wall time kept.
-    A config that raises, invalid (for example substitution over multiset
-    contexts) or failing, produces an error record and the sweep continues.
+    Each of the ``repetitions`` runs of a config is one fresh pass, the
+    path an intrinsic job takes: extract a new table and build the
+    embedding, then compare its rows. A new table starts with empty
+    caches, so every run pays for its own pair plan and weightings. The
+    median wall time of each stage is kept. A config that raises, invalid
+    (for example substitution over multiset contexts) or failing,
+    produces an error record and the sweep continues.
     """
     if log.is_empty:
         raise EmptyLogError("empty log: nothing to benchmark")
@@ -91,31 +81,28 @@ def run_runtime_bench(
     records: list[TimingRecord] = []
     for config in configs:
         labels = config.echo()
+        embed_times, distance_times = [], []
         try:
             config.validate()
-
-            def embed_stage(_):
+            for _ in range(repetitions):
+                start = time.perf_counter()
                 table = extract_occurrences(log, config.window, config.kind)
-                return build_embedding(table, config)
-
-            embed_seconds, built = _median_of(embed_stage, range(repetitions))
-            distance_seconds = 0.0
-            if isinstance(built, EmbeddingMatrix):
-                # Each repetition compares a matrix built, before its clock
-                # starts, on a copy of the table with an empty cache: each
-                # one pays for the pair plan and takes the Gram path an
-                # intrinsic job takes.
-                copies = (
-                    build_embedding(replace(built.table), config) for _ in range(repetitions)
-                )
-                distance_seconds, _ = _median_of(pairwise_distance_matrix, copies)
+                built = build_embedding(table, config)
+                built_at = time.perf_counter()
+                embed_times.append(built_at - start)
+                if isinstance(built, EmbeddingMatrix):
+                    pairwise_distance_matrix(built)
+                    distance_times.append(time.perf_counter() - built_at)
             stats = _values_stats(built.values)
         except Exception as exc:
             records.append(TimingRecord(**labels, error=_error_text(exc)))
             continue
         records.append(
             TimingRecord(
-                **labels, embed_seconds=embed_seconds, distance_seconds=distance_seconds, **stats
+                **labels,
+                embed_seconds=statistics.median(embed_times),
+                distance_seconds=statistics.median(distance_times or [0.0]),
+                **stats,
             )
         )
     return TimingReport(records=tuple(records), repetitions=repetitions)

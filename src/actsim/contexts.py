@@ -86,8 +86,10 @@ class OccurrenceTable:
         AA build over this table shares the one array. Cell (i, j) sums
         M[i, k] + M[j, k] over the pairs of :attr:`pair_plan`, and the
         diagonal is twice ``row_totals``; a table without a plan takes the
-        sparse product. Either way the counts are exact int64.
+        sparse product. Either way the counts are exact int64. More rows
+        than ``_DENSE_BYTES_CAP`` allows are a :class:`ParameterError`.
         """
+        _check_dense(self.counts.shape[0])
         plan = self.pair_plan
         if plan is None:
             indicator = self.counts.copy()
@@ -206,6 +208,21 @@ def _shifts(n: int) -> list[int]:
 # mid-scan for lack of memory or fill the machine. The benchmark's largest
 # slot array is 19 MB (window 5 over 590k events).
 _SLOT_BYTES_CAP = 1 << 31
+
+# The most bytes one dense n x n float64 or int64 matrix over the
+# activities may take (AA counts, a Gram, a similarity): n up to 16384.
+# A wider alphabet is refused before anything is allocated; AC embeddings,
+# which hold no such matrix, are not bounded by it.
+_DENSE_BYTES_CAP = 1 << 31
+
+
+def _check_dense(n: int) -> None:
+    """Refuse an n x n matrix of more than ``_DENSE_BYTES_CAP`` bytes."""
+    if n * n * 8 > _DENSE_BYTES_CAP:
+        raise ParameterError(
+            f"{n} activities need a {n * n * 8}-byte n x n matrix, "
+            f"more than the {_DENSE_BYTES_CAP} bytes allowed"
+        )
 
 
 def _context_columns(centers: np.ndarray, lengths: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .contexts import ContextKind, OccurrenceTable
+from .contexts import ContextKind, OccurrenceTable, _check_dense
 from .errors import ParameterError
 from .log import Alphabet, csv_line, write_json
 from .matrices import EmbeddingMatrix, MethodConfig, _write_matrix_csv, build_aa
@@ -78,10 +78,12 @@ def _similarities(built: Sequence["EmbeddingMatrix | PairwiseSimilarity"]) -> np
     first embedding to the last are normalized in place; a score slot among
     them stays zero until the scores are copied in after. Every step after
     the Grams is elementwise, so a matrix gets the same bits in a stack of
-    any size.
+    any size. More rows than ``_DENSE_BYTES_CAP`` allows are a
+    :class:`ParameterError`, raised before the stack is allocated.
     """
     cosine = [slot for slot, item in enumerate(built) if isinstance(item, EmbeddingMatrix)]
     n = built[0].values.shape[0]
+    _check_dense(n)
     stack = np.zeros((len(built), n, n))
     for slot in cosine:
         stack[slot] = _gram(built[slot])

@@ -66,13 +66,10 @@ def _check_pair(matrix: EmbeddingMatrix, table: OccurrenceTable) -> None:
         raise ParameterError("matrix rows do not match the table's activities")
 
 
-def apply_pmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
-    """PMI-weight a raw count matrix; ``table`` must be the one it was built from."""
-    return apply_weighting(matrix, table, "pmi")
-
-
 def apply_ppmi(matrix: EmbeddingMatrix, table: OccurrenceTable) -> EmbeddingMatrix:
-    """PMI with negatives clamped to zero; ``table`` as for :func:`apply_pmi`."""
+    """PMI-weight a raw count matrix with negatives clamped to zero: the
+    same as ``apply_weighting(matrix, table, "ppmi")``. ``table`` must be
+    the one the matrix was built from."""
     return apply_weighting(matrix, table, "ppmi")
 
 

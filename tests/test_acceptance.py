@@ -15,8 +15,8 @@ from actsim import (
     MethodConfig,
     ContextKind,
     aggregate_scores,
-    apply_pmi,
     apply_ppmi,
+    apply_weighting,
     build_aa,
     build_ac,
     build_embedding,
@@ -67,7 +67,7 @@ def test_a2_pmi_golden_cell():
     log = worked_log()
     table = extract_occurrences(log, 3, "mset")
     ac = build_ac(table)
-    pmi_value = cell(apply_pmi(ac, table), log, "d", ("b", "d"))
+    pmi_value = cell(apply_weighting(ac, table, "pmi"), log, "d", ("b", "d"))
     ppmi_value = cell(apply_ppmi(ac, table), log, "d", ("b", "d"))
     ok = abs(pmi_value - (-0.3365)) <= 5e-3 and ppmi_value == 0.0
     report("A2", ok, f"pmi={pmi_value:.6f} (target -0.3365 +/- 5e-3), ppmi={ppmi_value}")

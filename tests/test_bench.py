@@ -103,6 +103,29 @@ class TestRuntimeBench:
         for record in records:
             assert record.error is None and record.distance_seconds > 0.0
 
+    def test_every_repetition_is_one_fresh_pass(self, monkeypatch):
+        # Each repetition extracts its own table; a substitution config,
+        # whose cells are the scores, still records no distance time.
+        tables = []
+
+        def counting(*args):
+            tables.append(extract(*args))
+            return tables[-1]
+
+        extract = bench.extract_occurrences
+        monkeypatch.setattr(bench, "extract_occurrences", counting)
+        configs = [
+            make_config("ac", "seq", "ppmi", 3),
+            make_config("aa", "mset", "pmi", 3),
+            make_config("substitution", "seq", "none", 3),
+            MethodConfig("substitution", ContextKind.MULTISET, "none", 3),
+        ]
+        records = run_runtime_bench(worked_log(), configs, repetitions=3).records
+        assert len(tables) == 3 * 3
+        assert [record.error is None for record in records] == [True, True, True, False]
+        assert records[0].distance_seconds > 0.0 and records[1].distance_seconds > 0.0
+        assert records[2].distance_seconds == 0.0 and records[2].embed_seconds > 0.0
+
     def test_error_record_keeps_sweep_going(self):
         bad = MethodConfig("substitution", ContextKind.MULTISET, "none", 3)
         good = make_config("aa", "mset", "none", 3)

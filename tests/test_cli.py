@@ -19,7 +19,7 @@ from actsim import (
     run_runtime_bench,
     similarity_for_config,
 )
-from actsim import cli
+from actsim import cli, contexts
 from actsim.cli import main
 from actsim.matrices import ConfigEcho
 from actsim.pipeline import shared_tables
@@ -106,6 +106,27 @@ class TestEmbed:
         err = capsys.readouterr().err
         assert err.startswith("error: window size 1099511627776 needs a ")
         assert err.count("\n") == 1
+
+    def test_an_alphabet_too_wide_for_a_dense_matrix_exits_2(self, worked_csv, tmp_path, capsys,
+                                                            monkeypatch):
+        # worked_log's 5 activities need 200-byte n x n matrices; AC embed
+        # holds none, so only AA and the distances are refused.
+        monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 199)
+        for command, method in (("embed", "aa"), ("distances", "aa"), ("distances", "ac")):
+            code = run([
+                command, "--input", worked_csv, "--out-dir", tmp_path / command / method,
+                "--method", method, "--window", "3",
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == (
+                "error: 5 activities need a 200-byte n x n matrix, "
+                "more than the 199 bytes allowed\n"
+            )
+        assert run([
+            "embed", "--input", worked_csv, "--out-dir", tmp_path / "ac",
+            "--method", "ac", "--window", "3",
+        ]) == 0
 
     def test_substitution_defaults_to_sequences(self, worked_csv, tmp_path):
         out = tmp_path / "out"

@@ -346,6 +346,27 @@ def test_a_window_too_wide_for_memory_is_refused_before_the_scan(kind, monkeypat
         extract_occurrences(log, 4, kind)
 
 
+def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
+    # Three activities need a 3 x 3 int64 AA matrix: 72 bytes. The check
+    # comes before the pair plan, so nothing n x n is made; AC holds no
+    # such matrix and is not bounded.
+    log = EventLog(((1, 2), (3, 1)), Alphabet(list("abc")))
+    table = extract_occurrences(log, 3, "seq")
+
+    def refused(_):
+        raise AssertionError("the pair plan")
+
+    pair_plan = contexts._pair_plan
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 71)
+    monkeypatch.setattr(contexts, "_pair_plan", refused)
+    with pytest.raises(ParameterError, match="^3 activities need a 72-byte n x n matrix"):
+        build_aa(table)
+    assert build_ac(table).values.shape[0] == 3
+    monkeypatch.setattr(contexts, "_pair_plan", pair_plan)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 72)
+    assert build_aa(table).values.shape == (3, 3)
+
+
 def _assert_shared(tables, log, configs):
     """``tables`` holds a table for each (kind, window) pair of ``configs``
     below 2**40, in config order, equal to the direct scan; a pair at 2**40

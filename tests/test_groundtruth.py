@@ -15,11 +15,9 @@ from actsim import (
     enumerate_benchmark_plan,
     generate_ground_truth_log,
     log_from_label_traces,
-    mix_seed,
-    splitmix64,
 )
 from actsim import groundtruth
-from actsim.groundtruth import _draws_below
+from actsim.groundtruth import _draws_below, mix_seed, splitmix64
 from reference import naive_ground_truth, restored_traces
 from synthetic_logs import random_small_log
 

@@ -39,7 +39,7 @@ from actsim import (
     score_all,
     write_log_csv,
 )
-from actsim import intrinsic, similarity
+from actsim import contexts, intrinsic, similarity
 from actsim.cli import main
 from reference import (
     naive_aa,
@@ -979,3 +979,15 @@ def _run_job_or_die(log, job, configs, log_id, index=-1, after=0.5):
 
 def _first_job_dies(log, job, configs, log_id):
     return _run_job_or_die(log, job, configs, log_id, index=0, after=1.0)
+
+
+def test_an_alphabet_too_wide_for_a_dense_matrix_fails_every_config(monkeypatch):
+    # With the bound below one 2 x 2 matrix, every config of every job is
+    # refused on its own and recorded as a failure; the run goes on.
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 8 * 2 * 2 - 1)
+    log = structured_log(7, 300, 12)
+    configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3,))
+    scores, failures = run_intrinsic_benchmark(log, configs, samples=1, master_seed=42)
+    jobs = enumerate_benchmark_plan(log, 1, 42).jobs
+    assert not scores and len(failures) == len(jobs) * len(configs)
+    assert all(" activities need a " in failure.error for failure in failures)

@@ -18,8 +18,8 @@ from actsim import (
     MethodConfig,
     PairwiseSimilarity,
     ParameterError,
-    apply_pmi,
     apply_ppmi,
+    apply_weighting,
     build_aa,
     build_ac,
     build_embedding,
@@ -366,7 +366,7 @@ def test_every_matrix_actsim_builds_is_written_without_densifying(kind, monkeypa
     header = ["activity"]
     header += [naive_context_label([names[s] for s in ctx], kind) for ctx in table.contexts]
     row_names = [names[aid] for aid in table.row_labels]
-    matrices = [raw, apply_pmi(raw, table), apply_ppmi(raw, table)]
+    matrices = [raw, apply_weighting(raw, table, "pmi"), apply_ppmi(raw, table)]
     expected = [naive_matrix_csv(header, row_names, m.values.toarray().tolist()) for m in matrices]
 
     def refuse(self, *args, **kwargs):

@@ -12,7 +12,6 @@ from actsim import (
     EmbeddingMatrix,
     MethodConfig,
     ParameterError,
-    apply_pmi,
     apply_ppmi,
     apply_weighting,
     build_ac,
@@ -23,7 +22,7 @@ from actsim import (
     substitution_scores,
     write_distance_csv,
 )
-from actsim import contexts
+from actsim import contexts, similarity
 from actsim.contexts import ContextKind, OccurrenceTable
 from actsim.similarity import _gram, _similarities
 from reference import dense, naive_cosine_distance, naive_similarity_matrix, sim_cell, two_copy_cosine
@@ -105,7 +104,7 @@ class TestPairwise:
         for _ in range(10):
             log = random_small_log(rng)
             table = extract_occurrences(log, 3, "mset")
-            weighted = apply_pmi(build_ac(table), table)
+            weighted = apply_weighting(build_ac(table), table, "pmi")
             sim = pairwise_distance_matrix(weighted)
             expected = np.array(naive_similarity_matrix(dense(weighted).tolist()))
             assert np.allclose(sim.values, expected, atol=1e-12)
@@ -157,7 +156,8 @@ class TestPairwise:
         table = extract_occurrences(structured_log(7, 2000, 20), window, kind)
         assert table.pair_plan is not None
         ac = build_ac(table)
-        for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table), build_aa(table)):
+        pmi = apply_weighting(ac, table, "pmi")
+        for matrix in (ac, pmi, apply_ppmi(ac, table), build_aa(table)):
             sims = pairwise_distance_matrix(matrix).values
             assert sims.tobytes() == two_copy_cosine(matrix.values).tobytes()
             if sparse.issparse(matrix.values):
@@ -211,7 +211,7 @@ def test_pair_plan_keeps_the_bits(cells):
     table = count_table(cells)
     assert table.pair_plan is not None
     ac = build_ac(table)
-    matrices = (ac, apply_pmi(ac, table), apply_ppmi(ac, table))
+    matrices = (ac, apply_weighting(ac, table, "pmi"), apply_ppmi(ac, table))
     # A copy of the values is not known to lie on the pattern: scipy's product.
     copies = tuple(replace(matrix, values=matrix.values.copy()) for matrix in matrices)
     for matrix in matrices + copies:
@@ -245,7 +245,8 @@ def test_stacked_cosines_equal_one_at_a_time(cells):
     hand = EmbeddingMatrix(row_labels=ac.row_labels, column_labels=(1, 2, 3), values=rows,
                            config=ac.config)
     scores = substitution_scores(table)
-    built = [ac, apply_pmi(ac, table), scores, apply_ppmi(ac, table), build_aa(table), hand]
+    pmi = apply_weighting(ac, table, "pmi")
+    built = [ac, pmi, scores, apply_ppmi(ac, table), build_aa(table), hand]
     stacked = _similarities(built)
     assert stacked.shape == (len(built), n, n)
     assert stacked[2].tobytes() == scores.values.tobytes()
@@ -281,7 +282,7 @@ def test_wide_pair_plan_keeps_the_bits():
     assert table.counts.nnz == 79_778 and plan is not None
     assert plan.left.dtype == plan.right.dtype == plan.cells.dtype == np.int32
     ac = build_ac(table)
-    for matrix in (ac, apply_pmi(ac, table), apply_ppmi(ac, table)):
+    for matrix in (ac, apply_weighting(ac, table, "pmi"), apply_ppmi(ac, table)):
         assert _gram(matrix).tobytes() == scipy_gram(matrix.values).tobytes()
     half = (table.counts @ (table.counts > 0).T.astype(np.int64)).toarray()
     assert np.array_equal(table.aa_counts, half + half.T)
@@ -298,7 +299,7 @@ def test_ppmi_stores_the_clamped_pmi(cells):
     # pattern, index dtypes and canonical flag, as scipy's maximum(0) gives.
     table = count_table(cells)
     ac = build_ac(table)
-    pmi = apply_pmi(ac, table).values
+    pmi = apply_weighting(ac, table, "pmi").values
     clamped = pmi.copy()
     np.maximum(clamped.data, 0.0, out=clamped.data)
     clamped.eliminate_zeros()
@@ -377,7 +378,7 @@ class TestPairPlan:
             fresh = replace(table)  # no cached plan or counts
             assert (fresh.pair_plan is not None) is planned
             ac = build_ac(fresh)
-            matrices = (ac, apply_pmi(ac, fresh), apply_ppmi(ac, fresh))
+            matrices = (ac, apply_weighting(ac, fresh, "pmi"), apply_ppmi(ac, fresh))
             results.append(
                 [fresh.aa_counts.tobytes()]
                 + [pairwise_distance_matrix(matrix).values.tobytes() for matrix in matrices]
@@ -386,7 +387,7 @@ class TestPairPlan:
 
     def test_hand_built_matrix_without_a_table(self):
         table = extract_occurrences(worked_log(), 3, "seq")
-        weighted = apply_pmi(build_ac(table), table)
+        weighted = apply_weighting(build_ac(table), table, "pmi")
         hand_built = EmbeddingMatrix(
             weighted.row_labels, weighted.column_labels, weighted.values, weighted.config
         )
@@ -470,3 +471,26 @@ class TestExport:
         assert d_row[0] == "d"
         assert float(d_row[4]) == pytest.approx(math.log(60 / 7), abs=1e-12)
         assert '"cells": "score"' in (tmp_path / "scores.meta.json").read_text()
+
+
+def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
+    # worked_log's 5 activities need 200-byte n x n matrices. Cosine is
+    # refused before its stack or any Gram, substitution before its counts.
+    table = extract_occurrences(worked_log(), 3, "seq")
+    ac = build_ac(table)
+    expected = pairwise_distance_matrix(ac).values.tobytes()
+
+    def refused(_):
+        raise AssertionError("a Gram")
+
+    gram = similarity._gram
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 199)
+    monkeypatch.setattr(similarity, "_gram", refused)
+    fresh = extract_occurrences(worked_log(), 3, "seq")
+    for compare in (lambda: pairwise_distance_matrix(ac), lambda: substitution_scores(fresh)):
+        with pytest.raises(ParameterError, match="^5 activities need a 200-byte"):
+            compare()
+    monkeypatch.setattr(similarity, "_gram", gram)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 200)
+    assert pairwise_distance_matrix(ac).values.tobytes() == expected
+    assert substitution_scores(fresh).values.tobytes() == substitution_scores(table).values.tobytes()

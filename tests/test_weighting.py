@@ -8,7 +8,6 @@ from scipy import sparse
 
 from actsim import (
     ParameterError,
-    apply_pmi,
     apply_ppmi,
     apply_weighting,
     build_aa,
@@ -38,20 +37,20 @@ def cell(matrix, log, label, context_labels):
 class TestPmiValues:
     def test_worked_negative_cell(self):
         log, table, ac = worked_ac()
-        pmi = apply_pmi(ac, table)
+        pmi = apply_weighting(ac, table, "pmi")
         # #(d,{b,d})=1, #(d)=7, #({b,d})=6, N=30 -> ln((1/30)/((7/30)(6/30))) = ln(5/7)
         assert cell(pmi, log, "d", ("b", "d")) == pytest.approx(math.log(5 / 7), abs=1e-12)
         assert cell(pmi, log, "d", ("b", "d")) == pytest.approx(-0.3365, abs=5e-4)
 
     def test_worked_positive_cell(self):
         log, table, ac = worked_ac()
-        pmi = apply_pmi(ac, table)
+        pmi = apply_weighting(ac, table, "pmi")
         # #(c,{b,d})=5 with #(c)=5 and #({b,d})=6 -> ln 5.
         assert cell(pmi, log, "c", ("b", "d")) == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_zero_cells_stay_zero(self):
         _, table, ac = worked_ac()
-        pmi = apply_pmi(ac, table)
+        pmi = apply_weighting(ac, table, "pmi")
         raw = dense(ac)
         weighted = dense(pmi)
         assert np.all(weighted[raw == 0] == 0.0)
@@ -60,7 +59,7 @@ class TestPmiValues:
         log = worked_log()
         table = extract_occurrences(log, 3, "mset")
         aa = build_aa(table)
-        pmi = apply_pmi(aa, table)
+        pmi = apply_weighting(aa, table, "pmi")
         c, d = log.alphabet.id_of("c"), log.alphabet.id_of("d")
         i, j = row_index(pmi)[c], row_index(pmi)[d]
         # AA(c,d)=6, #(c)=5, #(d)=7, N=30.
@@ -75,7 +74,7 @@ class TestPmiValues:
             table = extract_occurrences(log, window, kind)
             for build in (build_aa, build_ac):
                 raw = build(table)
-                pmi = dense(apply_pmi(raw, table))
+                pmi = dense(apply_weighting(raw, table, "pmi"))
                 ppmi = dense(apply_ppmi(raw, table))
                 assert np.allclose(ppmi, np.maximum(pmi, 0.0), atol=0.0)
 
@@ -110,7 +109,7 @@ class TestOwnPattern:
         for log in sweep_logs:
             table = extract_occurrences(log, window, kind)
             expected = coo_pmi(table)
-            pmi = apply_pmi(build_ac(table), table).values
+            pmi = apply_weighting(build_ac(table), table, "pmi").values
             assert np.array_equal(pmi.indptr, expected.indptr)
             assert np.array_equal(pmi.indices, expected.indices)
             assert np.array_equal(pmi.data.view(np.uint64), expected.data.view(np.uint64))
@@ -127,7 +126,7 @@ class TestOwnPattern:
     def test_ppmi_keeps_the_clamped_storage(self, sweep_logs, kind, window):
         for log in sweep_logs:
             table = extract_occurrences(log, window, kind)
-            clamped = apply_pmi(build_ac(table), table).values.copy()
+            clamped = apply_weighting(build_ac(table), table, "pmi").values.copy()
             np.maximum(clamped.data, 0.0, out=clamped.data)
             clamped.eliminate_zeros()
             ppmi = apply_ppmi(build_ac(table), table).values
@@ -154,7 +153,7 @@ class TestOwnPattern:
         # One event: j N = r c, so the only cell's PMI is ln 1 = 0 and is dropped.
         log = log_from_label_traces([["a"]])
         table = extract_occurrences(log, 3, "mset")
-        pmi = apply_pmi(build_ac(table), table).values
+        pmi = apply_weighting(build_ac(table), table, "pmi").values
         assert pmi.nnz == 0 and pmi.indptr.tolist() == [0, 0]
         assert table.counts.indptr.tolist() == [0, 1]
         assert table.counts.indices.tolist() == [0] and table.counts.data.tolist() == [1]
@@ -167,27 +166,27 @@ class TestScaleInvariance:
         for build in (build_aa, build_ac):
             t1 = extract_occurrences(log1, 3, "mset")
             t2 = extract_occurrences(log2, 3, "mset")
-            m1 = dense(apply_pmi(build(t1), t1))
-            m2 = dense(apply_pmi(build(t2), t2))
+            m1 = dense(apply_weighting(build(t1), t1, "pmi"))
+            m2 = dense(apply_weighting(build(t2), t2, "pmi"))
             assert np.allclose(m1, m2, atol=1e-12)
 
 
 class TestContracts:
     def test_double_weighting_rejected(self):
         _, table, ac = worked_ac()
-        pmi = apply_pmi(ac, table)
+        pmi = apply_weighting(ac, table, "pmi")
         with pytest.raises(ParameterError):
-            apply_pmi(pmi, table)
+            apply_weighting(pmi, table, "pmi")
 
     def test_mismatched_table_rejected(self):
         log = worked_log()
         t3 = extract_occurrences(log, 3, "mset")
         t5 = extract_occurrences(log, 5, "mset")
         with pytest.raises(ParameterError):
-            apply_pmi(build_ac(t3), t5)
+            apply_weighting(build_ac(t3), t5, "pmi")
         t_seq = extract_occurrences(log, 3, "seq")
         with pytest.raises(ParameterError):
-            apply_pmi(build_ac(t3), t_seq)
+            apply_weighting(build_ac(t3), t_seq, "pmi")
 
     @pytest.mark.parametrize("change, message", [
         (lambda ac: replace(ac, config=replace(ac.config, method="substitution")),
@@ -211,10 +210,10 @@ class TestContracts:
 
     def test_sparse_stays_sparse(self):
         _, table, ac = worked_ac()
-        assert sparse.issparse(apply_pmi(ac, table).values)
+        assert sparse.issparse(apply_weighting(ac, table, "pmi").values)
         assert sparse.issparse(apply_ppmi(ac, table).values)
 
     def test_provenance_updated(self):
         _, table, ac = worked_ac()
-        assert apply_pmi(ac, table).config.weighting == "pmi"
+        assert apply_weighting(ac, table, "pmi").config.weighting == "pmi"
         assert apply_ppmi(ac, table).config.weighting == "ppmi"
