@@ -1,5 +1,7 @@
 """Count-based activity embeddings and similarity benchmarks for event logs."""
 
+from types import ModuleType as _ModuleType
+
 from .bench import TimingRecord, TimingReport, export_report, run_runtime_bench
 from .contexts import ContextKind, OccurrenceTable, extract_occurrences
 from .errors import (
@@ -66,60 +68,9 @@ from .weighting import apply_ppmi, apply_weighting
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActsimError",
-    "AggregateReport",
-    "AggregateRow",
-    "Alphabet",
-    "BenchmarkPlan",
-    "ClassAssignment",
-    "ContextKind",
-    "DataError",
-    "EmbeddingMatrix",
-    "EmptyLogError",
-    "EventLog",
-    "ExportError",
-    "FailedJob",
-    "FormatError",
-    "GroundTruthLog",
-    "IntrinsicScores",
-    "LogStats",
-    "METHODS",
-    "MethodConfig",
-    "OccurrenceTable",
-    "PAD",
-    "PAD_LABEL",
-    "PairwiseSimilarity",
-    "ParameterError",
-    "PlanJob",
-    "TimingRecord",
-    "TimingReport",
-    "WEIGHTINGS",
-    "aggregate_scores",
-    "apply_ppmi",
-    "apply_weighting",
-    "build_aa",
-    "build_ac",
-    "build_embedding",
-    "compute_stats",
-    "enumerate_benchmark_plan",
-    "expand_grid",
-    "export_report",
-    "extract_occurrences",
-    "generate_ground_truth_log",
-    "log_from_label_traces",
-    "make_config",
-    "pairwise_distance_matrix",
-    "parse_csv",
-    "parse_xes",
-    "read_log",
-    "run_intrinsic_benchmark",
-    "run_runtime_bench",
-    "score_all",
-    "similarity_for_config",
-    "substitution_scores",
-    "write_distance_csv",
-    "write_embedding_csv",
-    "write_log_csv",
-    "write_stats_csv",
-]
+# Every public name the imports above bind, and nothing else: a retired
+# name leaves with its import.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

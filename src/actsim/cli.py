@@ -74,18 +74,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = commands.add_parser("stats", help="log summary and rank-frequency table")
     _add_input_options(p_stats)
+    p_stats.set_defaults(handler=_cmd_stats)
 
     p_embed = commands.add_parser("embed", help="export one embedding matrix")
     _add_input_options(p_embed)
     _add_single_config_options(p_embed)
+    p_embed.set_defaults(handler=_cmd_embed)
 
     p_dist = commands.add_parser("distances", help="export the pairwise distance matrix")
     _add_input_options(p_dist)
     _add_single_config_options(p_dist)
+    p_dist.set_defaults(handler=_cmd_distances)
 
     p_intr = commands.add_parser("intrinsic", help="ground-truth benchmark over a config grid")
     _add_input_options(p_intr)
     _add_grid_config_options(p_intr)
+    p_intr.set_defaults(handler=_cmd_intrinsic)
     p_intr.add_argument("--seed", type=int, default=42)
     p_intr.add_argument("--samples", type=int, default=5)
     p_intr.add_argument(
@@ -95,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = commands.add_parser("bench", help="runtime and memory measurements")
     _add_input_options(p_bench)
     _add_grid_config_options(p_bench)
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--reps", type=int, default=10, help="timing repetitions per config")
 
     return parser
@@ -248,15 +253,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "embed": _cmd_embed,
-    "distances": _cmd_distances,
-    "intrinsic": _cmd_intrinsic,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = build_parser()
     try:
@@ -265,7 +261,7 @@ def main(argv: "list[str] | None" = None) -> int:
         # argparse exits with 2 on usage errors already; normalize other codes.
         return int(exc.code) if exc.code else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ActsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

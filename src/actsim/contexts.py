@@ -209,18 +209,25 @@ def _shifts(n: int) -> list[int]:
 # slot array is 19 MB (window 5 over 590k events).
 _SLOT_BYTES_CAP = 1 << 31
 
-# The most bytes one dense n x n float64 or int64 matrix over the
-# activities may take (AA counts, a Gram, a similarity): n up to 16384.
-# A wider alphabet is refused before anything is allocated; AC embeddings,
-# which hold no such matrix, are not bounded by it.
+# The most bytes the dense n x n float64 or int64 matrices over the
+# activities that one embed or distances run holds at once may take: AA
+# counts, cached log-ratios and weighted values, a Gram, the similarities
+# and their temporaries. Its peak is about 4.4 such matrices for raw AA,
+# 5.4 for AA PMI, 6.4 for AA PPMI, 3.7 for AC and 4.2 for substitution
+# (tracemalloc, n = 1000), so _DENSE_MATRICES of them are counted and n is
+# at most 6192. A wider alphabet is refused before anything is allocated;
+# AC embeddings, which hold no such matrix, are not bounded by it.
 _DENSE_BYTES_CAP = 1 << 31
+_DENSE_MATRICES = 7
 
 
 def _check_dense(n: int) -> None:
-    """Refuse an n x n matrix of more than ``_DENSE_BYTES_CAP`` bytes."""
-    if n * n * 8 > _DENSE_BYTES_CAP:
+    """Refuse n activities when ``_DENSE_MATRICES`` n x n matrices would
+    take more than ``_DENSE_BYTES_CAP`` bytes."""
+    peak = _DENSE_MATRICES * n * n * 8
+    if peak > _DENSE_BYTES_CAP:
         raise ParameterError(
-            f"{n} activities need a {n * n * 8}-byte n x n matrix, "
+            f"{n} activities need {peak} bytes for {_DENSE_MATRICES} n x n matrices, "
             f"more than the {_DENSE_BYTES_CAP} bytes allowed"
         )
 

@@ -126,28 +126,31 @@ def generate_ground_truth_log(
         raise ParameterError("no activities selected for replacement")
     if w < 2:
         raise ParameterError(f"pool size must be at least 2, got {w}")
-    counts = log.activity_counts()
-    for aid in sorted(selected_set):
+    ids = sorted(selected_set)
+    counts = np.bincount(log.events, minlength=len(log.alphabet) + 1)
+    for aid in ids:
         if not 1 <= aid <= len(log.alphabet):
             raise ParameterError(f"selected id {aid} is not in the alphabet")
         if counts[aid] == 0:
             label = log.alphabet.label_of(aid)
             raise ParameterError(f"selected activity {label!r} does not occur in the log")
 
+    # Clone ids run on from the alphabet, w per selected activity.
     clone_labels: list[str] = []
-    clone_ids: dict[int, tuple[int, ...]] = {}
-    for aid in sorted(selected_set):
+    phi: dict[int, int] = {}
+    psi: dict[int, frozenset[int]] = {}
+    for aid in ids:
         first = len(log.alphabet) + 1 + len(clone_labels)
-        clone_ids[aid] = tuple(range(first, first + w))
+        clones = range(first, first + w)
         base = log.alphabet.label_of(aid)
         for k in range(1, w + 1):
             label = f"{base}__{k}"
             if label in log.alphabet:
                 raise ParameterError(f"clone label {label!r} collides with an existing activity")
             clone_labels.append(label)
+        phi.update(dict.fromkeys(clones, aid))
+        psi[aid] = frozenset(clones)
     alphabet = log.alphabet.extended(clone_labels)
-    phi = {cid: aid for aid, ids in clone_ids.items() for cid in ids}
-    psi = {aid: frozenset(ids) for aid, ids in clone_ids.items()}
 
     # One draw per (trace, selected activity), at the activity's first
     # event in that trace; every event of the activity in that trace takes
@@ -157,9 +160,9 @@ def generate_ground_truth_log(
     # id r, in a dtype narrow enough that the stable sort is a radix sort.
     # Only the selected events are sorted: activity by activity, and in
     # log order within one.
-    r = len(clone_ids)
+    r = len(ids)
     numbers = np.full(len(alphabet) + 1, r, dtype=np.min_scalar_type(r))
-    numbers[list(clone_ids)] = np.arange(r)
+    numbers[ids] = np.arange(r)
     of_event = numbers[events]
     selected_events = np.flatnonzero(of_event < r)
     where = selected_events[of_event[selected_events].argsort(kind="stable")]
@@ -180,7 +183,6 @@ def generate_ground_truth_log(
     picks[order] = _draws_below(random.Random(seed), (w - rank[order] % w).tolist())
     slots = _pool_slots(picks, rank, w)
 
-    # Clone ids run on from the alphabet, w per selected activity.
     derived_events = events.copy()
     derived_events[where] = len(log.alphabet) + 1 + activity * w + np.repeat(
         slots, np.diff(heads, append=len(where))
@@ -197,7 +199,7 @@ def generate_ground_truth_log(
     return GroundTruthLog(
         log=derived,
         classes=ClassAssignment(phi=phi, psi=psi),
-        r=len(selected_set),
+        r=r,
         w=w,
         seed=seed,
     )

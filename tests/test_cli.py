@@ -109,9 +109,9 @@ class TestEmbed:
 
     def test_an_alphabet_too_wide_for_a_dense_matrix_exits_2(self, worked_csv, tmp_path, capsys,
                                                             monkeypatch):
-        # worked_log's 5 activities need 200-byte n x n matrices; AC embed
-        # holds none, so only AA and the distances are refused.
-        monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 199)
+        # worked_log's 5 activities need 7 n x n matrices of 200 bytes; AC
+        # embed holds none, so only AA and the distances are refused.
+        monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 1399)
         for command, method in (("embed", "aa"), ("distances", "aa"), ("distances", "ac")):
             code = run([
                 command, "--input", worked_csv, "--out-dir", tmp_path / command / method,
@@ -120,8 +120,8 @@ class TestEmbed:
             assert code == 2
             err = capsys.readouterr().err
             assert err == (
-                "error: 5 activities need a 200-byte n x n matrix, "
-                "more than the 199 bytes allowed\n"
+                "error: 5 activities need 1400 bytes for 7 n x n matrices, "
+                "more than the 1399 bytes allowed\n"
             )
         assert run([
             "embed", "--input", worked_csv, "--out-dir", tmp_path / "ac",

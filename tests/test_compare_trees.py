@@ -49,6 +49,7 @@ def _without(files, name):
     # Bench timings differ from run to run.
     ("summaries", {**SUMMARIES, "bench_report.json": BENCH.format(1, 0.5)},
      {**SUMMARIES, "bench_report.json": BENCH.format(1, 0.7)}),
+    ("api", {"api.txt": "ActsimError\nAlphabet\n"}, None),
 ])
 def test_equal_reports_pass(tool, tmp_path, capsys, name, base, head):
     """``head`` None: the same files as ``base``."""
@@ -74,6 +75,8 @@ def test_equal_reports_pass(tool, tmp_path, capsys, name, base, head):
     ("quoted", {"embed-aa-mset-none-40/embedding.csv": "x\n"},
      {"embed-aa-mset-none-40/embedding.csv": "x\n", "embed-aa-mset-none-40/extra.json": "{}\n"},
      None, ["embed-aa-mset-none-40/extra.json", "only on the head side"]),
+    ("api", {"api.txt": "ActsimError\nAlphabet\n"}, {"api.txt": "ActsimError\n"}, None,
+     ["api.txt", "differs"]),
 ])
 def test_a_difference_names_its_case_and_file(tool, tmp_path, name, base, head, codes, words):
     problems = _compare(tool, tmp_path, name, base, head, codes)

@@ -347,7 +347,7 @@ def test_a_window_too_wide_for_memory_is_refused_before_the_scan(kind, monkeypat
 
 
 def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
-    # Three activities need a 3 x 3 int64 AA matrix: 72 bytes. The check
+    # Three activities need seven 3 x 3 matrices: 504 bytes. The check
     # comes before the pair plan, so nothing n x n is made; AC holds no
     # such matrix and is not bounded.
     log = EventLog(((1, 2), (3, 1)), Alphabet(list("abc")))
@@ -357,13 +357,13 @@ def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
         raise AssertionError("the pair plan")
 
     pair_plan = contexts._pair_plan
-    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 71)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 503)
     monkeypatch.setattr(contexts, "_pair_plan", refused)
-    with pytest.raises(ParameterError, match="^3 activities need a 72-byte n x n matrix"):
+    with pytest.raises(ParameterError, match="^3 activities need 504 bytes for 7 n x n matrices"):
         build_aa(table)
     assert build_ac(table).values.shape[0] == 3
     monkeypatch.setattr(contexts, "_pair_plan", pair_plan)
-    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 72)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 504)
     assert build_aa(table).values.shape == (3, 3)
 
 

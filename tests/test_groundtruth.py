@@ -136,6 +136,19 @@ class TestGenerate:
         with pytest.raises(ParameterError, match="does not occur"):
             generate_ground_truth_log(log, {4}, w=2, seed=0)
 
+    def test_errors_keep_their_precedence(self):
+        # Every range and occurrence error comes before any collision, and
+        # the first collision is reported in (id, k) order.
+        log = EventLog(((1, 2, 3, 4),), Alphabet(("a", "a__1", "b", "b__2", "d")))
+        for selected, message in (
+            ({3, 1, 5}, "selected activity 'd' does not occur in the log"),
+            ({3, 1, 9}, "selected id 9 is not in the alphabet"),
+            ({3, 1}, "clone label 'a__1' collides with an existing activity"),
+            ({3}, "clone label 'b__2' collides with an existing activity"),
+        ):
+            with pytest.raises(ParameterError, match=f"^{message}$"):
+                generate_ground_truth_log(log, selected, w=2, seed=0)
+
 
 @st.composite
 def derivation_cases(draw):

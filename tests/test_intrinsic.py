@@ -982,12 +982,12 @@ def _first_job_dies(log, job, configs, log_id):
 
 
 def test_an_alphabet_too_wide_for_a_dense_matrix_fails_every_config(monkeypatch):
-    # With the bound below one 2 x 2 matrix, every config of every job is
-    # refused on its own and recorded as a failure; the run goes on.
-    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 8 * 2 * 2 - 1)
+    # With the bound below seven 2 x 2 matrices, every config of every job
+    # is refused on its own and recorded as a failure; the run goes on.
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 7 * 8 * 2 * 2 - 1)
     log = structured_log(7, 300, 12)
     configs = expand_grid(METHODS, ("mset", "seq"), WEIGHTINGS, (3,))
     scores, failures = run_intrinsic_benchmark(log, configs, samples=1, master_seed=42)
     jobs = enumerate_benchmark_plan(log, 1, 42).jobs
     assert not scores and len(failures) == len(jobs) * len(configs)
-    assert all(" activities need a " in failure.error for failure in failures)
+    assert all(" activities need " in failure.error for failure in failures)

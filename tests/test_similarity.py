@@ -474,7 +474,7 @@ class TestExport:
 
 
 def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
-    # worked_log's 5 activities need 200-byte n x n matrices. Cosine is
+    # worked_log's 5 activities need 7 n x n matrices of 200 bytes. Cosine is
     # refused before its stack or any Gram, substitution before its counts.
     table = extract_occurrences(worked_log(), 3, "seq")
     ac = build_ac(table)
@@ -484,13 +484,13 @@ def test_an_alphabet_too_wide_for_a_dense_matrix_is_refused(monkeypatch):
         raise AssertionError("a Gram")
 
     gram = similarity._gram
-    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 199)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 1399)
     monkeypatch.setattr(similarity, "_gram", refused)
     fresh = extract_occurrences(worked_log(), 3, "seq")
     for compare in (lambda: pairwise_distance_matrix(ac), lambda: substitution_scores(fresh)):
-        with pytest.raises(ParameterError, match="^5 activities need a 200-byte"):
+        with pytest.raises(ParameterError, match="^5 activities need 1400 bytes for 7 "):
             compare()
     monkeypatch.setattr(similarity, "_gram", gram)
-    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 200)
+    monkeypatch.setattr(contexts, "_DENSE_BYTES_CAP", 1400)
     assert pairwise_distance_matrix(ac).values.tobytes() == expected
     assert substitution_scores(fresh).values.tobytes() == substitution_scores(table).values.tobytes()

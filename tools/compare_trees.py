@@ -34,6 +34,9 @@ if not actsim.__file__.startswith(sys.argv[1]):
 for step in json.loads(sys.argv[2]):
     if step[0] == "xes-to-csv":
         actsim.write_log_csv(actsim.read_log(step[1]), step[2])
+    elif step[0] == "api":
+        with open(step[1], "w", encoding="utf-8") as out:
+            out.writelines(f"{name}\\n" for name in actsim.__all__)
     elif code := main(step):
         sys.exit(code)
 """
@@ -105,6 +108,8 @@ CASES = (
         "--weight", "all", "--window", "3", "--reps", "1"]),
          0, ("stats.csv", "stats.json", "bench_report.json")),
     Case("xes", "log.xes", (["xes-to-csv", "{log}", "{out}/log.csv"],), 0, ("log.csv",)),
+    # The public API: actsim.__all__, one name per line.
+    Case("api", "log.csv", (["api", "{out}/api.txt"],), 0, ("api.txt",)),
 )
 
 
